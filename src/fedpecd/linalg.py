@@ -38,18 +38,27 @@ def _as_vector(z, name: str = "vector") -> np.ndarray:
     return v
 
 
-def eigen_cutoff(eigvals: np.ndarray) -> float:
-    """Rank cutoff for a set of eigenvalues of one symmetric matrix."""
+def eigen_cutoff(eigvals: np.ndarray) -> np.ndarray:
+    """Rank cutoff per symmetric matrix, from its eigenvalues on the last axis."""
     w = np.asarray(eigvals, dtype=float)
-    if w.size == 0:
-        return 0.0
-    return w.size * float(np.max(np.abs(w))) * RANK_CUTOFF_SCALE
+    if w.shape[-1] == 0:
+        return np.zeros(w.shape[:-1])
+    return w.shape[-1] * np.max(np.abs(w), axis=-1) * RANK_CUTOFF_SCALE
 
 
-def _eigh_sym(m: np.ndarray):
+def eigh_range(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, range mask and pseudo-inverse of symmetric matrices.
+
+    Works on one matrix or a stack ``(..., d, d)`` with one batched
+    ``eigh``.  Eigenvalues with magnitude at or below each matrix's
+    relative cutoff are treated as exact zeros: they are dropped from the
+    mask and from the pseudo-inverse.
+    """
     # Symmetrize first so accumulated round-off cannot leak into eigh.
-    sym = 0.5 * (m + m.T)
-    return np.linalg.eigh(sym)
+    w, u = np.linalg.eigh(0.5 * (stack + np.swapaxes(stack, -1, -2)))
+    keep = np.abs(w) > eigen_cutoff(w)[..., None]
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return w, keep, (u * inv_w[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def pinv(m) -> np.ndarray:
@@ -58,18 +67,12 @@ def pinv(m) -> np.ndarray:
     Eigenvalues with magnitude at or below the relative cutoff are treated
     as exact zeros.
     """
-    a = _as_square(m)
-    w, u = _eigh_sym(a)
-    cut = eigen_cutoff(w)
-    inv_w = np.where(np.abs(w) > cut, np.divide(1.0, w, where=np.abs(w) > cut), 0.0)
-    return (u * inv_w) @ u.T
+    return eigh_range(_as_square(m))[2]
 
 
 def rank(m) -> int:
     """Number of eigenvalues above the relative cutoff (by magnitude)."""
-    a = _as_square(m)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return int(np.sum(np.abs(w) > eigen_cutoff(w)))
+    return int(np.sum(eigh_range(_as_square(m))[1]))
 
 
 def log_det_on_range(m) -> float:
@@ -77,12 +80,8 @@ def log_det_on_range(m) -> float:
 
     The empty sum (zero matrix) is 0.0 by convention.
     """
-    a = _as_square(m)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    kept = w[w > eigen_cutoff(w)]
-    if kept.size == 0:
-        return 0.0
-    return float(np.sum(np.log(kept)))
+    w, keep, _ = eigh_range(_as_square(m))
+    return float(np.sum(np.log(w[keep & (w > 0.0)])))
 
 
 def weighted_norm(z, v) -> float:

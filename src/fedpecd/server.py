@@ -183,7 +183,6 @@ class CentralServer:
         self._warm: DesignAllocation | None = None
         self._roster: ArmRoster | None = None
         self._f_issued: dict[int, dict[int, int]] | None = None
-        self.last_allocation: DesignAllocation | None = None
 
     def _learn_directions(self, uploads: list[LocalEstimateUpload]):
         for u in uploads:
@@ -224,7 +223,6 @@ class CentralServer:
             warm_start=self._warm,
         )
         self._warm = alloc
-        self.last_allocation = alloc
         counts = allocate(alloc, f_p)
         self._roster = roster
         self._f_issued = counts

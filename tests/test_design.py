@@ -4,6 +4,7 @@ import pytest
 from fedpecd.design import (
     DesignAllocation,
     DesignProblem,
+    _Solver,
     design_objective,
     design_score,
     solve_design,
@@ -136,6 +137,117 @@ class TestSolveDesign:
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValidationError):
             DesignProblem(active_sets=[[]], directions={}, dim=2)
+
+
+def assert_consistent(prob, alloc):
+    """The reported objective is the objective of the returned weights, and
+    each agent's weights form a distribution over its active arms."""
+    assert alloc.objective == pytest.approx(design_objective(prob, alloc.pi), abs=1e-9)
+    for i, arms in enumerate(prob.active_sets):
+        assert sorted(alloc.pi[i]) == arms
+        assert all(w >= 0.0 for w in alloc.pi[i].values())
+        assert sum(alloc.pi[i].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRankOneUpdates:
+    """Cases the solver's rank-1 pseudo-inverse updates must get right."""
+
+    def test_single_member_arms(self):
+        # Arms 2 and 3 have one roster member each: rank 1 < d.
+        active_sets = [[0, 1, 2], [0, 1, 3], [0, 1]]
+        prob = random_design_problem(3, 4, 3, seed=7, active_sets=active_sets)
+        alloc = solve_design(prob)
+        assert alloc.converged
+        assert np.isfinite(alloc.objective)
+        assert_consistent(prob, alloc)
+
+    def test_collinear_members(self):
+        # Arm 0's members share one direction up to sign: span rank 1 in d=2.
+        dirs = {
+            (0, 0): rot(30), (1, 0): -rot(30), (2, 0): rot(30),
+            (0, 1): rot(100), (1, 1): rot(0), (2, 1): rot(45),
+        }
+        prob = DesignProblem(active_sets=[[0, 1]] * 3, directions=dirs, dim=2)
+        alloc = solve_design(prob)
+        assert np.isfinite(alloc.objective)
+        assert_consistent(prob, alloc)
+
+    def test_pairs_without_direction(self):
+        prob = random_design_problem(6, 4, 3, seed=8)
+        dirs = {p: v for p, v in prob.directions.items() if (p[0] + p[1]) % 3}
+        holed = DesignProblem(active_sets=prob.active_sets, directions=dirs, dim=3)
+        alloc = solve_design(holed)
+        assert np.isfinite(alloc.objective)
+        assert_consistent(holed, alloc)
+        # A pair with no direction attracts no budget once the solver moves.
+        for i, a in [(0, 0), (1, 2), (3, 0)]:
+            assert (i, a) not in dirs
+            assert alloc.pi[i][a] == 0.0
+
+    def test_warm_start_with_eliminated_arms(self):
+        prob = random_design_problem(8, 6, 3, seed=9)
+        cold = solve_design(prob)
+        active_sets = [[a for a in range(6) if (a + i) % 4] for i in range(8)]
+        dirs = {p: v for p, v in prob.directions.items() if p[1] in active_sets[p[0]]}
+        later = DesignProblem(active_sets=active_sets, directions=dirs, dim=3)
+        warm = solve_design(later, warm_start=cold)
+        assert_consistent(later, warm)
+        assert warm.objective == pytest.approx(solve_design(later).objective, abs=1e-4)
+
+    def test_updated_pseudo_inverses_match_rebuild(self):
+        """After every block, each arm's W^+ equals a fresh pseudo-inverse
+        of the Gram at the current weights, rank-deficient arms included."""
+        active_sets = [[0, 1, 2], [0, 1, 3], [0, 1], [1, 2]]
+        prob = random_design_problem(4, 4, 3, seed=11, active_sets=active_sets)
+        solver = _Solver(prob, None)
+        for _ in range(3):
+            for agent in range(prob.n_agents):
+                solver._block_update(agent, 1e-6)
+                grams = np.einsum("ik,ikj,ikl->kjl", solver.pi, solver.dirs, solver.dirs)
+                for a in range(4):
+                    np.testing.assert_allclose(
+                        solver.pinv[a], pinv(grams[a]), rtol=1e-9, atol=1e-9
+                    )
+            solver.sweep(1e-6)
+
+    def test_eigendecompositions_scale_with_sweeps_not_steps(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        alloc = solve_design(random_design_problem(20, 8, 3))
+        assert 0 < len(calls) <= 3 * (alloc.sweeps + 2)
+
+
+class TestDualityGap:
+    def test_bounds_distance_to_grid_optimum(self):
+        dirs = {
+            (0, 0): rot(10), (0, 1): rot(75),
+            (1, 0): rot(50), (1, 1): rot(160),
+        }
+        prob = DesignProblem(active_sets=[[0, 1], [0, 1]], directions=dirs, dim=2)
+        alloc = solve_design(prob)
+        grid_best, _ = grid_search_two_by_two(dirs)
+        assert alloc.gap >= 0.0
+        assert grid_best - alloc.objective <= alloc.gap + 1e-6
+
+    def test_matches_scores_at_solution(self):
+        prob = random_design_problem(7, 5, 3, seed=10)
+        alloc = solve_design(prob)
+        scores = design_score(prob, alloc)
+        gap = sum(
+            max(scores[(i, a)] for a in arms)
+            - sum(alloc.pi[i][a] * scores[(i, a)] for a in arms)
+            for i, arms in enumerate(prob.active_sets)
+        )
+        assert alloc.gap >= 0.0
+        assert alloc.gap == pytest.approx(gap, abs=1e-8)
 
 
 class TestDesignScore:
