@@ -26,12 +26,12 @@ class ArmStats:
     u: float
 
 
-def init_local_estimate(arm: int, y: float, psi: np.ndarray) -> LocalEstimate:
-    """Single-pull estimate y * psi / ||psi||^2 (one pull booked)."""
+def init_local_estimate(arm: int, y: float, psi: np.ndarray, pulls: int) -> LocalEstimate:
+    """Estimate y * psi / ||psi||^2 from the average reward y of ``pulls`` pulls."""
     norm_sq = float(psi @ psi)
     if norm_sq <= 0.0:
         raise ProtocolError(f"arm {arm}: psi has zero norm")
-    return LocalEstimate(arm=arm, theta_hat=(y / norm_sq) * psi, pulls=1)
+    return LocalEstimate(arm=arm, theta_hat=(y / norm_sq) * psi, pulls=pulls)
 
 
 def compute_arm_stats(
@@ -79,7 +79,7 @@ class Agent:
     def initialize(self, pull) -> LocalEstimateUpload:
         """Pull each arm once and upload the single-pull estimates."""
         estimates = [
-            init_local_estimate(a, pull(a), self.psi[a]) for a in sorted(self.psi)
+            init_local_estimate(a, pull(a), self.psi[a], 1) for a in sorted(self.psi)
         ]
         return LocalEstimateUpload(agent=self.index, phase=0, estimates=estimates)
 
@@ -118,10 +118,9 @@ class Agent:
                 raise ProtocolError(f"allocation for inactive arm {a}")
             if count == 0:
                 continue
-            y_bar = pull_many(a, count)
-            psi = self.psi[a]
-            theta_hat = (y_bar / float(psi @ psi)) * psi
-            estimates.append(LocalEstimate(arm=a, theta_hat=theta_hat, pulls=count))
+            estimates.append(
+                init_local_estimate(a, pull_many(a, count), self.psi[a], count)
+            )
             rounds += count
         upload = LocalEstimateUpload(agent=self.index, phase=self.phase, estimates=estimates)
         return upload, rounds

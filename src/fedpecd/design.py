@@ -59,11 +59,18 @@ class DesignProblem:
 
     A pair may lack a direction (the server never learned one for it);
     such pairs contribute nothing to any Gram matrix and attract no budget.
+    Validation also builds the dense view the solver works on: ``arms``
+    (arm id per column), the ``(M, K)`` ``active`` mask and the
+    ``(M, K, d)`` ``dirs``, with a zero row for each pair without a
+    direction.
     """
 
     active_sets: list[list[int]]
     directions: dict[tuple[int, int], np.ndarray]
     dim: int
+    arms: list[int] = field(init=False, repr=False)
+    active: np.ndarray = field(init=False, repr=False)
+    dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.active_sets:
@@ -72,9 +79,13 @@ class DesignProblem:
         for i, arms in enumerate(self.active_sets):
             if not arms:
                 raise ValidationError(f"agent {i} has an empty active set")
-        pairs = {
-            (i, a) for i, arms in enumerate(self.active_sets) for a in arms
-        }
+        pairs = {(i, a) for i, arms in enumerate(self.active_sets) for a in arms}
+        self.arms = sorted({a for _, a in pairs})
+        col = {a: k for k, a in enumerate(self.arms)}
+        self.active = np.zeros((self.n_agents, len(self.arms)), dtype=bool)
+        for i, arms in enumerate(self.active_sets):
+            self.active[i, [col[a] for a in arms]] = True
+        self.dirs = np.zeros((self.n_agents, len(self.arms), self.dim))
         dirs = {}
         for (i, a), vec in self.directions.items():
             if (i, a) not in pairs:
@@ -84,25 +95,23 @@ class DesignProblem:
                 raise ValidationError(
                     f"direction for (agent {i}, arm {a}) has shape {v.shape}"
                 )
-            nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > UNIT_NORM_TOL:
-                raise ValidationError(
-                    f"direction for (agent {i}, arm {a}) has norm {nrm}, expected 1"
-                )
             dirs[(i, a)] = v
+            self.dirs[i, col[a]] = v
         self.directions = dirs
+        keys = list(dirs)
+        norms = np.linalg.norm(
+            self.dirs[[i for i, _ in keys], [col[a] for _, a in keys]], axis=-1
+        )
+        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+        if bad.size:
+            i, a = keys[bad[0]]
+            raise ValidationError(
+                f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
+            )
 
     @property
     def n_agents(self) -> int:
         return len(self.active_sets)
-
-    def rosters(self) -> dict[int, list[int]]:
-        """arm -> sorted agents with that arm active."""
-        out: dict[int, list[int]] = {}
-        for i, arms in enumerate(self.active_sets):
-            for a in arms:
-                out.setdefault(a, []).append(i)
-        return {a: sorted(members) for a, members in sorted(out.items())}
 
 
 @dataclass
@@ -122,25 +131,8 @@ class DesignAllocation:
     gap: float = math.nan
 
 
-def _layout(prob: DesignProblem) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Dense view: arm ids by column, (M, K) active mask, (M, K, d) directions.
-
-    Pairs without a direction keep a zero row, so they add nothing to any
-    Gram matrix and score zero.
-    """
-    arms = sorted({a for s in prob.active_sets for a in s})
-    col = {a: k for k, a in enumerate(arms)}
-    active = np.zeros((prob.n_agents, len(arms)), dtype=bool)
-    dirs = np.zeros((prob.n_agents, len(arms), prob.dim))
-    for i, s in enumerate(prob.active_sets):
-        active[i, [col[a] for a in s]] = True
-    for (i, a), vec in prob.directions.items():
-        dirs[i, col[a]] = vec
-    return arms, active, dirs
-
-
-def _pi_array(prob: DesignProblem, arms: list[int], pi: list[dict[int, float]]) -> np.ndarray:
-    return np.array([[p.get(a, 0.0) for a in arms] for p in pi[: prob.n_agents]])
+def _pi_array(prob: DesignProblem, pi: list[dict[int, float]]) -> np.ndarray:
+    return np.array([[p.get(a, 0.0) for a in prob.arms] for p in pi[: prob.n_agents]])
 
 
 def _grams(pi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -167,22 +159,19 @@ def _logdet_span(w: np.ndarray, keep: np.ndarray, ranks: np.ndarray) -> float:
 
 def design_objective(prob: DesignProblem, pi: list[dict[int, float]]) -> float:
     """Span-restricted log-det objective at an arbitrary feasible point."""
-    arms, _, dirs = _layout(prob)
-    w, keep, _ = eigh_range(_grams(_pi_array(prob, arms, pi), dirs))
-    return _logdet_span(w, keep, _span_ranks(dirs))
+    w, keep, _ = eigh_range(_grams(_pi_array(prob, pi), prob.dirs))
+    return _logdet_span(w, keep, _span_ranks(prob.dirs))
 
 
-def _start_pi(
-    prob: DesignProblem, arms: list[int], active: np.ndarray,
-    warm: DesignAllocation | None,
-) -> np.ndarray:
+def _start_pi(prob: DesignProblem, warm: DesignAllocation | None) -> np.ndarray:
     """Uniform start, or the warm allocation restricted to the active arms,
     renormalized and blended with uniform so restored rosters stay interior."""
+    active = prob.active
     uniform = active / active.sum(axis=1, keepdims=True)
     if warm is None:
         return uniform
     prev = np.zeros(active.shape)
-    prev[: len(warm.pi)] = np.maximum(_pi_array(prob, arms, warm.pi), 0.0)
+    prev[: len(warm.pi)] = np.maximum(_pi_array(prob, warm.pi), 0.0)
     prev[~active] = 0.0
     total = prev.sum(axis=1, keepdims=True)
     kept = total >= 1e-9
@@ -202,9 +191,9 @@ class _Solver:
     """
 
     def __init__(self, prob: DesignProblem, warm: DesignAllocation | None):
-        arms, self.active, self.dirs = _layout(prob)
+        self.active, self.dirs = prob.active, prob.dirs
         self.ranks = _span_ranks(self.dirs)
-        self.pi = _start_pi(prob, arms, self.active, warm)
+        self.pi = _start_pi(prob, warm)
         self.cols = [np.flatnonzero(row) for row in self.active]
         self.agent_dirs = [d[c] for d, c in zip(self.dirs, self.cols)]
         self._rebuild()
@@ -351,7 +340,6 @@ def design_score(
         total = sum(alloc.pi[i].get(a, 0.0) for a in arms)
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(f"allocation for agent {i} sums to {total}")
-    arms, _, dirs = _layout(prob)
-    col = {a: k for k, a in enumerate(arms)}
-    g = _scores(dirs, eigh_range(_grams(_pi_array(prob, arms, alloc.pi), dirs))[2])
+    col = {a: k for k, a in enumerate(prob.arms)}
+    g = _scores(prob.dirs, eigh_range(_grams(_pi_array(prob, alloc.pi), prob.dirs))[2])
     return {(i, a): float(g[i, col[a]]) for (i, a) in sorted(prob.directions)}

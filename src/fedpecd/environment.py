@@ -128,9 +128,6 @@ class Environment:
 
     # -- regret ledger --------------------------------------------------------
 
-    def rounds_elapsed(self, agent: int) -> int:
-        return int(self._rounds[agent])
-
     def cumulative_regret(self, upto: int | None = None):
         """Per-agent cumulative pseudo-regret over each agent's first
         ``upto`` pulls (all pulls when None), plus the total."""

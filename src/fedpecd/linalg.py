@@ -70,20 +70,6 @@ def pinv(m) -> np.ndarray:
     return eigh_range(_as_square(m))[2]
 
 
-def rank(m) -> int:
-    """Number of eigenvalues above the relative cutoff (by magnitude)."""
-    return int(np.sum(eigh_range(_as_square(m))[1]))
-
-
-def log_det_on_range(m) -> float:
-    """Log pseudo-determinant: sum of log eigenvalues above the cutoff.
-
-    The empty sum (zero matrix) is 0.0 by convention.
-    """
-    w, keep, _ = eigh_range(_as_square(m))
-    return float(np.sum(np.log(w[keep & (w > 0.0)])))
-
-
 def weighted_norm(z, v) -> float:
     """Matrix-weighted vector norm sqrt(z' V z) for symmetric PSD V.
 

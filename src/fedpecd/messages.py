@@ -1,8 +1,9 @@
 """Message types crossing the agent/server boundary.
 
-These are the only payloads agents send or receive.  Outbound agent
-messages carry active sets and reward-parameter estimates, never psi
-vectors, context distributions, realized contexts, or raw rewards.
+These dataclasses are the only messages agents send or receive; their
+fields are the whole federation contract.  Outbound agent messages carry
+active sets and reward-parameter estimates, never psi vectors, context
+distributions, realized contexts, or raw rewards.
 """
 
 from __future__ import annotations
@@ -27,17 +28,6 @@ class LocalEstimateUpload:
     phase: int
     estimates: list[LocalEstimate]
 
-    def payload(self) -> dict:
-        return {
-            "type": "local_estimates",
-            "agent": self.agent,
-            "phase": self.phase,
-            "estimates": [
-                {"arm": e.arm, "theta_hat": [float(x) for x in e.theta_hat], "pulls": e.pulls}
-                for e in self.estimates
-            ],
-        }
-
 
 @dataclass
 class ActiveSetUpload:
@@ -45,33 +35,11 @@ class ActiveSetUpload:
     phase: int
     arms: list[int]
 
-    def payload(self) -> dict:
-        return {
-            "type": "active_set",
-            "agent": self.agent,
-            "phase": self.phase,
-            "arms": list(self.arms),
-        }
-
 
 @dataclass
 class GlobalBroadcast:
     phase: int
     models: dict[int, tuple[np.ndarray, np.ndarray]]  # arm -> (theta_hat, V)
-
-    def payload(self) -> dict:
-        return {
-            "type": "global_broadcast",
-            "phase": self.phase,
-            "models": [
-                {
-                    "arm": a,
-                    "theta_hat": [float(x) for x in th],
-                    "v": [[float(x) for x in row] for row in v],
-                }
-                for a, (th, v) in sorted(self.models.items())
-            ],
-        }
 
 
 @dataclass
@@ -79,11 +47,3 @@ class AllocationMessage:
     agent: int
     phase: int
     counts: dict[int, int]  # arm -> pull count
-
-    def payload(self) -> dict:
-        return {
-            "type": "allocation",
-            "agent": self.agent,
-            "phase": self.phase,
-            "counts": [[a, c] for a, c in sorted(self.counts.items())],
-        }

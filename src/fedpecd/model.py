@@ -167,39 +167,22 @@ def expected_feature(phi: FeatureMap, mu: ContextDistribution, arm: int) -> np.n
     return out
 
 
-class PsiSet:
-    """Expected features psi per (agent, arm), with cached norms."""
-
-    def __init__(self, per_agent: list[dict[int, np.ndarray]]):
-        self._per_agent = per_agent
-
-    def vector(self, agent: int, arm: int) -> np.ndarray:
-        return self._per_agent[agent][arm]
-
-    def agent_table(self, agent: int) -> dict[int, np.ndarray]:
-        return self._per_agent[agent]
-
-    def __len__(self):
-        return len(self._per_agent)
-
-
 def build_psi_set(
     phi: FeatureMap,
     mus: list[ContextDistribution],
     bounds: Bounds,
-    arms: list[int] | None = None,
-) -> PsiSet:
-    """Compute psi for every (agent, arm); reject norms below the ell floor.
+) -> list[dict[int, np.ndarray]]:
+    """Compute psi for every (agent, arm) as one arm -> psi table per agent;
+    reject norms below the ell floor.
 
     The estimators divide by ||psi||^2, so scenarios whose mixing drives a
     psi below ell are rejected outright instead of silently producing
     near-singular updates.
     """
-    arm_list = phi.arms if arms is None else sorted(arms)
     per_agent = []
     for i, mu in enumerate(mus):
         table = {}
-        for a in arm_list:
+        for a in phi.arms:
             psi = expected_feature(phi, mu, a)
             nrm = float(np.linalg.norm(psi))
             if nrm < bounds.ell - NORM_TOL:
@@ -210,7 +193,7 @@ def build_psi_set(
             psi.setflags(write=False)
             table[a] = psi
         per_agent.append(table)
-    return PsiSet(per_agent)
+    return per_agent
 
 
 @dataclass

@@ -112,17 +112,8 @@ def compute_alpha(m: int, k_arms: int, h: int, d: int, delta: float) -> tuple[fl
     return min(alpha1, alpha2), k
 
 
-@dataclass(frozen=True)
-class ConfidenceConfig:
-    """Confidence level delta with the derived multiplier alpha and k."""
-
-    delta: float
-    alpha: float
-    k: float
-
-
 def meter_message(msg) -> int:
-    """Number of real scalars a message serializes (per-arm payload).
+    """Number of real scalars a message carries.
 
     Arm ids and pull counts cost one scalar each; a theta vector costs d
     and a V matrix costs d^2.
@@ -202,10 +193,6 @@ class RunTrace:
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     meter: CommMeter = field(default_factory=CommMeter)
     total_rounds: int = 0
-
-    @property
-    def confidence(self) -> ConfidenceConfig:
-        return ConfidenceConfig(delta=self.delta, alpha=self.alpha, k=self.k)
 
     def regret_at(self, round_index: int) -> float:
         for r, value in self.checkpoints:
@@ -290,9 +277,6 @@ class RunTrace:
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
 
-    def to_jsonl_str(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records())
-
 
 def run_protocol(
     scenario: Scenario,
@@ -323,9 +307,7 @@ def run_protocol(
     psi = build_psi_set(scenario.features, mus, scenario.bounds)
 
     alpha, k_conf = compute_alpha(m, k_arms, schedule.H, d, delta)
-    agents = [
-        Agent(i, psi.agent_table(i), alpha, scenario.bounds.ell) for i in range(m)
-    ]
+    agents = [Agent(i, psi[i], alpha, scenario.bounds.ell) for i in range(m)]
     server = CentralServer(m, k_arms, d)
     meter = CommMeter()
 

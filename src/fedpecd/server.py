@@ -1,5 +1,9 @@
 """Server-side protocol: rosters, aggregation, design solving, allocation.
 
+Initialization and every phase share one aggregation formula; they differ
+only in which uploads they accept (init: every agent, every arm, f = 1;
+phase: roster members with the issued pull counts f).
+
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
 themselves (estimates are collinear with the uploading agent's psi), with
@@ -15,7 +19,7 @@ import numpy as np
 
 from .design import DesignAllocation, DesignProblem, solve_design
 from .errors import DegenerateArmError, NotPSDError, ProtocolError
-from .linalg import pinv
+from .linalg import eigen_cutoff, pinv
 from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload
 
 # Relief subtracted before ceil() so float dust cannot inflate a count.
@@ -28,17 +32,6 @@ class ArmRoster:
 
     union: list[int]
     members: dict[int, list[int]]
-
-
-@dataclass
-class GlobalModel:
-    """Per-arm aggregated pair (theta_hat, V)."""
-
-    phase: int
-    entries: dict[int, tuple[np.ndarray, np.ndarray]]
-
-    def model(self, arm: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.entries[arm]
 
 
 def build_roster(active_sets: list[list[int]]) -> ArmRoster:
@@ -54,83 +47,31 @@ def build_roster(active_sets: list[list[int]]) -> ArmRoster:
 
 
 def _check_psd(v: np.ndarray, arm: int):
+    # Relative tolerance: V = Gram^+ has norm ~1 / lambda_min(Gram), so its
+    # rounding error scales with it.
     w = np.linalg.eigvalsh(0.5 * (v + v.T))
-    if w.size and float(w.min()) < -1e-10:
+    if w.size and float(w.min()) < -float(eigen_cutoff(w)):
         raise NotPSDError(f"aggregated V for arm {arm} has eigenvalue {w.min()}")
 
 
-def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int) -> GlobalModel:
-    """Aggregate the single-pull estimates into the first global model.
+def _aggregate(
+    phase: int,
+    collected: dict[int, list[tuple[int, np.ndarray]]],
+    prev: GlobalBroadcast | None,
+) -> GlobalBroadcast:
+    """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
 
-    Per arm: V = pinv(sum_i th th' / ||th||^2), theta = V (sum_i th).
     Estimates that are exactly zero (zero observed reward) carry no
     direction and are skipped in the Gram sum; their contribution to the
-    linear term is zero anyway.
+    linear term is zero anyway.  An arm with no usable estimate keeps its
+    model from ``prev``, since a zero model would spuriously eliminate it;
+    without ``prev`` (initialization) it is degenerate.
     """
-    seen = {u.agent for u in uploads}
-    if seen != set(range(m)):
-        raise ProtocolError(f"initialization needs uploads from all {m} agents")
-    by_arm: dict[int, list[np.ndarray]] = {a: [] for a in range(k)}
-    for u in uploads:
-        arms = sorted(e.arm for e in u.estimates)
-        if arms != list(range(k)):
-            raise ProtocolError(
-                f"agent {u.agent} initial upload covers arms {arms}, expected all {k}"
-            )
-        for e in u.estimates:
-            by_arm[e.arm].append(np.asarray(e.theta_hat, dtype=float))
-    entries = {}
-    for a in range(k):
+    models = {}
+    for a, terms in collected.items():
         gram = None
         linear = None
-        for th in by_arm[a]:
-            linear = th if linear is None else linear + th
-            norm_sq = float(th @ th)
-            if norm_sq == 0.0:
-                continue
-            outer = np.outer(th, th) / norm_sq
-            gram = outer if gram is None else gram + outer
-        if gram is None:
-            raise DegenerateArmError(f"all initial estimates for arm {a} are zero")
-        v = pinv(gram)
-        _check_psd(v, a)
-        entries[a] = (v @ linear, v)
-    return GlobalModel(phase=1, entries=entries)
-
-
-def aggregate_phase(
-    uploads: list[LocalEstimateUpload],
-    roster: ArmRoster,
-    f_issued: dict[int, dict[int, int]],
-    prev: GlobalModel,
-) -> GlobalModel:
-    """Aggregate phase-p uploads into the next global model.
-
-    Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th),
-    summed over roster agents that actually explored the arm.  An active
-    arm that received no usable upload keeps its previous model, since a
-    zero model would spuriously eliminate it.
-    """
-    collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in roster.union}
-    for u in uploads:
-        for e in u.estimates:
-            a = e.arm
-            if a not in collected or u.agent not in roster.members[a]:
-                raise ProtocolError(
-                    f"agent {u.agent} uploaded for arm {a} outside its roster"
-                )
-            issued = f_issued.get(u.agent, {}).get(a, 0)
-            if e.pulls != issued:
-                raise ProtocolError(
-                    f"agent {u.agent}, arm {a}: uploaded {e.pulls} pulls, "
-                    f"server issued {issued}"
-                )
-            collected[a].append((e.pulls, np.asarray(e.theta_hat, dtype=float)))
-    entries = {}
-    for a in roster.union:
-        gram = None
-        linear = None
-        for f, th in collected[a]:
+        for f, th in terms:
             if f < 1:
                 continue
             linear = f * th if linear is None else linear + f * th
@@ -140,12 +81,74 @@ def aggregate_phase(
             outer = (f / norm_sq) * np.outer(th, th)
             gram = outer if gram is None else gram + outer
         if gram is None:
-            entries[a] = prev.entries[a]
+            if prev is None:
+                raise DegenerateArmError(f"all initial estimates for arm {a} are zero")
+            models[a] = prev.models[a]
             continue
         v = pinv(gram)
         _check_psd(v, a)
-        entries[a] = (v @ linear, v)
-    return GlobalModel(phase=prev.phase + 1, entries=entries)
+        models[a] = (v @ linear, v)
+    return GlobalBroadcast(phase=phase, models=models)
+
+
+def _rejected(u: LocalEstimateUpload, arm, problem: str) -> ProtocolError:
+    """The error naming an upload's agent, arm (or arm list) and phase."""
+    return ProtocolError(f"agent {u.agent}, arm {arm}, phase {u.phase}: {problem}")
+
+
+def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int) -> GlobalBroadcast:
+    """Aggregate the single-pull estimates into the first global model.
+
+    Needs exactly one phase-0 upload per agent covering every arm; each
+    estimate enters the aggregation with f = 1.
+    """
+    collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in range(k)}
+    seen: set[int] = set()
+    for u in uploads:
+        arms = sorted(e.arm for e in u.estimates)
+        if u.phase != 0:
+            raise _rejected(u, arms, "initial uploads must be phase 0")
+        if u.agent in seen:
+            raise _rejected(u, arms, "second initial upload from this agent")
+        seen.add(u.agent)
+        if arms != list(range(k)):
+            raise _rejected(u, arms, f"initial upload must cover all {k} arms")
+        for e in u.estimates:
+            collected[e.arm].append((1, np.asarray(e.theta_hat, dtype=float)))
+    if seen != set(range(m)):
+        raise ProtocolError(f"initialization needs uploads from all {m} agents")
+    return _aggregate(1, collected, None)
+
+
+def aggregate_phase(
+    uploads: list[LocalEstimateUpload],
+    roster: ArmRoster,
+    f_issued: dict[int, dict[int, int]],
+    prev: GlobalBroadcast,
+) -> GlobalBroadcast:
+    """Aggregate phase-p uploads into the next global model over the union.
+
+    Each upload must be stamped with the phase of ``prev``, and each
+    (agent, arm) estimate must come from a roster member, at most once,
+    with exactly the pull count the server issued.
+    """
+    collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in roster.union}
+    seen: set[tuple[int, int]] = set()
+    for u in uploads:
+        if u.phase != prev.phase:
+            arms = [e.arm for e in u.estimates]
+            raise _rejected(u, arms, f"expected phase {prev.phase}")
+        for e in u.estimates:
+            if e.arm not in collected or u.agent not in roster.members[e.arm]:
+                raise _rejected(u, e.arm, "upload outside the agent's roster")
+            if (u.agent, e.arm) in seen:
+                raise _rejected(u, e.arm, "second upload for this pair")
+            seen.add((u.agent, e.arm))
+            issued = f_issued.get(u.agent, {}).get(e.arm, 0)
+            if e.pulls != issued:
+                raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {issued}")
+            collected[e.arm].append((e.pulls, np.asarray(e.theta_hat, dtype=float)))
+    return _aggregate(prev.phase + 1, collected, prev)
 
 
 def allocate(alloc: DesignAllocation, f_p: int) -> dict[int, dict[int, int]]:
@@ -171,14 +174,11 @@ def _sign_normalize(vec: np.ndarray) -> np.ndarray:
 class CentralServer:
     """Synchronous-round server: one barrier per phase."""
 
-    def __init__(self, m: int, k: int, d: int, design_max_iters: int = 500,
-                 design_tol: float = 1e-6):
+    def __init__(self, m: int, k: int, d: int):
         self.m = m
         self.k = k
         self.d = d
-        self.design_max_iters = design_max_iters
-        self.design_tol = design_tol
-        self.model: GlobalModel | None = None
+        self.model: GlobalBroadcast | None = None
         self.directions: dict[tuple[int, int], np.ndarray] = {}
         self._warm: DesignAllocation | None = None
         self._roster: ArmRoster | None = None
@@ -195,7 +195,7 @@ class CentralServer:
     def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
         self._learn_directions(uploads)
         self.model = aggregate_init(uploads, self.m, self.k)
-        return GlobalBroadcast(phase=1, models=dict(self.model.entries))
+        return self.model
 
     def plan_phase(
         self, active_uploads: list[ActiveSetUpload], f_p: int
@@ -216,12 +216,7 @@ class CentralServer:
             if (i, a) in self.directions
         }
         prob = DesignProblem(active_sets=active_sets, directions=dirs, dim=self.d)
-        alloc = solve_design(
-            prob,
-            max_iters=self.design_max_iters,
-            tol=self.design_tol,
-            warm_start=self._warm,
-        )
+        alloc = solve_design(prob, warm_start=self._warm)
         self._warm = alloc
         counts = allocate(alloc, f_p)
         self._roster = roster
@@ -237,6 +232,4 @@ class CentralServer:
             raise ProtocolError("phase uploads arrived before planning")
         self._learn_directions(uploads)
         self.model = aggregate_phase(uploads, self._roster, self._f_issued, self.model)
-        entries = {a: self.model.entries[a] for a in self._roster.union}
-        self.model = GlobalModel(phase=self.model.phase, entries=entries)
-        return GlobalBroadcast(phase=self.model.phase, models=dict(entries))
+        return self.model

@@ -227,7 +227,7 @@ def test_c08_aggregation_oracle():
                     gram += np.outer(th, th) / nsq
             v_ref = pinv(gram)
             theta_ref = v_ref @ linear
-            theta, v = model.entries[a]
+            theta, v = model.models[a]
             worst = max(worst, float(np.max(np.abs(v - v_ref))),
                         float(np.max(np.abs(theta - theta_ref))))
             np.testing.assert_allclose(v, v_ref, rtol=1e-8, atol=1e-12)
@@ -266,9 +266,9 @@ def test_c08_aggregation_oracle():
                 if nsq > 0.0:
                     gram += (f / nsq) * np.outer(th, th)
                     seen = True
-            theta, v = phase_model.entries[a]
+            theta, v = phase_model.models[a]
             if not seen:
-                theta_ref, v_ref = model.entries[a]
+                theta_ref, v_ref = model.models[a]
             else:
                 v_ref = pinv(gram)
                 theta_ref = v_ref @ linear

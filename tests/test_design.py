@@ -11,6 +11,7 @@ from fedpecd.design import (
 )
 from fedpecd.errors import ValidationError
 from fedpecd.linalg import pinv
+from fedpecd.server import build_roster
 
 from conftest import random_design_problem
 
@@ -261,7 +262,7 @@ class TestDesignScore:
             prob = random_design_problem(3, 3, 3, seed=seed)
             alloc = solve_design(prob)
             scores = design_score(prob, alloc)
-            for a, members in prob.rosters().items():
+            for a, members in build_roster(prob.active_sets).members.items():
                 gram = np.zeros((3, 3))
                 for i in members:
                     e = prob.directions[(i, a)]

@@ -40,7 +40,7 @@ def test_duplicate_context_id_rejected():
 
 def test_init_estimate_rejects_zero_psi():
     with pytest.raises(ProtocolError):
-        init_local_estimate(0, 1.0, np.zeros(3))
+        init_local_estimate(0, 1.0, np.zeros(3), 1)
 
 
 def test_arm_stats_propagate_not_psd():
@@ -98,14 +98,6 @@ def test_regret_at_unknown_round():
     trace = run_protocol(sc, sched, master_seed=0)
     with pytest.raises(KeyError):
         trace.regret_at(63)
-
-
-def test_confidence_config_view():
-    sc = identical_agents_scenario(m=2)
-    sched = build_schedule(1, 2, sc.K, 64)
-    trace = run_protocol(sc, sched, master_seed=0)
-    conf = trace.confidence
-    assert conf.alpha == trace.alpha and conf.k == trace.k and conf.delta == trace.delta
 
 
 def test_restrict_out_of_range():

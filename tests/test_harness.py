@@ -61,7 +61,7 @@ class TestGenerateSynthetic:
         for i in range(3):
             for a in range(4):
                 np.testing.assert_allclose(
-                    psi_h.vector(i, a), psi_e.vector(i, a), atol=1e-12
+                    psi_h[i][a], psi_e[i][a], atol=1e-12
                 )
 
     def test_generation_is_seed_deterministic(self):
@@ -77,7 +77,7 @@ class TestGenerateSynthetic:
         tied = 0
         for i in range(sc.M):
             vals = np.array([
-                float(sc.rewards[a] @ psi.vector(i, a)) for a in range(sc.K)
+                float(sc.rewards[a] @ psi[i][a]) for a in range(sc.K)
             ])
             order = np.sort(vals)[::-1]
             if order[0] - order[1] < 1e-9:

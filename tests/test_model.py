@@ -126,8 +126,8 @@ class TestBuildPsiSet:
         )
         mus = [ContextDistribution.point_mass(0), ContextDistribution.point_mass(1)]
         psi = build_psi_set(phi, mus, bounds)
-        np.testing.assert_allclose(psi.vector(0, 0), [0.9, 0.0])
-        np.testing.assert_allclose(psi.vector(1, 1), [0.8, 0.0])
+        np.testing.assert_allclose(psi[0][0], [0.9, 0.0])
+        np.testing.assert_allclose(psi[1][1], [0.8, 0.0])
 
     def test_matches_entrywise_recomputation(self, rng):
         bounds = Bounds(ell=0.1, big_l=1.0, s=1.0)
@@ -146,7 +146,7 @@ class TestBuildPsiSet:
         for i, mu in enumerate(mus):
             for a in range(2):
                 manual = sum(p * table[a][c] for c, p in zip(mu.ids, mu.probs))
-                np.testing.assert_allclose(psi.vector(i, a), manual, atol=1e-15)
+                np.testing.assert_allclose(psi[i][a], manual, atol=1e-15)
 
     def test_floor_violation_names_offender(self):
         bounds = Bounds(ell=0.9, big_l=1.0, s=1.0)

@@ -146,7 +146,7 @@ class TestRunProtocol:
         sched = build_schedule(1, 2, sc.K, 2**9)
         t1 = run_protocol(sc, sched, master_seed=9, variant="hidden")
         t2 = run_protocol(sc, sched, master_seed=9, variant="hidden")
-        assert t1.to_jsonl_str() == t2.to_jsonl_str()
+        assert list(t1.records()) == list(t2.records())
 
     def test_total_rounds_cover_horizon(self):
         sc = generate_synthetic(small_spec(), seed=5)

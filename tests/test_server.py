@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from fedpecd.design import DesignAllocation
-from fedpecd.errors import DegenerateArmError, ProtocolError
+from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import pinv
-from fedpecd.messages import LocalEstimate, LocalEstimateUpload
+from fedpecd.messages import GlobalBroadcast, LocalEstimate, LocalEstimateUpload
 from fedpecd.server import (
-    GlobalModel,
     aggregate_init,
     aggregate_phase,
+    _check_psd,
     allocate,
     build_roster,
 )
@@ -50,7 +50,7 @@ class TestAggregateInit:
     def test_single_agent_unit_psi_fixed_point(self):
         psi = np.array([0.6, 0.8])  # unit norm
         model = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1)
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(psi, psi), atol=1e-12)
         np.testing.assert_allclose(theta, psi, atol=1e-12)
 
@@ -60,7 +60,7 @@ class TestAggregateInit:
         model = aggregate_init(
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1
         )
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(u, u) + np.outer(w, w), atol=1e-12)
         np.testing.assert_allclose(theta, u + w, atol=1e-12)
 
@@ -75,8 +75,8 @@ class TestAggregateInit:
         scaled = aggregate_init(
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, 3 * w, 1)])], m=2, k=1
         )
-        np.testing.assert_allclose(scaled.entries[0][1], base.entries[0][1], atol=1e-12)
-        assert not np.allclose(scaled.entries[0][0], base.entries[0][0])
+        np.testing.assert_allclose(scaled.models[0][1], base.models[0][1], atol=1e-12)
+        assert not np.allclose(scaled.models[0][0], base.models[0][0])
 
     def test_zero_upload_skipped_in_gram(self):
         u = np.array([1.0, 0.0])
@@ -84,7 +84,7 @@ class TestAggregateInit:
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, np.zeros(2), 1)])],
             m=2, k=1,
         )
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(u, u), atol=1e-12)
         np.testing.assert_allclose(theta, u, atol=1e-12)
 
@@ -95,6 +95,20 @@ class TestAggregateInit:
     def test_missing_agent_rejected(self):
         with pytest.raises(ProtocolError):
             aggregate_init([upload(0, 0, [(0, np.array([1.0, 0.0]), 1)])], m=2, k=1)
+
+    def test_repeated_agent_rejected(self):
+        u = np.array([1.0, 0.0])
+        w = np.array([0.0, 1.0])
+        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 0"):
+            aggregate_init(
+                [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)]),
+                 upload(0, 0, [(0, u, 1)])],
+                m=2, k=1,
+            )
+
+    def test_wrong_phase_stamp_rejected(self):
+        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1"):
+            aggregate_init([upload(0, 1, [(0, np.array([1.0, 0.0]), 1)])], m=1, k=1)
 
 
 def make_roster(active_sets):
@@ -116,7 +130,7 @@ class TestAggregatePhase:
             {0: {0: 1}},
             self.prev,
         )
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(self.psi, self.psi), atol=1e-12)
         np.testing.assert_allclose(theta, c * self.psi, atol=1e-12)
 
@@ -124,7 +138,7 @@ class TestAggregatePhase:
         model = aggregate_phase(
             [upload(0, 1, [])], make_roster([[0]]), {0: {0: 0}}, self.prev
         )
-        assert model.entries[0] is self.prev.entries[0]
+        assert model.models[0] is self.prev.models[0]
 
     def test_two_agents_same_direction(self):
         e = np.array([0.0, 1.0])
@@ -134,9 +148,9 @@ class TestAggregatePhase:
             [upload(0, 1, [(0, c1 * e, 2)]), upload(1, 1, [(0, c2 * e, 2)])],
             roster,
             {0: {0: 2}, 1: {0: 2}},
-            GlobalModel(phase=1, entries={0: (e, np.outer(e, e))}),
+            GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))}),
         )
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         # f-weighted direction Gram: (2 + 2) e e' -> pinv = e e' / 4
         np.testing.assert_allclose(v, np.outer(e, e) / 4.0, atol=1e-12)
         np.testing.assert_allclose(theta, ((2 * c1 + 2 * c2) / 4.0) * e, atol=1e-12)
@@ -159,6 +173,25 @@ class TestAggregatePhase:
                 self.prev,
             )
 
+    def test_duplicate_estimate_rejected(self):
+        """A second estimate for the same (agent, arm) would be counted twice."""
+        for uploads in (
+            [upload(0, 1, [(0, self.psi, 1)]), upload(0, 1, [(0, self.psi, 1)])],
+            [upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])],
+        ):
+            with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+                aggregate_phase(uploads, make_roster([[0]]), {0: {0: 1}}, self.prev)
+
+    @pytest.mark.parametrize("stamp", [0, 2])
+    def test_stale_or_future_phase_rejected(self, stamp):
+        with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
+            aggregate_phase(
+                [upload(0, stamp, [(0, self.psi, 1)])],
+                make_roster([[0]]),
+                {0: {0: 1}},
+                self.prev,
+            )
+
 
 class TestAggregationInvariants:
     def test_psd_and_range_consistency(self, rng):
@@ -174,7 +207,7 @@ class TestAggregationInvariants:
                     entries.append((a, y * psi, 1))
                 uploads.append(upload(i, 0, entries))
             model = aggregate_init(uploads, m=m, k=2)
-            for a, (theta, v) in model.entries.items():
+            for a, (theta, v) in model.models.items():
                 w = np.linalg.eigvalsh(v)
                 assert w.min() >= -1e-10
                 np.testing.assert_allclose(v, v.T, atol=1e-10)
@@ -189,18 +222,37 @@ class TestAggregationInvariants:
         coeffs = [0.7, -0.3, 1.1]
         fs = [2, 3, 4]
         roster = make_roster([[0]] * 3)
-        prev = GlobalModel(phase=1, entries={0: (e, np.outer(e, e))})
+        prev = GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))})
         uploads = [
             upload(i, 1, [(0, c * e, f)]) for i, (c, f) in enumerate(zip(coeffs, fs))
         ]
         model = aggregate_phase(
             uploads, roster, {i: {0: f} for i, f in enumerate(fs)}, prev
         )
-        theta, v = model.entries[0]
+        theta, v = model.models[0]
         total = sum(fs)
         np.testing.assert_allclose(v, np.outer(e, e) / total, atol=1e-12)
         mean = sum(f * c for f, c in zip(fs, coeffs)) / total
         np.testing.assert_allclose(theta, mean * e, atol=1e-12)
+
+
+class TestCheckPsd:
+    @pytest.mark.parametrize("angle", [1e-3, 1e-4])
+    def test_nearly_parallel_uploads_aggregate(self, angle):
+        """V = Gram^+ has norm ~1/angle^2 here, so its rounding error alone
+        exceeds any fixed absolute tolerance on its smallest eigenvalue."""
+        for seed in range(50):
+            q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+            dirs = [q[:, 0], np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 1]]
+            model = aggregate_init(
+                [upload(i, 0, [(0, 0.8 * e, 1)]) for i, e in enumerate(dirs)], m=2, k=1
+            )
+            theta, v = model.models[0]
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(theta))
+
+    def test_indefinite_matrix_rejected(self):
+        with pytest.raises(NotPSDError):
+            _check_psd(np.diag([1.0, -0.1]), 0)
 
 
 class TestAllocate:
