@@ -1,29 +1,22 @@
-"""Agent-side protocol: local estimates, confidence stats, elimination.
+"""Agent-side protocol: local estimates, batched scoring, elimination.
 
 An agent sees its own psi table (expected features under its context
 distribution), the confidence multiplier alpha, and the norm floor ell.
 Everything it learns about other agents arrives through the server's
-broadcast models.
+broadcast models.  At the start of a phase it scores all of its active
+arms in one stacked pass (``score_arms``) and eliminates them in one
+vector comparison (``eliminate``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ProtocolError
-from .linalg import weighted_norm
+from .errors import DimensionError, NonFiniteError, NotPSDError, ProtocolError
 from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimate, LocalEstimateUpload
 
-
-@dataclass
-class ArmStats:
-    """Estimated reward and confidence width for one active arm."""
-
-    arm: int
-    r_hat: float
-    u: float
+# Quadratic forms down to this value are treated as zero (round-off).
+NEG_QUADFORM_TOL = -1e-12
 
 
 def init_local_estimate(arm: int, y: float, psi: np.ndarray, pulls: int) -> LocalEstimate:
@@ -34,34 +27,39 @@ def init_local_estimate(arm: int, y: float, psi: np.ndarray, pulls: int) -> Loca
     return LocalEstimate(arm=arm, theta_hat=(y / norm_sq) * psi, pulls=pulls)
 
 
-def compute_arm_stats(
-    psi: np.ndarray,
-    arm: int,
-    theta_hat: np.ndarray,
-    v: np.ndarray,
-    alpha: float,
-    ell: float,
-) -> ArmStats:
-    """r_hat = <psi, theta_hat>; u = alpha * ||psi||_V / ell."""
-    r_hat = float(psi @ theta_hat)
-    u = alpha * weighted_norm(psi, v) / ell
-    return ArmStats(arm=arm, r_hat=r_hat, u=u)
+def score_arms(psi, theta_hat, v, alpha: float, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: r_hat = <psi, theta_hat> and u = alpha * ||psi||_V / ell.
+
+    Stacks: psi and theta_hat ``(n, d)``, V ``(n, d, d)``.  Quadratic forms
+    down to NEG_QUADFORM_TOL are clamped to zero; anything more negative
+    raises NotPSDError.
+    """
+    if psi.ndim != 2 or theta_hat.shape != psi.shape or v.shape != psi.shape + psi.shape[-1:]:
+        raise DimensionError(f"psi {psi.shape}, theta_hat {theta_hat.shape}, V {v.shape} do not stack")
+    if not np.isfinite(v).all():
+        raise NonFiniteError("weight matrix contains non-finite entries")
+    # Stacked matmuls in the association (psi' V) psi, not einsum, so each
+    # row rounds exactly as the one-arm products do.
+    row = psi[:, None, :]
+    q = ((row @ (0.5 * (v + np.swapaxes(v, 1, 2)))) @ row.transpose(0, 2, 1))[:, 0, 0]
+    if np.any(q < NEG_QUADFORM_TOL):
+        raise NotPSDError(f"quadratic form {q.min()} is negative beyond tolerance")
+    return (row @ theta_hat[:, :, None])[:, 0, 0], alpha * np.sqrt(np.maximum(q, 0.0)) / ell
 
 
-def eliminate(stats: list[ArmStats], active: list[int]) -> list[int]:
+def eliminate(active: list[int], r_hat, u) -> list[int]:
     """Keep arms whose upper bound reaches the empirical best's lower bound.
 
-    The empirical best (ties -> lowest arm index) always survives.
+    ``r_hat[j]`` and ``u[j]`` score ``active[j]``.  The empirical best (the
+    first maximum of r_hat) always survives.
     """
-    if not active:
-        raise ProtocolError("elimination called with an empty active set")
-    by_arm = {s.arm: s for s in stats}
-    if sorted(by_arm) != sorted(active):
-        raise ProtocolError("stats do not cover exactly the active set")
-    ordered = [by_arm[a] for a in sorted(active)]
-    best = max(ordered, key=lambda s: s.r_hat)  # max() keeps the first on ties
-    floor = best.r_hat - best.u
-    return [s.arm for s in ordered if s.r_hat + s.u >= floor]
+    if not active or len(r_hat) != len(active) or len(u) != len(active):
+        raise ProtocolError(
+            f"cannot eliminate from active set {active} with {len(r_hat)} r_hat, {len(u)} u"
+        )
+    best = int(np.argmax(r_hat))
+    keep = np.add(r_hat, u) >= r_hat[best] - u[best]
+    return [a for a, k in zip(active, keep.tolist()) if k]
 
 
 class Agent:
@@ -85,20 +83,20 @@ class Agent:
 
     def begin_phase(
         self, broadcast: GlobalBroadcast
-    ) -> tuple[ActiveSetUpload, list[ArmStats]]:
-        """Score the active arms against the broadcast model and eliminate."""
+    ) -> tuple[ActiveSetUpload, list[tuple[int, float, float]]]:
+        """Score the active arms against the broadcast model and eliminate.
+
+        The stats hold one ``(arm, r_hat, u)`` per scored arm.
+        """
         self.phase += 1
-        stats = []
-        for a in self.active:
-            theta_hat, v = broadcast.models[a]
-            stats.append(
-                compute_arm_stats(self.psi[a], a, theta_hat, v, self.alpha, self.ell)
-            )
-        best = max(stats, key=lambda s: s.r_hat)
-        self.a_hat = best.arm
-        self.active = eliminate(stats, self.active)
+        arms = self.active
+        theta, v = zip(*(broadcast.models[a] for a in arms))
+        psi = np.array([self.psi[a] for a in arms])
+        r_hat, u = score_arms(psi, np.array(theta), np.array(v), self.alpha, self.ell)
+        self.a_hat = arms[int(np.argmax(r_hat))]
+        self.active = eliminate(arms, r_hat, u)
         upload = ActiveSetUpload(agent=self.index, phase=self.phase, arms=list(self.active))
-        return upload, stats
+        return upload, list(zip(arms, r_hat.tolist(), u.tolist()))
 
     def explore_phase(
         self, assignment: AllocationMessage, pull_many

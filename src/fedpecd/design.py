@@ -102,7 +102,8 @@ class DesignProblem:
         norms = np.linalg.norm(
             self.dirs[[i for i, _ in keys], [col[a] for _, a in keys]], axis=-1
         )
-        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+        # Negated so that a NaN norm fails too.
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
         if bad.size:
             i, a = keys[bad[0]]
             raise ValidationError(

@@ -92,26 +92,21 @@ class Environment:
 
     # -- pulling ------------------------------------------------------------
 
-    def _check_indices(self, agent: int, arm: int):
+    def pull(self, agent: int, arm: int) -> float:
+        """One pull: returns the noisy reward and books one round of regret."""
+        return self._pull(agent, arm, 1)
+
+    def pull_many(self, agent: int, arm: int, count: int) -> float:
+        """count pulls of one arm; returns the average observed reward."""
+        return self._pull(agent, arm, count)
+
+    def _pull(self, agent: int, arm: int, count: int) -> float:
+        # Both public methods call this core and never each other, so a
+        # wrapper around either one sees each pull exactly once.
         if not (0 <= agent < self.scenario.M):
             raise IndexError(f"agent {agent} out of range [0, {self.scenario.M})")
         if not (0 <= arm < self.scenario.K):
             raise IndexError(f"arm {arm} out of range [0, {self.scenario.K})")
-
-    def pull(self, agent: int, arm: int) -> float:
-        """One pull: returns the noisy reward and books one round of regret."""
-        self._check_indices(agent, arm)
-        mean = self._rewards[agent, arm]
-        reward = mean
-        if self.noise.sigma > 0.0:
-            reward = mean + self._rngs[agent].normal(0.0, self.noise.sigma)
-        self._segments[agent].append((1, float(self._gaps[agent, arm])))
-        self._rounds[agent] += 1
-        return float(reward)
-
-    def pull_many(self, agent: int, arm: int, count: int) -> float:
-        """count pulls of one arm; returns the average observed reward."""
-        self._check_indices(agent, arm)
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:

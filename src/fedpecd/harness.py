@@ -374,7 +374,6 @@ def _run_cell(task):
         master_seed=(base_seed, 2, trial),
         variant=variant,
         extra_checkpoints=extras,
-        collect_stats=False,
     )
     rounds = [r for r, _ in trace.checkpoints]
     values = [v for _, v in trace.checkpoints]

@@ -11,31 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NotPSDError
+from .errors import DimensionError, NonFiniteError
 
 # Relative eigenvalue cutoff: eps = d * max|eig| * RANK_CUTOFF_SCALE.
 RANK_CUTOFF_SCALE = 1e-12
 
-# Quadratic forms down to this value are treated as zero (round-off).
-NEG_QUADFORM_TOL = -1e-12
 
-
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+        raise NonFiniteError("matrix contains non-finite entries")
     return a
-
-
-def _as_vector(z, name: str = "vector") -> np.ndarray:
-    v = np.asarray(z, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return v
 
 
 def eigen_cutoff(eigvals: np.ndarray) -> np.ndarray:
@@ -68,22 +56,3 @@ def pinv(m) -> np.ndarray:
     as exact zeros.
     """
     return eigh_range(_as_square(m))[2]
-
-
-def weighted_norm(z, v) -> float:
-    """Matrix-weighted vector norm sqrt(z' V z) for symmetric PSD V.
-
-    Tiny negative quadratic forms (>= NEG_QUADFORM_TOL) are clamped to
-    zero; anything more negative raises NotPSDError.
-    """
-    zv = _as_vector(z)
-    a = _as_square(v, "weight matrix")
-    if a.shape[0] != zv.shape[0]:
-        raise DimensionError(
-            f"vector of length {zv.shape[0]} incompatible with "
-            f"{a.shape[0]}x{a.shape[1]} weight matrix"
-        )
-    q = float(zv @ (0.5 * (a + a.T)) @ zv)
-    if q < NEG_QUADFORM_TOL:
-        raise NotPSDError(f"quadratic form {q} is negative beyond tolerance")
-    return float(np.sqrt(max(q, 0.0)))

@@ -287,7 +287,6 @@ def run_protocol(
     noise_sigma: float | None = None,
     extra_checkpoints=(),
     trace_path=None,
-    collect_stats: bool = True,
 ) -> RunTrace:
     """Execute initialization plus all scheduled phases and trace the run."""
     if variant not in VARIANTS:
@@ -348,9 +347,7 @@ def run_protocol(
                 upload, stats = agent.begin_phase(broadcast)
                 meter.record_up(upload, p)
                 set_uploads.append(upload)
-                stats_per_agent.append(
-                    [(s.arm, s.r_hat, s.u) for s in stats] if collect_stats else []
-                )
+                stats_per_agent.append(stats)
 
             roster, alloc_msgs = server.plan_phase(set_uploads, f_p)
             for msg in alloc_msgs:

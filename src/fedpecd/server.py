@@ -96,11 +96,19 @@ def _rejected(u: LocalEstimateUpload, arm, problem: str) -> ProtocolError:
     return ProtocolError(f"agent {u.agent}, arm {arm}, phase {u.phase}: {problem}")
 
 
-def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int) -> GlobalBroadcast:
+def _checked_theta(u: LocalEstimateUpload, e, d: int) -> np.ndarray:
+    """An estimate's theta_hat as a finite (d,) array, or its rejection."""
+    th = np.asarray(e.theta_hat, dtype=float)
+    if th.shape != (d,) or not all(map(math.isfinite, th.tolist())):
+        raise _rejected(u, e.arm, f"theta_hat must be finite of shape ({d},), got {th.shape}")
+    return th
+
+
+def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -> GlobalBroadcast:
     """Aggregate the single-pull estimates into the first global model.
 
-    Needs exactly one phase-0 upload per agent covering every arm; each
-    estimate enters the aggregation with f = 1.
+    Needs one phase-0 upload per agent covering every arm with finite
+    ``(d,)`` estimates; each enters the aggregation with f = 1.
     """
     collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in range(k)}
     seen: set[int] = set()
@@ -114,7 +122,7 @@ def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int) -> Global
         if arms != list(range(k)):
             raise _rejected(u, arms, f"initial upload must cover all {k} arms")
         for e in u.estimates:
-            collected[e.arm].append((1, np.asarray(e.theta_hat, dtype=float)))
+            collected[e.arm].append((1, _checked_theta(u, e, d)))
     if seen != set(range(m)):
         raise ProtocolError(f"initialization needs uploads from all {m} agents")
     return _aggregate(1, collected, None)
@@ -129,9 +137,10 @@ def aggregate_phase(
     """Aggregate phase-p uploads into the next global model over the union.
 
     Each upload must be stamped with the phase of ``prev``, and each
-    (agent, arm) estimate must come from a roster member, at most once,
-    with exactly the pull count the server issued.
+    (agent, arm) estimate must be finite, shaped like ``prev``'s models and
+    come from a roster member, at most once, with the issued pull count.
     """
+    d = len(next(iter(prev.models.values()))[0])
     collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in roster.union}
     seen: set[tuple[int, int]] = set()
     for u in uploads:
@@ -147,7 +156,7 @@ def aggregate_phase(
             issued = f_issued.get(u.agent, {}).get(e.arm, 0)
             if e.pulls != issued:
                 raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {issued}")
-            collected[e.arm].append((e.pulls, np.asarray(e.theta_hat, dtype=float)))
+            collected[e.arm].append((e.pulls, _checked_theta(u, e, d)))
     return _aggregate(prev.phase + 1, collected, prev)
 
 
@@ -194,7 +203,7 @@ class CentralServer:
 
     def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
         self._learn_directions(uploads)
-        self.model = aggregate_init(uploads, self.m, self.k)
+        self.model = aggregate_init(uploads, self.m, self.k, self.d)
         return self.model
 
     def plan_phase(

@@ -213,7 +213,7 @@ def test_c08_aggregation_oracle():
                 y = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
                 entries.append(LocalEstimate(arm=a, theta_hat=estimate(i, a, y), pulls=1))
             init_uploads.append(LocalEstimateUpload(agent=i, phase=0, estimates=entries))
-        model = aggregate_init(init_uploads, m=m, k=k)
+        model = aggregate_init(init_uploads, m=m, k=k, d=d)
 
         # independent recomputation from the printed formulas
         for a in range(k):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fedpecd.agent import Agent, ArmStats, compute_arm_stats, eliminate, init_local_estimate
+from fedpecd.agent import Agent, eliminate, init_local_estimate, score_arms
 from fedpecd.environment import Environment
-from fedpecd.errors import ProtocolError
+from fedpecd.errors import DimensionError, NonFiniteError, ProtocolError
+from fedpecd.linalg import pinv
 from fedpecd.messages import (
     ActiveSetUpload,
     AllocationMessage,
@@ -32,66 +33,100 @@ class TestInitLocalEstimate:
         np.testing.assert_allclose(est.theta_hat, [0.6, 0.8])
 
 
+def score_one(psi, theta, v, alpha=2.0, ell=0.5):
+    """score_arms on a stack of one arm, as Python floats."""
+    r_hat, u = score_arms(
+        np.array([psi], dtype=float), np.array([theta], dtype=float),
+        np.array([v], dtype=float), alpha, ell,
+    )
+    return float(r_hat[0]), float(u[0])
+
+
 class TestComputeArmStats:
+    """``score_arms``: r_hat and u for a stack of arms at once."""
+
     def test_zero_matrix_means_zero_width(self):
-        psi = np.array([0.5, 0.5])
-        s = compute_arm_stats(psi, 0, np.array([1.0, 0.0]), np.zeros((2, 2)), 2.0, 0.5)
-        assert s.u == 0.0
-        assert s.r_hat == pytest.approx(0.5)
+        r_hat, u = score_one([0.5, 0.5], [1.0, 0.0], np.zeros((2, 2)))
+        assert u == 0.0
+        assert r_hat == pytest.approx(0.5)
 
     def test_direct_formula(self):
-        psi = np.array([1.0, 0.0, 0.0])
-        theta = np.array([0.5, 9.0, 9.0])
-        s = compute_arm_stats(psi, 1, theta, np.eye(3), alpha=2.0, ell=0.5)
-        assert s.r_hat == pytest.approx(0.5)
-        assert s.u == pytest.approx(4.0)
+        r_hat, u = score_one([1.0, 0.0, 0.0], [0.5, 9.0, 9.0], np.eye(3))
+        assert r_hat == pytest.approx(0.5)
+        assert u == pytest.approx(4.0)
 
     def test_zero_alpha(self):
-        psi = np.array([0.3, 0.4])
-        s = compute_arm_stats(psi, 0, psi, np.eye(2), alpha=0.0, ell=0.5)
-        assert s.u == 0.0
+        psi = [0.3, 0.4]
+        assert score_one(psi, psi, np.eye(2), alpha=0.0)[1] == 0.0
+
+    def test_stack_shapes_must_agree(self):
+        with pytest.raises(DimensionError):
+            score_arms(np.ones((2, 2)), np.ones((2, 2)), np.ones((1, 2, 2)), 1.0, 1.0)
+        with pytest.raises(DimensionError):
+            score_arms(np.ones((1, 2)), np.ones((1, 3)), np.ones((1, 2, 2)), 1.0, 1.0)
+        with pytest.raises(DimensionError):
+            score_arms(np.ones(2), np.ones(2), np.eye(2), 1.0, 1.0)
+
+    def test_non_finite_weight_rejected(self):
+        v = np.eye(2)
+        v[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            score_one([1.0, 0.0], [0.0, 0.0], v)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_per_arm_products_exactly(self, rng, d):
+        """Each row equals the one-arm products bit for bit, so batching
+        leaves traces and elimination unchanged."""
+        n, alpha, ell = 200, 2.7, 0.3
+        psi = rng.normal(size=(n, d))
+        theta = rng.normal(size=(n, d))
+        v = np.array([pinv(a @ a.T) for a in rng.normal(size=(n, d, d + 1))])
+        r_hat, u = score_arms(psi, theta, v, alpha, ell)
+        for p, th, w, r, width in zip(psi, theta, v, r_hat, u):
+            q = p @ (0.5 * (w + w.T)) @ p
+            assert r == float(p @ th)
+            assert width == alpha * float(np.sqrt(max(q, 0.0))) / ell
 
 
 class TestEliminate:
     def test_zero_width_keeps_only_argmax(self):
-        stats = [ArmStats(a, r, 0.0) for a, r in enumerate([0.1, 0.9, 0.4])]
-        assert eliminate(stats, [0, 1, 2]) == [1]
+        assert eliminate([0, 1, 2], [0.1, 0.9, 0.4], [0.0] * 3) == [1]
 
     def test_identical_stats_keep_everything(self):
-        stats = [ArmStats(a, 0.5, 0.1) for a in range(4)]
-        assert eliminate(stats, list(range(4))) == [0, 1, 2, 3]
+        assert eliminate(list(range(4)), [0.5] * 4, [0.1] * 4) == [0, 1, 2, 3]
 
     def test_hand_checked_case(self):
-        stats = [
-            ArmStats(0, 0.9, 0.05),
-            ArmStats(1, 0.7, 0.2),
-            ArmStats(2, 0.3, 0.05),
-        ]
         # floor = 0.9 - 0.05 = 0.85; arm1: 0.9 >= 0.85 stays; arm2: 0.35 < 0.85
-        assert eliminate(stats, [0, 1, 2]) == [0, 1]
+        assert eliminate([0, 1, 2], [0.9, 0.7, 0.3], [0.05, 0.2, 0.05]) == [0, 1]
+
+    def test_arm_ids_follow_positions(self):
+        assert eliminate([3, 7, 9], [0.9, 0.7, 0.3], [0.05, 0.2, 0.05]) == [3, 7]
 
     def test_best_arm_always_survives(self, rng):
         for _ in range(50):
             k = int(rng.integers(1, 6))
-            stats = [
-                ArmStats(a, float(rng.normal()), float(rng.uniform(0, 0.5)))
-                for a in range(k)
-            ]
-            best = max(stats, key=lambda s: s.r_hat)
-            assert best.arm in eliminate(stats, list(range(k)))
+            r_hat = rng.normal(size=k)
+            u = rng.uniform(0, 0.5, size=k)
+            assert int(np.argmax(r_hat)) in eliminate(list(range(k)), r_hat, u)
 
     def test_tie_break_lowest_index(self):
-        stats = [ArmStats(0, 0.5, 0.0), ArmStats(1, 0.5, 0.0)]
         # both share the max r_hat; both meet the floor exactly
-        assert eliminate(stats, [0, 1]) == [0, 1]
+        assert eliminate([0, 1], [0.5, 0.5], [0.0, 0.0]) == [0, 1]
+        # the first maximum sets the floor 0.5 - 0.0, which arm 2 misses;
+        # the second's floor 0.5 - 0.1 would keep it
+        assert eliminate([0, 1, 2], [0.5, 0.5, 0.45], [0.0, 0.1, 0.0]) == [0, 1]
 
     def test_empty_active_set_rejected(self):
         with pytest.raises(ProtocolError):
-            eliminate([], [])
+            eliminate([], [], [])
 
     def test_stats_must_cover_active_set(self):
         with pytest.raises(ProtocolError):
-            eliminate([ArmStats(0, 1.0, 0.1)], [0, 1])
+            eliminate([0, 1], [1.0], [0.1])
+        with pytest.raises(ProtocolError):
+            eliminate([0], [1.0, 0.5], [0.1, 0.1])
+        with pytest.raises(ProtocolError):
+            eliminate([0, 1], [1.0, 0.5], [0.1])
 
 
 def make_agent(env, alpha=1.0):
@@ -192,3 +227,26 @@ class TestBeginPhase:
         assert upload.arms == [0]
         assert agent.a_hat == 0
         assert agent.active == [0]
+        assert [a for a, _, _ in stats] == [0, 1]
+
+    def test_stats_are_per_arm_scores(self, rng):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env, alpha=1.5)
+        models = {}
+        for a in range(2):
+            g = rng.normal(size=(3, 4))
+            models[a] = (rng.normal(size=3), pinv(g @ g.T))
+        _, stats = agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        for a, r_hat, u in stats:
+            theta, v = models[a]
+            assert (r_hat, u) == score_one(agent.psi[a], theta, v, 1.5, agent.ell)
+            assert type(r_hat) is float and type(u) is float
+
+    def test_a_hat_is_first_maximum(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env, alpha=0.0)
+        models = {a: (np.zeros(3), np.zeros((3, 3))) for a in range(2)}
+        upload, _ = agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        # r_hat ties at 0 with zero widths: both survive, the first is best
+        assert agent.a_hat == 0
+        assert upload.arms == [0, 1]

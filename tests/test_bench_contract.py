@@ -10,6 +10,8 @@ failure instead.
 import sys
 from pathlib import Path
 
+import fedpecd.harness as harness
+import fedpecd.protocol as protocol
 import fedpecd.server as server
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -22,3 +24,18 @@ def test_tracer_wraps_and_restores_every_name():
     with tracer.instrument(tracer.Tracer()):
         assert server.aggregate_init is not original
     assert server.aggregate_init is original
+
+
+def test_tracer_counts_match_the_run():
+    """The benchmark counts one scored arm per stats entry that
+    ``Agent.begin_phase`` returns and one pull per round; a changed return
+    shape or a pull counted twice (``pull`` calling ``pull_many``) breaks it."""
+    scenario = harness.generate_synthetic(harness.desk_spec(m=6), seed=3, variant="hidden")
+    schedule = protocol.build_schedule(1, 2, scenario.K, 2**9)
+    tr = tracer.Tracer()
+    with tracer.instrument(tr):
+        trace = protocol.run_protocol(scenario, schedule, master_seed=0)
+    entries = sum(len(stats) for rec in trace.phases for stats in rec.stats)
+    assert entries > 0
+    assert tr.counts["agent.arms_scored"] == entries
+    assert tr.counts["environment.pulls"] == scenario.M * trace.total_rounds

@@ -135,6 +135,15 @@ class TestSolveDesign:
                 active_sets=[[0]], directions={(0, 0): np.array([2.0, 0.0])}, dim=2
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"\(agent 0, arm 1\)"):
+            DesignProblem(
+                active_sets=[[0, 1]],
+                directions={(0, 0): np.array([1.0, 0.0]), (0, 1): np.array([bad, 0.0])},
+                dim=2,
+            )
+
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValidationError):
             DesignProblem(active_sets=[[]], directions={}, dim=2)

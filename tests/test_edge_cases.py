@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedpecd.agent import compute_arm_stats, init_local_estimate
+from fedpecd.agent import init_local_estimate, score_arms
 from fedpecd.design import DesignAllocation
 from fedpecd.environment import Environment
 from fedpecd.errors import (
@@ -45,8 +45,8 @@ def test_init_estimate_rejects_zero_psi():
 
 def test_arm_stats_propagate_not_psd():
     with pytest.raises(NotPSDError):
-        compute_arm_stats(np.array([0.0, 1.0]), 0, np.zeros(2),
-                          np.diag([1.0, -1.0]), alpha=1.0, ell=0.5)
+        score_arms(np.array([[0.0, 1.0]]), np.zeros((1, 2)),
+                   np.array([np.diag([1.0, -1.0])]), alpha=1.0, ell=0.5)
 
 
 def test_explore_negative_count_rejected():

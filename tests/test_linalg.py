@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fedpecd.agent import score_arms
 from fedpecd.errors import DimensionError, NonFiniteError, NotPSDError
-from fedpecd.linalg import eigh_range, pinv, weighted_norm
+from fedpecd.linalg import eigh_range, pinv
 
 
 def random_symmetric(rng, d=3):
@@ -55,6 +56,13 @@ class TestPinv:
         m[0, 1] = np.nan
         with pytest.raises(NonFiniteError):
             pinv(m)
+
+
+def weighted_norm(z, v) -> float:
+    """||z||_V as ``agent.score_arms`` computes it: one arm, alpha = ell = 1."""
+    z = np.asarray(z, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return float(score_arms(z[None], np.zeros((1, z.size)), v[None], 1.0, 1.0)[1][0])
 
 
 class TestWeightedNorm:

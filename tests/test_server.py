@@ -14,6 +14,16 @@ from fedpecd.server import (
 )
 
 
+# theta_hat values the d = 2 aggregation must reject, by what is wrong.
+MALFORMED_THETAS = {
+    "length-1": np.array([0.5]),
+    "length-3": np.array([0.5, 0.1, 0.2]),
+    "2-D": np.array([[0.5, 0.1]]),
+    "nan": np.array([np.nan, 0.1]),
+    "inf": np.array([0.5, np.inf]),
+}
+
+
 def upload(agent, phase, entries):
     ests = [LocalEstimate(arm=a, theta_hat=np.asarray(v, dtype=float), pulls=f)
             for a, v, f in entries]
@@ -49,7 +59,7 @@ class TestBuildRoster:
 class TestAggregateInit:
     def test_single_agent_unit_psi_fixed_point(self):
         psi = np.array([0.6, 0.8])  # unit norm
-        model = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1)
+        model = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
         theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(psi, psi), atol=1e-12)
         np.testing.assert_allclose(theta, psi, atol=1e-12)
@@ -58,7 +68,7 @@ class TestAggregateInit:
         u = np.array([1.0, 0.0])
         w = np.array([0.0, 1.0])
         model = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1
+            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1, d=2
         )
         theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(u, u) + np.outer(w, w), atol=1e-12)
@@ -70,10 +80,10 @@ class TestAggregateInit:
         u = np.array([1.0, 0.0])
         w = np.array([0.6, 0.8])
         base = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1
+            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1, d=2
         )
         scaled = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, 3 * w, 1)])], m=2, k=1
+            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, 3 * w, 1)])], m=2, k=1, d=2
         )
         np.testing.assert_allclose(scaled.models[0][1], base.models[0][1], atol=1e-12)
         assert not np.allclose(scaled.models[0][0], base.models[0][0])
@@ -82,7 +92,7 @@ class TestAggregateInit:
         u = np.array([1.0, 0.0])
         model = aggregate_init(
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, np.zeros(2), 1)])],
-            m=2, k=1,
+            m=2, k=1, d=2,
         )
         theta, v = model.models[0]
         np.testing.assert_allclose(v, np.outer(u, u), atol=1e-12)
@@ -90,11 +100,11 @@ class TestAggregateInit:
 
     def test_all_zero_arm_is_degenerate(self):
         with pytest.raises(DegenerateArmError):
-            aggregate_init([upload(0, 0, [(0, np.zeros(2), 1)])], m=1, k=1)
+            aggregate_init([upload(0, 0, [(0, np.zeros(2), 1)])], m=1, k=1, d=2)
 
     def test_missing_agent_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate_init([upload(0, 0, [(0, np.array([1.0, 0.0]), 1)])], m=2, k=1)
+            aggregate_init([upload(0, 0, [(0, np.array([1.0, 0.0]), 1)])], m=2, k=1, d=2)
 
     def test_repeated_agent_rejected(self):
         u = np.array([1.0, 0.0])
@@ -103,12 +113,21 @@ class TestAggregateInit:
             aggregate_init(
                 [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)]),
                  upload(0, 0, [(0, u, 1)])],
-                m=2, k=1,
+                m=2, k=1, d=2,
             )
 
     def test_wrong_phase_stamp_rejected(self):
         with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1"):
-            aggregate_init([upload(0, 1, [(0, np.array([1.0, 0.0]), 1)])], m=1, k=1)
+            aggregate_init([upload(0, 1, [(0, np.array([1.0, 0.0]), 1)])], m=1, k=1, d=2)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
+    def test_malformed_theta_rejected(self, case):
+        uploads = [
+            upload(0, 0, [(0, np.array([1.0, 0.0]), 1)]),
+            upload(1, 0, [(0, MALFORMED_THETAS[case], 1)]),
+        ]
+        with pytest.raises(ProtocolError, match="agent 1, arm 0, phase 0"):
+            aggregate_init(uploads, m=2, k=1, d=2)
 
 
 def make_roster(active_sets):
@@ -119,7 +138,7 @@ class TestAggregatePhase:
     def setup_method(self):
         psi = np.array([1.0, 0.0])
         self.psi = psi
-        init = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1)
+        init = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
         self.prev = init
 
     def test_single_collinear_upload(self):
@@ -182,6 +201,16 @@ class TestAggregatePhase:
             with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
                 aggregate_phase(uploads, make_roster([[0]]), {0: {0: 1}}, self.prev)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
+    def test_malformed_theta_rejected(self, case):
+        with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+            aggregate_phase(
+                [upload(0, 1, [(0, MALFORMED_THETAS[case], 1)])],
+                make_roster([[0]]),
+                {0: {0: 1}},
+                self.prev,
+            )
+
     @pytest.mark.parametrize("stamp", [0, 2])
     def test_stale_or_future_phase_rejected(self, stamp):
         with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
@@ -206,7 +235,7 @@ class TestAggregationInvariants:
                     y = float(rng.normal())
                     entries.append((a, y * psi, 1))
                 uploads.append(upload(i, 0, entries))
-            model = aggregate_init(uploads, m=m, k=2)
+            model = aggregate_init(uploads, m=m, k=2, d=d)
             for a, (theta, v) in model.models.items():
                 w = np.linalg.eigvalsh(v)
                 assert w.min() >= -1e-10
@@ -245,7 +274,7 @@ class TestCheckPsd:
             q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
             dirs = [q[:, 0], np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 1]]
             model = aggregate_init(
-                [upload(i, 0, [(0, 0.8 * e, 1)]) for i, e in enumerate(dirs)], m=2, k=1
+                [upload(i, 0, [(0, 0.8 * e, 1)]) for i, e in enumerate(dirs)], m=2, k=1, d=3
             )
             theta, v = model.models[0]
             assert np.all(np.isfinite(v)) and np.all(np.isfinite(theta))
