@@ -11,6 +11,8 @@ run would.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +69,12 @@ class Environment:
         self._optimal = np.argmax(self._rewards, axis=1).astype(int)
         self._gaps = self._rewards[np.arange(m), self._optimal][:, None] - self._rewards
 
-        # Ledger: per agent, list of (pull count, per-pull gap) segments.
-        self._segments: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-        self._rounds = np.zeros(m, dtype=np.int64)
+        # Ledger: per agent, one entry per pull batch (segment) in prefix form:
+        # the round the segment ends at, the regret booked through it, and
+        # its per-pull gap.  Entry 0 is the empty prefix.
+        self._ends: list[list[int]] = [[0] for _ in range(m)]
+        self._cum: list[list[float]] = [[0.0] for _ in range(m)]
+        self._seg_gap: list[list[float]] = [[0.0] for _ in range(m)]
 
     # -- truth accessors (for tests, traces, and the exact variant) --------
 
@@ -117,29 +122,45 @@ class Environment:
             avg = mean + float(
                 np.mean(self._rngs[agent].normal(0.0, self.noise.sigma, size=count))
             )
-        self._segments[agent].append((count, float(self._gaps[agent, arm])))
-        self._rounds[agent] += count
+        gap = float(self._gaps[agent, arm])
+        ends, cum = self._ends[agent], self._cum[agent]
+        ends.append(ends[-1] + count)
+        cum.append(cum[-1] + count * gap)
+        self._seg_gap[agent].append(gap)
         return float(avg)
 
     # -- regret ledger --------------------------------------------------------
 
     def cumulative_regret(self, upto: int | None = None):
         """Per-agent cumulative pseudo-regret over each agent's first
-        ``upto`` pulls (all pulls when None), plus the total."""
+        ``upto`` pulls (all pulls when None), plus the total.
+
+        ``upto`` must be a nonnegative integer no larger than every agent's
+        round count.  A query is one binary search per agent over its
+        segment ends; a round inside a segment adds that segment's partial
+        regret to the prefix before it, the same additions a rescan makes.
+        """
+        if upto is not None:
+            try:
+                upto = operator.index(upto)
+            except TypeError:
+                raise ValueError(f"upto must be an integer, got {upto!r}") from None
+            if upto < 0:
+                raise ValueError(f"upto must be nonnegative, got {upto}")
         m = self.scenario.M
         per_agent = np.zeros(m)
         for i in range(m):
-            if upto is not None and upto > self._rounds[i]:
+            ends, cum = self._ends[i], self._cum[i]
+            if upto is None:
+                per_agent[i] = cum[-1]
+                continue
+            if upto > ends[-1]:
                 raise ValueError(
-                    f"agent {i} has only {self._rounds[i]} rounds, asked for {upto}"
+                    f"agent {i} has only {ends[-1]} rounds, asked for {upto}"
                 )
-            remaining = self._rounds[i] if upto is None else upto
-            acc = 0.0
-            for count, gap in self._segments[i]:
-                if remaining <= 0:
-                    break
-                take = min(count, remaining)
-                acc += take * gap
-                remaining -= take
-            per_agent[i] = acc
+            j = bisect_left(ends, upto)
+            if ends[j] == upto:
+                per_agent[i] = cum[j]
+            else:
+                per_agent[i] = cum[j - 1] + (upto - ends[j - 1]) * self._seg_gap[i][j]
         return per_agent, float(per_agent.sum())

@@ -101,6 +101,74 @@ class TestRegretLedger:
             traces.append(env.cumulative_regret()[1])
         assert traces[0] == traces[1]
 
+    def test_negative_upto_rejected(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        env.pull_many(0, 1, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            env.cumulative_regret(upto=-3)
+
+    def test_fractional_upto_rejected(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        env.pull_many(0, 1, 4)
+        with pytest.raises(ValueError, match="integer"):
+            env.cumulative_regret(upto=2.5)
+
+    def test_numpy_integer_upto_accepted(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        env.pull_many(0, 1, 4)
+        assert env.cumulative_regret(upto=np.int64(3)) == env.cumulative_regret(upto=3)
+
+    def test_upto_beyond_rounds_names_agent(self):
+        spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.04)
+        env = Environment(generate_synthetic(spec, seed=2), master_seed=9)
+        for i, count in enumerate((5, 5, 2)):
+            env.pull_many(i, 0, count)
+        with pytest.raises(ValueError, match="agent 2 has only 2 rounds"):
+            env.cumulative_regret(upto=3)
+
+    def test_prefix_sums_match_a_segment_rescan(self):
+        """Every prefix, inside segments and on their ends, equals a rescan
+        of the pull batches with the same float additions in the same order."""
+        spec = SyntheticSpec(K=5, d=3, M=3, perturbation=0.04)
+        sc = generate_synthetic(spec, seed=4)
+        env = Environment(sc, master_seed=1)
+        rng = np.random.default_rng(12)
+        rounds = 4000
+        segments = [[] for _ in range(sc.M)]
+        pending = list(range(sc.M))
+        while pending:
+            for i in list(pending):
+                done = sum(c for c, _ in segments[i])
+                count = min(int(rng.integers(1, 400)), rounds - done)
+                arm = int(rng.integers(sc.K))
+                if count == 1:
+                    env.pull(i, arm)
+                else:
+                    env.pull_many(i, arm, count)
+                gap = env.expected_reward(i, env.optimal_arm(i)) - env.expected_reward(i, arm)
+                segments[i].append((count, gap))
+                if done + count == rounds:
+                    pending.remove(i)
+        assert sum(gap > 0.0 for segs in segments for _, gap in segs) > 10
+
+        def rescan(segs, upto):
+            acc, remaining = 0.0, upto
+            for count, gap in segs:
+                if remaining <= 0:
+                    break
+                take = min(count, remaining)
+                acc += take * gap
+                remaining -= take
+            return acc
+
+        for r in range(rounds + 1):
+            expected = np.array([rescan(segs, r) for segs in segments])
+            per_agent, total = env.cumulative_regret(upto=r)
+            assert per_agent.tolist() == expected.tolist(), r
+            assert total == float(expected.sum()), r
+        per_agent, _ = env.cumulative_regret()
+        assert per_agent.tolist() == [rescan(segs, rounds) for segs in segments]
+
     def test_cumulative_nondecreasing_and_bounded(self):
         spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.04)
         sc = generate_synthetic(spec, seed=2)

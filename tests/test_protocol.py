@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fedpecd.errors import ConfigurationError, ProtocolError
-from fedpecd.harness import SyntheticSpec, generate_synthetic
+from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic
 from fedpecd.messages import (
     ActiveSetUpload,
     AllocationMessage,
@@ -238,3 +239,26 @@ class TestRunProtocol:
                     psi_v = u * ell / trace.alpha
                     ratios.append(psi_v / math.sqrt(big_l))
         assert min(ratios) >= 1.0
+
+
+class TestOutputTripwire:
+    # sha256 of the JSONL trace written by the run below.
+    TINY_RUN_TRACE_SHA256 = (
+        "b295dd36275e678c4ea0922429af598dfb55b528540c03271e120ebeef5b7049"
+    )
+
+    def test_tiny_run_trace_is_pinned(self, tmp_path):
+        """The JSONL trace of a tiny desk run (6 agents, generator seed 3,
+        T = 2^9, run seed 0) is byte-identical to the pinned digest.
+
+        Its final regret can stay put while the noise stream or a tie-break
+        moves, so only the trace shows such a change.  A change that moves
+        outputs on purpose updates the pin here and records in CHANGES.md
+        what moved and why; any other change must leave the digest alone.
+        """
+        sc = generate_synthetic(desk_spec(m=6), seed=3, variant="hidden")
+        sched = build_schedule(1, 2, sc.K, 2**9)
+        path = tmp_path / "trace.jsonl"
+        run_protocol(sc, sched, master_seed=0, trace_path=path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.TINY_RUN_TRACE_SHA256
