@@ -1,16 +1,25 @@
 """Ground-truth simulator: hidden contexts, noisy rewards, regret ledger.
 
 Each agent's realized context is drawn once at construction (it is the
-agent's fixed user profile for the whole run).  Pseudo-regret is tracked
-from true reward gaps, so the ledger is identical across noise seeds for a
-fixed pull sequence.  One master seed spawns independent per-agent streams,
-keyed by agent index, so results do not depend on scheduling order and a
-run over the first m agents of a scenario sees the same draws as a larger
-run would.
+agent's fixed user profile for the whole run).  One master seed spawns
+independent per-agent streams, keyed by agent index, so results do not
+depend on scheduling order and a run over the first m agents of a scenario
+sees the same draws as a larger run would.
+
+A batch of ``count`` pulls of one arm returns the average reward, drawn
+once as ``mean + N(0, sigma^2 / count)``: the mean of ``count`` iid
+N(0, sigma^2) draws has exactly that law, so a batch costs one draw
+whatever its size, and a single pull is the plain ``N(0, sigma^2)`` draw.
+
+Pseudo-regret is tracked from true reward gaps, so the ledger is identical
+across noise seeds for a fixed pull sequence.  It is a prefix-sum ledger:
+each pull batch appends its end round and the running regret, and a
+checkpoint query is one binary search per agent.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -119,9 +128,9 @@ class Environment:
         mean = self._rewards[agent, arm]
         avg = mean
         if self.noise.sigma > 0.0:
-            avg = mean + float(
-                np.mean(self._rngs[agent].normal(0.0, self.noise.sigma, size=count))
-            )
+            # The mean of count iid N(0, sigma^2) draws is N(0, sigma^2/count):
+            # one draw gives the batch average its exact law.
+            avg = mean + self._rngs[agent].normal(0.0, self.noise.sigma / math.sqrt(count))
         gap = float(self._gaps[agent, arm])
         ends, cum = self._ends[agent], self._cum[agent]
         ends.append(ends[-1] + count)

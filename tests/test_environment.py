@@ -50,6 +50,42 @@ class TestPull:
             NoiseModel(sigma=1.5)
 
 
+class TestNoise:
+    def test_single_pulls_are_the_agent_stream_draws(self):
+        """A single pull adds one N(0, sigma^2) draw from the agent's own
+        stream, so the init estimates are pinned to the seed."""
+        sigma, seed = 0.4, 17
+        spec = SyntheticSpec(K=4, d=3, M=3, sigma=sigma, perturbation=0.04)
+        env = Environment(generate_synthetic(spec, seed=6), master_seed=seed)
+        streams = np.random.SeedSequence(seed).spawn(2)[1].spawn(spec.M)
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+        for _ in range(3):
+            for a in range(spec.K):
+                for i in range(spec.M):
+                    expected = env.expected_reward(i, a) + rngs[i].normal(0.0, sigma)
+                    assert env.pull(i, a) == expected
+
+    @pytest.mark.parametrize("count", [2, 7, 1000])
+    def test_batch_average_has_variance_sigma_squared_over_count(self, count):
+        sigma, calls = 0.5, 20_000
+        env = Environment(one_agent_scenario(sigma=sigma), master_seed=23)
+        mean = env.expected_reward(0, 0)
+        z = np.array(
+            [(env.pull_many(0, 0, count) - mean) * np.sqrt(count) / sigma
+             for _ in range(calls)]
+        )
+        assert abs(z.mean()) <= 5.0 / np.sqrt(calls)
+        assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / calls)
+
+    def test_zero_sigma_returns_mean_without_drawing(self):
+        env = Environment(one_agent_scenario(sigma=0.3), master_seed=0,
+                          noise=NoiseModel(sigma=0.0))
+        state = env._rngs[0].bit_generator.state
+        assert env.pull(0, 1) == env.expected_reward(0, 1)
+        assert env.pull_many(0, 0, 9) == env.expected_reward(0, 0)
+        assert env._rngs[0].bit_generator.state == state
+
+
 class TestOptimalArm:
     def test_single_arm(self):
         sc = one_agent_scenario()

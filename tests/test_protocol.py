@@ -244,7 +244,7 @@ class TestRunProtocol:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "b295dd36275e678c4ea0922429af598dfb55b528540c03271e120ebeef5b7049"
+        "a74b47230481909295ef33883218e955249eca47de212555ed0f579c5f9f7293"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):
