@@ -128,8 +128,7 @@ class Environment:
         mean = self._rewards[agent, arm]
         avg = mean
         if self.noise.sigma > 0.0:
-            # The mean of count iid N(0, sigma^2) draws is N(0, sigma^2/count):
-            # one draw gives the batch average its exact law.
+            # One draw: the batch average's law (see the module docstring).
             avg = mean + self._rngs[agent].normal(0.0, self.noise.sigma / math.sqrt(count))
         gap = float(self._gaps[agent, arm])
         ends, cum = self._ends[agent], self._cum[agent]
@@ -144,10 +143,9 @@ class Environment:
         """Per-agent cumulative pseudo-regret over each agent's first
         ``upto`` pulls (all pulls when None), plus the total.
 
-        ``upto`` must be a nonnegative integer no larger than every agent's
-        round count.  A query is one binary search per agent over its
-        segment ends; a round inside a segment adds that segment's partial
-        regret to the prefix before it, the same additions a rescan makes.
+        ``upto`` must be a nonnegative integer no larger than any agent's
+        round count.  Inside a segment the partial regret is added to the
+        prefix before it: the same additions as a rescan of the segments.
         """
         if upto is not None:
             try:
@@ -160,16 +158,12 @@ class Environment:
         per_agent = np.zeros(m)
         for i in range(m):
             ends, cum = self._ends[i], self._cum[i]
-            if upto is None:
-                per_agent[i] = cum[-1]
-                continue
-            if upto > ends[-1]:
-                raise ValueError(
-                    f"agent {i} has only {ends[-1]} rounds, asked for {upto}"
-                )
-            j = bisect_left(ends, upto)
-            if ends[j] == upto:
+            r = ends[-1] if upto is None else upto
+            if r > ends[-1]:
+                raise ValueError(f"agent {i} has only {ends[-1]} rounds, asked for {r}")
+            j = bisect_left(ends, r)
+            if ends[j] == r:
                 per_agent[i] = cum[j]
             else:
-                per_agent[i] = cum[j - 1] + (upto - ends[j - 1]) * self._seg_gap[i][j]
+                per_agent[i] = cum[j - 1] + (r - ends[j - 1]) * self._seg_gap[i][j]
         return per_agent, float(per_agent.sum())
