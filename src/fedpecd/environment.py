@@ -35,11 +35,8 @@ class NoiseModel:
     """Additive Gaussian reward noise; sigma <= 1 keeps it 1-subgaussian."""
 
     sigma: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ConfigurationError(f"unsupported noise kind {self.kind!r}")
         if self.sigma < 0.0:
             raise ConfigurationError("sigma must be nonnegative")
         if self.sigma > 1.0:
@@ -121,6 +118,10 @@ class Environment:
             raise IndexError(f"agent {agent} out of range [0, {self.scenario.M})")
         if not (0 <= arm < self.scenario.K):
             raise IndexError(f"arm {arm} out of range [0, {self.scenario.K})")
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ValueError(f"count must be an integer, got {count!r}") from None
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:

@@ -333,9 +333,3 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls.from_json_dict(data)

@@ -349,7 +349,7 @@ def run_protocol(
                 set_uploads.append(upload)
                 stats_per_agent.append(stats)
 
-            roster, alloc_msgs = server.plan_phase(set_uploads, f_p)
+            alloc_msgs = server.plan_phase(set_uploads, f_p)
             for msg in alloc_msgs:
                 meter.record_down(msg, p)
 
@@ -380,7 +380,7 @@ def run_protocol(
             PhaseTrace(
                 phase=p,
                 f_p=f_p,
-                union=list(roster.union),
+                union=sorted({a for u in set_uploads for a in u.arms}),
                 active_before=active_before,
                 active_after=[list(a.active) for a in agents],
                 stats=stats_per_agent,

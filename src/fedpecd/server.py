@@ -1,19 +1,26 @@
-"""Server-side protocol: rosters, aggregation, design solving, allocation.
+"""Server-side protocol: aggregation, design solving, allocation.
 
 Initialization and every phase share one aggregation formula; they differ
 only in which uploads they accept (init: every agent, every arm, f = 1;
-phase: roster members with the issued pull counts f).
+phase: each (agent, arm) pair the server issued pulls for, with the
+issued count f).  The issued counts, zeros included, are the server's only
+record of who keeps which arm active.
 
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
-themselves (estimates are collinear with the uploading agent's psi), with
-the sign normalized so repeated uploads of the same direction agree.
+themselves: an estimate y psi / ||psi||^2 is collinear with the uploading
+agent's psi, so each (agent, arm) direction is fixed by the init upload and
+learned once, there.  No later phase can add one: a pair lacks a direction
+only if its init estimate is exactly 0.0.  With sigma = 0 every later
+estimate of that pair is 0.0 as well; with sigma > 0 the init estimate is
+0.0 only through a reward draw of exactly 0.0.  The design reads a
+direction e only through e e' and e' W^+ e, so its sign does not matter
+and no sign rule is applied.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +31,6 @@ from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, Local
 
 # Relief subtracted before ceil() so float dust cannot inflate a count.
 _CEIL_RELIEF = 1e-9
-
-
-@dataclass
-class ArmRoster:
-    """Union of active sets and, per arm, the agents that keep it active."""
-
-    union: list[int]
-    members: dict[int, list[int]]
-
-
-def build_roster(active_sets: list[list[int]]) -> ArmRoster:
-    """Exact union and inverse index of the per-agent active sets."""
-    members: dict[int, list[int]] = {}
-    for i, arms in enumerate(active_sets):
-        if not arms:
-            raise ProtocolError(f"agent {i} reported an empty active set")
-        for a in arms:
-            members.setdefault(a, []).append(i)
-    union = sorted(members)
-    return ArmRoster(union=union, members={a: sorted(members[a]) for a in union})
 
 
 def _check_psd(v: np.ndarray, arm: int):
@@ -91,7 +78,7 @@ def _aggregate(
     return GlobalBroadcast(phase=phase, models=models)
 
 
-def _rejected(u: LocalEstimateUpload, arm, problem: str) -> ProtocolError:
+def _rejected(u: LocalEstimateUpload | ActiveSetUpload, arm, problem: str) -> ProtocolError:
     """The error naming an upload's agent, arm (or arm list) and phase."""
     return ProtocolError(f"agent {u.agent}, arm {arm}, phase {u.phase}: {problem}")
 
@@ -130,30 +117,32 @@ def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -
 
 def aggregate_phase(
     uploads: list[LocalEstimateUpload],
-    roster: ArmRoster,
     f_issued: dict[int, dict[int, int]],
     prev: GlobalBroadcast,
 ) -> GlobalBroadcast:
-    """Aggregate phase-p uploads into the next global model over the union.
+    """Aggregate phase-p uploads into the next global model.
 
-    Each upload must be stamped with the phase of ``prev``, and each
-    (agent, arm) estimate must be finite, shaped like ``prev``'s models and
-    come from a roster member, at most once, with the issued pull count.
+    The model covers the union of the arms in ``f_issued`` (agent -> {active
+    arm -> issued pulls}).  Each upload must be stamped with the phase of
+    ``prev``, and each (agent, arm) estimate must be finite, shaped like
+    ``prev``'s models and come from a pair in ``f_issued``, at most once,
+    with the issued pull count.
     """
     d = len(next(iter(prev.models.values()))[0])
-    collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in roster.union}
+    union = sorted({a for counts in f_issued.values() for a in counts})
+    collected: dict[int, list[tuple[int, np.ndarray]]] = {a: [] for a in union}
     seen: set[tuple[int, int]] = set()
     for u in uploads:
         if u.phase != prev.phase:
             arms = [e.arm for e in u.estimates]
             raise _rejected(u, arms, f"expected phase {prev.phase}")
         for e in u.estimates:
-            if e.arm not in collected or u.agent not in roster.members[e.arm]:
+            if e.arm not in f_issued.get(u.agent, {}):
                 raise _rejected(u, e.arm, "upload outside the agent's roster")
             if (u.agent, e.arm) in seen:
                 raise _rejected(u, e.arm, "second upload for this pair")
             seen.add((u.agent, e.arm))
-            issued = f_issued.get(u.agent, {}).get(e.arm, 0)
+            issued = f_issued[u.agent][e.arm]
             if e.pulls != issued:
                 raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {issued}")
             collected[e.arm].append((e.pulls, _checked_theta(u, e, d)))
@@ -173,15 +162,13 @@ def allocate(alloc: DesignAllocation, f_p: int) -> dict[int, dict[int, int]]:
     return out
 
 
-def _sign_normalize(vec: np.ndarray) -> np.ndarray:
-    for x in vec:
-        if x != 0.0:
-            return vec if x > 0.0 else -vec
-    return vec
-
-
 class CentralServer:
-    """Synchronous-round server: one barrier per phase."""
+    """Synchronous-round server: one barrier per phase.
+
+    Per (agent, arm) it keeps the direction learned at initialization and
+    the pull count it last issued; the issued counts' keys are each agent's
+    active set.
+    """
 
     def __init__(self, m: int, k: int, d: int):
         self.m = m
@@ -190,34 +177,44 @@ class CentralServer:
         self.model: GlobalBroadcast | None = None
         self.directions: dict[tuple[int, int], np.ndarray] = {}
         self._warm: DesignAllocation | None = None
-        self._roster: ArmRoster | None = None
         self._f_issued: dict[int, dict[int, int]] | None = None
 
-    def _learn_directions(self, uploads: list[LocalEstimateUpload]):
+    def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
+        self.model = aggregate_init(uploads, self.m, self.k, self.d)
         for u in uploads:
             for e in u.estimates:
                 th = np.asarray(e.theta_hat, dtype=float)
                 nrm = float(np.linalg.norm(th))
                 if nrm > 0.0:
-                    self.directions[(u.agent, e.arm)] = _sign_normalize(th / nrm)
-
-    def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
-        self._learn_directions(uploads)
-        self.model = aggregate_init(uploads, self.m, self.k, self.d)
+                    self.directions[(u.agent, e.arm)] = th / nrm
         return self.model
 
     def plan_phase(
         self, active_uploads: list[ActiveSetUpload], f_p: int
-    ) -> tuple[ArmRoster, list[AllocationMessage]]:
-        """Roster the active sets, solve the design, and issue pull counts."""
+    ) -> list[AllocationMessage]:
+        """Check the active sets, solve the design, and issue pull counts.
+
+        Each agent's arms must be distinct, nonempty and within its previous
+        active set (all K arms before the first phase).
+        """
         ordered = sorted(active_uploads, key=lambda u: u.agent)
         if [u.agent for u in ordered] != list(range(self.m)):
             raise ProtocolError("need exactly one active-set upload per agent")
         phase = ordered[0].phase
         if any(u.phase != phase for u in ordered):
             raise ProtocolError("active-set uploads span different phases")
+        for u in ordered:
+            if not u.arms:
+                raise ProtocolError(f"agent {u.agent} reported an empty active set")
+            before = range(self.k) if self._f_issued is None else self._f_issued[u.agent]
+            seen: set[int] = set()
+            for a in u.arms:
+                if a in seen:
+                    raise _rejected(u, a, "arm reported twice")
+                if a not in before:
+                    raise _rejected(u, a, "arm outside the agent's previous active set")
+                seen.add(a)
         active_sets = [list(u.arms) for u in ordered]
-        roster = build_roster(active_sets)
         dirs = {
             (i, a): self.directions[(i, a)]
             for i, arms in enumerate(active_sets)
@@ -227,18 +224,15 @@ class CentralServer:
         prob = DesignProblem(active_sets=active_sets, directions=dirs, dim=self.d)
         alloc = solve_design(prob, warm_start=self._warm)
         self._warm = alloc
-        counts = allocate(alloc, f_p)
-        self._roster = roster
-        self._f_issued = counts
-        messages = [
-            AllocationMessage(agent=i, phase=phase, counts=counts[i])
+        self._f_issued = allocate(alloc, f_p)
+        # Copies: a recipient editing its message must not edit the record.
+        return [
+            AllocationMessage(agent=i, phase=phase, counts=dict(self._f_issued[i]))
             for i in range(self.m)
         ]
-        return roster, messages
 
     def ingest_phase(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
-        if self._roster is None or self._f_issued is None or self.model is None:
+        if self._f_issued is None or self.model is None:
             raise ProtocolError("phase uploads arrived before planning")
-        self._learn_directions(uploads)
-        self.model = aggregate_phase(uploads, self._roster, self._f_issued, self.model)
+        self.model = aggregate_phase(uploads, self._f_issued, self.model)
         return self.model

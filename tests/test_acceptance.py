@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped criterion, each printing a
 PASS/FAIL line (run with -s to see them on success)."""
 
+import hashlib
 import math
 import time
 
@@ -18,7 +19,7 @@ from fedpecd.harness import (
 from fedpecd.linalg import pinv
 from fedpecd.messages import LocalEstimate, LocalEstimateUpload
 from fedpecd.protocol import build_schedule, run_protocol
-from fedpecd.server import aggregate_init, aggregate_phase, build_roster
+from fedpecd.server import aggregate_init, aggregate_phase
 
 from conftest import identical_agents_scenario
 from test_design import grid_search_two_by_two, rot
@@ -120,6 +121,20 @@ def test_c04_collaboration_gain(desk_sweep):
     assert monotone
     assert mean > stderr
 
+
+# sha256 of the desk sweep's CSV lines, one newline after each.
+DESK_SWEEP_CSV_SHA256 = "8d454c713ce7beb0bae31fa1501472808f7c98f06baae9563170493f8325e480"
+
+
+def test_desk_sweep_csv_is_pinned(desk_sweep):
+    """The c03-c05 sweep's CSV is byte-identical to the pinned digest.
+
+    Rounding-level changes can leave the tiny-run trace pin in place while
+    they move these 20-trial means.  A change that moves outputs on purpose
+    updates the pin here and records in CHANGES.md what moved and why.
+    """
+    text = "".join(line + "\n" for line in sweep_csv_lines(desk_sweep))
+    assert hashlib.sha256(text.encode()).hexdigest() == DESK_SWEEP_CSV_SHA256
 
 def test_c05_sublinearity(desk_sweep):
     cell = desk_sweep.cell("exact", 25)
@@ -236,7 +251,6 @@ def test_c08_aggregation_oracle():
         # one phase of f-weighted aggregation
         active = [sorted(rng.choice(k, size=int(rng.integers(1, k + 1)),
                                     replace=False).tolist()) for _ in range(m)]
-        roster = build_roster(active)
         f_issued = {
             i: {a: int(rng.integers(0, 4)) for a in active[i]} for i in range(m)
         }
@@ -250,14 +264,14 @@ def test_c08_aggregation_oracle():
                         arm=a, theta_hat=estimate(i, a, y), pulls=f_issued[i][a]
                     ))
             uploads.append(LocalEstimateUpload(agent=i, phase=1, estimates=entries))
-        phase_model = aggregate_phase(uploads, roster, f_issued, model)
+        phase_model = aggregate_phase(uploads, f_issued, model)
 
-        for a in roster.union:
+        for a in sorted({a for arms in active for a in arms}):
             gram = np.zeros((d, d))
             linear = np.zeros(d)
             seen = False
-            for i in roster.members[a]:
-                f = f_issued[i][a]
+            for i in range(m):
+                f = f_issued[i].get(a, 0)
                 if f < 1:
                     continue
                 th = next(e.theta_hat for e in uploads[i].estimates if e.arm == a)

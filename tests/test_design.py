@@ -11,7 +11,6 @@ from fedpecd.design import (
 )
 from fedpecd.errors import ValidationError
 from fedpecd.linalg import pinv
-from fedpecd.server import build_roster
 
 from conftest import random_design_problem
 
@@ -271,7 +270,8 @@ class TestDesignScore:
             prob = random_design_problem(3, 3, 3, seed=seed)
             alloc = solve_design(prob)
             scores = design_score(prob, alloc)
-            for a, members in build_roster(prob.active_sets).members.items():
+            for a in sorted({a for arms in prob.active_sets for a in arms}):
+                members = [i for i, arms in enumerate(prob.active_sets) if a in arms]
                 gram = np.zeros((3, 3))
                 for i in members:
                     e = prob.directions[(i, a)]

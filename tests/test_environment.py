@@ -45,6 +45,19 @@ class TestPull:
         with pytest.raises(IndexError):
             env.pull(3, 0)
 
+    def test_fractional_count_rejected(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            env.pull_many(0, 1, 2.5)
+        env.pull_many(0, 1, 3)
+        with pytest.raises(ValueError, match="agent 0 has only 3 rounds"):
+            env.cumulative_regret(upto=4)
+
+    def test_numpy_integer_count_accepted(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        env.pull_many(0, 1, np.int64(3))
+        assert env.cumulative_regret() == env.cumulative_regret(upto=3)
+
     def test_sigma_above_one_rejected(self):
         with pytest.raises(ConfigurationError):
             NoiseModel(sigma=1.5)

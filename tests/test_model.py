@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedpecd.errors import ConfigurationError, FeatureLookupError, ValidationError
-from fedpecd.harness import SyntheticSpec, generate_synthetic
+from fedpecd.harness import SyntheticSpec, generate_synthetic, load_features
 from fedpecd.model import (
     Bounds,
     ContextDistribution,
@@ -167,7 +167,7 @@ class TestScenarioSerialization:
         )
         path = tmp_path / "scenario.json"
         scenario.save(path)
-        loaded = Scenario.load(path)
+        loaded = load_features(path)
         assert loaded.to_json_dict() == scenario.to_json_dict()
 
     def test_validation_catches_bad_theta_norm(self):

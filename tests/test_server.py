@@ -4,13 +4,18 @@ import pytest
 from fedpecd.design import DesignAllocation
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import pinv
-from fedpecd.messages import GlobalBroadcast, LocalEstimate, LocalEstimateUpload
+from fedpecd.messages import (
+    ActiveSetUpload,
+    GlobalBroadcast,
+    LocalEstimate,
+    LocalEstimateUpload,
+)
 from fedpecd.server import (
+    CentralServer,
     aggregate_init,
     aggregate_phase,
     _check_psd,
     allocate,
-    build_roster,
 )
 
 
@@ -28,32 +33,6 @@ def upload(agent, phase, entries):
     ests = [LocalEstimate(arm=a, theta_hat=np.asarray(v, dtype=float), pulls=f)
             for a, v, f in entries]
     return LocalEstimateUpload(agent=agent, phase=phase, estimates=ests)
-
-
-class TestBuildRoster:
-    def test_shared_single_arm(self):
-        roster = build_roster([[0]] * 4)
-        assert roster.union == [0]
-        assert roster.members[0] == [0, 1, 2, 3]
-
-    def test_disjoint_singletons(self):
-        roster = build_roster([[2], [0], [1]])
-        assert roster.union == [0, 1, 2]
-        assert roster.members == {0: [1], 1: [2], 2: [0]}
-
-    def test_matches_membership_scan(self, rng):
-        for _ in range(20):
-            sets = []
-            for _ in range(5):
-                size = int(rng.integers(1, 5))
-                sets.append(sorted(rng.choice(6, size=size, replace=False).tolist()))
-            roster = build_roster(sets)
-            for a in roster.union:
-                assert roster.members[a] == [i for i, s in enumerate(sets) if a in s]
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ProtocolError):
-            build_roster([[0], []])
 
 
 class TestAggregateInit:
@@ -130,10 +109,6 @@ class TestAggregateInit:
             aggregate_init(uploads, m=2, k=1, d=2)
 
 
-def make_roster(active_sets):
-    return build_roster(active_sets)
-
-
 class TestAggregatePhase:
     def setup_method(self):
         psi = np.array([1.0, 0.0])
@@ -145,7 +120,6 @@ class TestAggregatePhase:
         c = 0.4
         model = aggregate_phase(
             [upload(0, 1, [(0, c * self.psi, 1)])],
-            make_roster([[0]]),
             {0: {0: 1}},
             self.prev,
         )
@@ -155,17 +129,15 @@ class TestAggregatePhase:
 
     def test_carry_over_when_no_uploads(self):
         model = aggregate_phase(
-            [upload(0, 1, [])], make_roster([[0]]), {0: {0: 0}}, self.prev
+            [upload(0, 1, [])], {0: {0: 0}}, self.prev
         )
         assert model.models[0] is self.prev.models[0]
 
     def test_two_agents_same_direction(self):
         e = np.array([0.0, 1.0])
         c1, c2 = 0.5, 0.9
-        roster = make_roster([[0], [0]])
         model = aggregate_phase(
             [upload(0, 1, [(0, c1 * e, 2)]), upload(1, 1, [(0, c2 * e, 2)])],
-            roster,
             {0: {0: 2}, 1: {0: 2}},
             GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))}),
         )
@@ -178,7 +150,6 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError):
             aggregate_phase(
                 [upload(0, 1, [(1, self.psi, 1)])],
-                make_roster([[0]]),
                 {0: {0: 1}},
                 self.prev,
             )
@@ -187,7 +158,6 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError):
             aggregate_phase(
                 [upload(0, 1, [(0, self.psi, 3)])],
-                make_roster([[0]]),
                 {0: {0: 1}},
                 self.prev,
             )
@@ -199,14 +169,13 @@ class TestAggregatePhase:
             [upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])],
         ):
             with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
-                aggregate_phase(uploads, make_roster([[0]]), {0: {0: 1}}, self.prev)
+                aggregate_phase(uploads, {0: {0: 1}}, self.prev)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
         with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
             aggregate_phase(
                 [upload(0, 1, [(0, MALFORMED_THETAS[case], 1)])],
-                make_roster([[0]]),
                 {0: {0: 1}},
                 self.prev,
             )
@@ -216,10 +185,95 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
             aggregate_phase(
                 [upload(0, stamp, [(0, self.psi, 1)])],
-                make_roster([[0]]),
                 {0: {0: 1}},
                 self.prev,
             )
+
+
+# Init estimates y * psi (unit psi) of a two-agent, two-arm server.
+INIT_ESTIMATES = {
+    0: {0: [0.5, 0.0], 1: [0.3, 0.4]},
+    1: {0: [0.0, -0.5], 1: [-0.4, 0.3]},
+}
+
+
+def initialized_server():
+    server = CentralServer(m=2, k=2, d=2)
+    server.ingest_init([
+        upload(i, 0, [(a, th, 1) for a, th in ests.items()])
+        for i, ests in INIT_ESTIMATES.items()
+    ])
+    return server
+
+
+def active(sets, phase):
+    return [ActiveSetUpload(agent=i, phase=phase, arms=arms) for i, arms in enumerate(sets)]
+
+
+def explore(server, msgs, theta):
+    """Upload ``theta`` for every pair the messages issued pulls for."""
+    return server.ingest_phase([
+        upload(m.agent, m.phase, [(a, theta, f) for a, f in m.counts.items() if f >= 1])
+        for m in msgs
+    ])
+
+
+class TestPlanPhase:
+    def test_issued_counts_cover_the_active_sets(self):
+        msgs = initialized_server().plan_phase(active([[0], [0, 1]], 1), f_p=4)
+        assert [sorted(m.counts) for m in msgs] == [[0], [0, 1]]
+
+    def test_empty_set_rejected(self):
+        server = initialized_server()
+        with pytest.raises(ProtocolError, match="agent 1 reported an empty active set"):
+            server.plan_phase(active([[0], []], 1), f_p=4)
+
+    @pytest.mark.parametrize("arm", [5, -1])
+    def test_arm_outside_range_rejected(self, arm):
+        server = initialized_server()
+        with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
+            server.plan_phase(active([[0, arm], [0]], 1), f_p=4)
+
+    def test_repeated_arm_rejected(self):
+        server = initialized_server()
+        with pytest.raises(ProtocolError, match="agent 0, arm 1, phase 1"):
+            server.plan_phase(active([[1, 1], [0]], 1), f_p=4)
+
+    def test_eliminated_arm_rejected(self):
+        server = initialized_server()
+        explore(server, server.plan_phase(active([[0], [0, 1]], 1), f_p=4), [0.5, 0.0])
+        with pytest.raises(ProtocolError, match="agent 0, arm 1, phase 2"):
+            server.plan_phase(active([[0, 1], [0]], 2), f_p=8)
+
+    def test_edited_message_leaves_issued_counts(self):
+        server = initialized_server()
+        msgs = server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4)
+        msgs[0].counts[0] += 1
+        with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+            explore(server, msgs, [0.5, 0.0])
+
+    def test_shrinking_active_sets_accepted(self):
+        server = initialized_server()
+        explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.5, 0.0])
+        msgs = server.plan_phase(active([[1], [0]], 2), f_p=8)
+        assert [sorted(m.counts) for m in msgs] == [[1], [0]]
+
+
+class TestDirections:
+    def test_learned_once_at_init(self):
+        """Phase uploads that are not collinear with the init uploads leave
+        the directions as the init round set them, signs included."""
+        server = initialized_server()
+        expected = {
+            (i, a): np.asarray(th) / np.linalg.norm(th)
+            for i, ests in INIT_ESTIMATES.items()
+            for a, th in ests.items()
+        }
+        assert server.directions.keys() == expected.keys()
+        explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.1, 0.7])
+        assert server.directions.keys() == expected.keys()
+        for pair, e in expected.items():
+            np.testing.assert_array_equal(server.directions[pair], e)
 
 
 class TestAggregationInvariants:
@@ -250,13 +304,12 @@ class TestAggregationInvariants:
         e /= np.linalg.norm(e)
         coeffs = [0.7, -0.3, 1.1]
         fs = [2, 3, 4]
-        roster = make_roster([[0]] * 3)
         prev = GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))})
         uploads = [
             upload(i, 1, [(0, c * e, f)]) for i, (c, f) in enumerate(zip(coeffs, fs))
         ]
         model = aggregate_phase(
-            uploads, roster, {i: {0: f} for i, f in enumerate(fs)}, prev
+            uploads, {i: {0: f} for i, f in enumerate(fs)}, prev
         )
         theta, v = model.models[0]
         total = sum(fs)
