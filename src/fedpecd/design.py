@@ -16,11 +16,11 @@ The solver is cyclic block-coordinate ascent over agents; each agent block
 takes pairwise Frank-Wolfe steps on its simplex: mass moves from the
 in-support arm with the smallest gradient to the arm with the largest,
 with a closed-form optimal step length.  Pairwise steps avoid the
-zigzagging that makes plain Frank-Wolfe too slow for the sweep-improvement
-stopping rule.  The optimal step is always strictly short of the pole
-where an arm's Gram would lose rank, so every roster direction stays
-inside the range of its arm Gram and the rank-1 line-search formula is
-exact at every iterate.
+zigzagging that makes plain Frank-Wolfe slow to close its duality gap.
+The optimal step is always strictly short of the pole where an arm's
+Gram would lose rank, so every roster direction stays inside the range
+of its arm Gram and the rank-1 line-search formula is exact at every
+iterate.
 
 The state is dense: pi is (M, K), the directions (M, K, d) with zero rows
 for pairs that have none, and each arm keeps its Gram's range
@@ -30,9 +30,10 @@ closed form, and then refreshes W_a^+ for each arm it moved by one
 Sherman-Morrison update, exact on the range because that range never
 shrinks.  Once per sweep W is rebuilt from pi with one einsum, and W^+ and
 the objective's eigenvalues come from one batched eigh, so the number of
-eigendecompositions grows with sweeps, not steps.  The returned
-allocation carries the Frank-Wolfe duality gap, which bounds the distance
-to the optimum because F is concave.
+eigendecompositions grows with sweeps, not steps.  After each sweep the
+solver computes the Frank-Wolfe duality gap, which bounds the distance to
+the optimum because F is concave, and stops once that gap certifies the
+allocation; the returned allocation carries it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ SIMPLEX_TOL = 1e-9
 # Uniform mass blended into a warm start so restored rosters stay interior.
 _WARM_BLEND = 1e-2
 _INNER_STEPS = 40
+# A block stops stepping after a step that gains less than this.
+_MIN_STEP_GAIN = 1e-9
 
 
 @dataclass
@@ -121,7 +124,8 @@ class DesignAllocation:
 
     ``gap`` is the Frank-Wolfe duality gap at the returned iterate, an
     upper bound on how far ``objective`` is below the optimum (nan for an
-    allocation the solver did not produce).
+    allocation the solver did not produce).  ``converged`` says whether
+    that gap met the solver's stopping rule.
     """
 
     pi: list[dict[int, float]]
@@ -209,8 +213,8 @@ class _Solver:
         best = np.max(g, axis=1, where=self.active, initial=-np.inf)
         return float(np.sum(best - np.sum(self.pi * g, axis=1)))
 
-    def _block_update(self, agent: int, tol: float) -> float:
-        """Pairwise Frank-Wolfe steps on one agent's simplex; returns the gain.
+    def _block_update(self, agent: int, min_gain: float = _MIN_STEP_GAIN):
+        """Pairwise Frank-Wolfe steps on one agent's simplex.
 
         Each step moves mass from the in-support arm with the smallest
         gradient to the arm with the largest.  The exact step length for
@@ -219,21 +223,21 @@ class _Solver:
         clamping at the full away mass therefore never drops an arm Gram's
         rank.  A step of t along e changes g = e' W^+ e to g / (1 + t g),
         so the gradients stay current without touching W^+ inside the loop.
+        Stepping ends after a step that gains less than ``min_gain``.
         """
         cols = self.cols[agent]
         if cols.size == 1:
-            return 0.0
+            return
         e = self.agent_dirs[agent]
         pe = np.einsum("kjl,kl->kj", self.pinv[cols], e)
         g0 = np.einsum("kj,kj->k", pe, e)
         if not g0.max() > 0.0:
-            return 0.0
+            return
         g = g0.copy()
         start = self.pi[agent, cols]
         # Gradients of the in-support arms, +inf elsewhere: the away choice.
         away = np.where(start > 0.0, g, np.inf)
         weights = start.tolist()
-        total = 0.0
         for _ in range(_INNER_STEPS):
             best = int(g.argmax())  # first max = lowest arm index on ties
             worst = int(away.argmin())
@@ -257,8 +261,7 @@ class _Solver:
             g[best] = away[best] = g_b / (1.0 + step * g_b)
             g[worst] = g_w / (1.0 - step * g_w)
             away[worst] = g[worst] if weights[worst] > 0.0 else np.inf
-            total += gain
-            if gain < tol * 1e-3:
+            if gain < min_gain:
                 break
         weights = np.array(weights)
         self.pi[agent, cols] = weights
@@ -272,15 +275,12 @@ class _Solver:
             c = delta[moved] * g[moved] / g0[moved]
             p = pe[moved]
             self.pinv[cols[moved]] -= c[:, None, None] * p[:, :, None] * p[:, None, :]
-        return total
 
-    def sweep(self, tol: float) -> float:
-        total = 0.0
+    def sweep(self, min_gain: float = _MIN_STEP_GAIN):
         for agent in range(len(self.cols)):
-            total += self._block_update(agent, tol)
+            self._block_update(agent, min_gain)
         # Rebuild from pi so rank-1 update drift cannot accumulate.
         self._rebuild()
-        return total
 
 
 def solve_design(
@@ -291,10 +291,12 @@ def solve_design(
 ) -> DesignAllocation:
     """Block-coordinate ascent for the separable log-det design.
 
-    Runs full sweeps over agents until the objective improves by less than
-    ``tol`` in a sweep, or ``max_iters`` sweeps elapse (in which case the
-    best iterate is returned with ``converged=False``).  The allocation's
-    ``gap`` certifies the result; it does not enter the stopping rule.
+    Runs full sweeps over agents and stops after the first sweep whose
+    Frank-Wolfe duality gap is at most ``tol`` times the summed span ranks
+    of the arms, so ``tol`` is the gap allowed per unit of rank.  F is
+    concave, so that gap bounds how far the objective is below the
+    optimum.  If ``max_iters`` sweeps elapse first, the last iterate is
+    returned with ``converged=False``; it is still a feasible allocation.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be at least 1")
@@ -302,14 +304,14 @@ def solve_design(
         raise ValidationError("tol must be positive")
 
     solver = _Solver(prob, warm_start)
+    allowed = tol * float(solver.ranks.sum())
     trace = [solver.objective]
     converged = False
-    sweeps = 0
-    for _ in range(max_iters):
-        improvement = solver.sweep(tol)
-        sweeps += 1
+    for sweeps in range(1, max_iters + 1):
+        solver.sweep()
         trace.append(solver.objective)
-        if improvement < tol:
+        gap = solver.gap()
+        if gap <= allowed:
             converged = True
             break
 
@@ -326,7 +328,7 @@ def solve_design(
         objective=trace[-1],
         sweeps=sweeps,
         objective_trace=trace,
-        gap=solver.gap(),
+        gap=gap,
     )
 
 

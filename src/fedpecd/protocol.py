@@ -25,9 +25,9 @@ from .messages import (
     LocalEstimateUpload,
 )
 from .model import Scenario, build_psi_set
-from .server import CentralServer
+from .server import DESIGN_TOL, CentralServer
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 VARIANTS = ("exact", "hidden")
 
@@ -172,6 +172,7 @@ class PhaseTrace:
     allocations: list[dict[int, int]]
     round_end: int
     regret_per_agent: list[float]
+    design: dict  # the design solve's sweeps, converged, objective and gap
 
 
 @dataclass
@@ -237,6 +238,7 @@ class RunTrace:
             "n": self.schedule.n,
             "horizon": self.schedule.horizon,
             "H": self.schedule.H,
+            "design_tol": DESIGN_TOL,
         }
         for rec in self.phases:
             yield {
@@ -246,6 +248,7 @@ class RunTrace:
                 "f_p": rec.f_p,
                 "union": rec.union,
                 "round_end": rec.round_end,
+                "design": dict(rec.design),
             }
             for i in range(self.m):
                 yield {
@@ -269,6 +272,7 @@ class RunTrace:
             "scalars_up": self.meter.scalars_up,
             "scalars_down": self.meter.scalars_down,
             "meter_per_phase": self.meter.per_phase,
+            "design_unconverged": sum(not rec.design["converged"] for rec in self.phases),
         }
 
     def write_jsonl(self, path):
@@ -387,6 +391,12 @@ def run_protocol(
                 allocations=[dict(msg.counts) for msg in alloc_msgs],
                 round_end=round_cursor,
                 regret_per_agent=[float(x) for x in per_agent],
+                design={
+                    "sweeps": server.design.sweeps,
+                    "converged": server.design.converged,
+                    "objective": server.design.objective,
+                    "gap": server.design.gap,
+                },
             )
         )
 

@@ -32,6 +32,13 @@ from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, Local
 # Relief subtracted before ceil() so float dust cannot inflate a count.
 _CEIL_RELIEF = 1e-9
 
+# Duality gap per unit of span rank at which each phase's design stops.
+# Phased elimination needs only a constant-factor G-optimal design
+# (Lattimore & Szepesvari 2020, Bandit Algorithms, ch. 21-22: a design
+# whose largest score is at most twice the optimal one costs only a
+# constant factor in regret); a gap of 1e-3 per rank is far tighter.
+DESIGN_TOL = 1e-3
+
 
 def _check_psd(v: np.ndarray, arm: int):
     # Relative tolerance: V = Gram^+ has norm ~1 / lambda_min(Gram), so its
@@ -167,7 +174,9 @@ class CentralServer:
 
     Per (agent, arm) it keeps the direction learned at initialization and
     the pull count it last issued; the issued counts' keys are each agent's
-    active set.
+    active set.  ``design`` is the last phase's design solve, which also
+    warm-starts the next one.  The server proceeds on an unconverged
+    solve: its allocation is feasible, and ``design.converged`` reports it.
     """
 
     def __init__(self, m: int, k: int, d: int):
@@ -176,7 +185,7 @@ class CentralServer:
         self.d = d
         self.model: GlobalBroadcast | None = None
         self.directions: dict[tuple[int, int], np.ndarray] = {}
-        self._warm: DesignAllocation | None = None
+        self.design: DesignAllocation | None = None
         self._f_issued: dict[int, dict[int, int]] | None = None
 
     def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
@@ -222,9 +231,8 @@ class CentralServer:
             if (i, a) in self.directions
         }
         prob = DesignProblem(active_sets=active_sets, directions=dirs, dim=self.d)
-        alloc = solve_design(prob, warm_start=self._warm)
-        self._warm = alloc
-        self._f_issued = allocate(alloc, f_p)
+        self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
+        self._f_issued = allocate(self.design, f_p)
         # Copies: a recipient editing its message must not edit the record.
         return [
             AllocationMessage(agent=i, phase=phase, counts=dict(self._f_issued[i]))

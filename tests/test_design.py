@@ -292,3 +292,47 @@ class TestObjective:
         assert np.isfinite(good)
         # zeroing one agent's contribution drops the arm Gram below its span rank
         assert design_objective(prob, [{0: 1.0}, {0: 0.0}]) == -np.inf
+
+
+def span_rank_sum(prob):
+    """Sum over arms of the rank of the unweighted roster-direction Gram."""
+    grams = np.einsum("ikj,ikl->kjl", prob.dirs, prob.dirs)
+    return int(sum(np.linalg.matrix_rank(g) for g in grams))
+
+
+CERTIFIED_CASES = [(5, 5, 2, 0), (12, 4, 3, 1), (25, 5, 3, 2), (10, 8, 4, 3)]
+
+
+class TestGapCertificate:
+    """The solver's only stop rule: gap <= tol * (sum of arm span ranks)."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    @pytest.mark.parametrize("m,k,d,seed", CERTIFIED_CASES)
+    def test_converged_solve_is_certified(self, m, k, d, seed, tol):
+        """Converged exactly when certified; an uncertified solve ran out
+        of sweeps (the 12-agent case at 1e-6 does)."""
+        prob = random_design_problem(m, k, d, seed=seed)
+        alloc = solve_design(prob, tol=tol)
+        assert alloc.gap >= 0.0
+        assert alloc.converged == (alloc.gap <= tol * span_rank_sum(prob))
+        assert alloc.converged or alloc.sweeps == 500
+
+    # At 3e-2 the gap certifies while a sweep still gains more than tol,
+    # so a solver that also waited for small sweep gains would overshoot.
+    @pytest.mark.parametrize("tol", [3e-2, 1e-3, 1e-6])
+    @pytest.mark.parametrize("m,k,d,seed", CERTIFIED_CASES)
+    def test_stops_at_first_certified_sweep(self, m, k, d, seed, tol):
+        prob = random_design_problem(m, k, d, seed=seed)
+        alloc = solve_design(prob, tol=tol)
+        if alloc.sweeps == 1:
+            return  # the solver always sweeps once; nothing stopped late
+        early = solve_design(prob, tol=tol, max_iters=alloc.sweeps - 1)
+        assert not early.converged
+        assert early.gap > tol * span_rank_sum(prob)
+
+    def test_no_directions_converges_in_one_sweep(self):
+        prob = DesignProblem(active_sets=[[0, 1], [1, 2], [2]], directions={}, dim=3)
+        alloc = solve_design(prob)
+        assert alloc.converged
+        assert alloc.sweeps == 1
+        assert alloc.gap == 0.0

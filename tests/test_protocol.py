@@ -1,9 +1,11 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+import fedpecd.server as server_module
 from fedpecd.errors import ConfigurationError, ProtocolError
 from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic
 from fedpecd.messages import (
@@ -14,6 +16,7 @@ from fedpecd.messages import (
     LocalEstimateUpload,
 )
 from fedpecd.protocol import build_schedule, compute_alpha, meter_message, run_protocol
+from fedpecd.server import DESIGN_TOL
 
 from conftest import identical_agents_scenario
 
@@ -244,7 +247,7 @@ class TestRunProtocol:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "a74b47230481909295ef33883218e955249eca47de212555ed0f579c5f9f7293"
+        "2870388860a4376bffa5c7e5559fabc4844e6b96857dcb61063df45d1c4da0e1"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):
@@ -262,3 +265,49 @@ class TestOutputTripwire:
         run_protocol(sc, sched, master_seed=0, trace_path=path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.TINY_RUN_TRACE_SHA256
+
+
+def tiny_run_records(tmp_path):
+    """JSONL records of the tiny desk run above, read back from disk."""
+    sc = generate_synthetic(desk_spec(m=6), seed=3, variant="hidden")
+    sched = build_schedule(1, 2, sc.K, 2**9)
+    path = tmp_path / "trace.jsonl"
+    trace = run_protocol(sc, sched, master_seed=0, trace_path=path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 2 + sched.H * (1 + sc.M)
+    return trace, records
+
+
+class TestDesignDiagnostics:
+    """Trace v2: each phase's design solve is reported, not used silently."""
+
+    def test_plain_run_reports_converged_solves(self, tmp_path):
+        trace, records = tiny_run_records(tmp_path)
+        assert all(rec["v"] == 2 for rec in records)
+        assert records[0]["design_tol"] == DESIGN_TOL
+        servers = [rec for rec in records if rec["type"] == "server"]
+        assert len(servers) == len(trace.phases)
+        for rec in servers:
+            design = rec["design"]
+            assert sorted(design) == ["converged", "gap", "objective", "sweeps"]
+            assert design["converged"] is True
+            assert design["sweeps"] >= 1
+            assert design["gap"] >= 0.0
+            assert math.isfinite(design["objective"])
+        assert records[-1]["design_unconverged"] == 0
+
+    def test_unconverged_solve_is_traced_and_counted(self, tmp_path, monkeypatch):
+        solve = server_module.solve_design
+
+        def one_sweep(prob, **kwargs):
+            return solve(prob, **{**kwargs, "max_iters": 1})
+
+        monkeypatch.setattr(server_module, "solve_design", one_sweep)
+        trace, records = tiny_run_records(tmp_path)
+        designs = [rec["design"] for rec in records if rec["type"] == "server"]
+        assert all(d["sweeps"] == 1 for d in designs)
+        unconverged = sum(not d["converged"] for d in designs)
+        assert unconverged > 0
+        assert records[-1]["design_unconverged"] == unconverged
+        # The server proceeds on the feasible allocation: the run completes.
+        assert trace.total_rounds >= 2**9
