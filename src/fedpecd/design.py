@@ -213,7 +213,7 @@ class _Solver:
         best = np.max(g, axis=1, where=self.active, initial=-np.inf)
         return float(np.sum(best - np.sum(self.pi * g, axis=1)))
 
-    def _block_update(self, agent: int, min_gain: float = _MIN_STEP_GAIN):
+    def _block_update(self, agent: int):
         """Pairwise Frank-Wolfe steps on one agent's simplex.
 
         Each step moves mass from the in-support arm with the smallest
@@ -223,7 +223,7 @@ class _Solver:
         clamping at the full away mass therefore never drops an arm Gram's
         rank.  A step of t along e changes g = e' W^+ e to g / (1 + t g),
         so the gradients stay current without touching W^+ inside the loop.
-        Stepping ends after a step that gains less than ``min_gain``.
+        Stepping ends after a step that gains less than ``_MIN_STEP_GAIN``.
         """
         cols = self.cols[agent]
         if cols.size == 1:
@@ -261,7 +261,7 @@ class _Solver:
             g[best] = away[best] = g_b / (1.0 + step * g_b)
             g[worst] = g_w / (1.0 - step * g_w)
             away[worst] = g[worst] if weights[worst] > 0.0 else np.inf
-            if gain < min_gain:
+            if gain < _MIN_STEP_GAIN:
                 break
         weights = np.array(weights)
         self.pi[agent, cols] = weights
@@ -276,9 +276,9 @@ class _Solver:
             p = pe[moved]
             self.pinv[cols[moved]] -= c[:, None, None] * p[:, :, None] * p[:, None, :]
 
-    def sweep(self, min_gain: float = _MIN_STEP_GAIN):
+    def sweep(self):
         for agent in range(len(self.cols)):
-            self._block_update(agent, min_gain)
+            self._block_update(agent)
         # Rebuild from pi so rank-1 update drift cannot accumulate.
         self._rebuild()
 

@@ -25,7 +25,7 @@ from .messages import (
     LocalEstimateUpload,
 )
 from .model import Scenario, build_psi_set
-from .server import DESIGN_TOL, CentralServer
+from .server import CentralServer
 
 TRACE_VERSION = 2
 
@@ -190,6 +190,7 @@ class RunTrace:
     realized_contexts: list[int]
     optimal_arms: list[int]
     true_rewards: np.ndarray  # (M, K)
+    design_tol: float  # the tol of the server's design solves
     phases: list[PhaseTrace] = field(default_factory=list)
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     meter: CommMeter = field(default_factory=CommMeter)
@@ -238,7 +239,7 @@ class RunTrace:
             "n": self.schedule.n,
             "horizon": self.schedule.horizon,
             "H": self.schedule.H,
-            "design_tol": DESIGN_TOL,
+            "design_tol": self.design_tol,
         }
         for rec in self.phases:
             yield {
@@ -248,7 +249,7 @@ class RunTrace:
                 "f_p": rec.f_p,
                 "union": rec.union,
                 "round_end": rec.round_end,
-                "design": dict(rec.design),
+                "design": rec.design,
             }
             for i in range(self.m):
                 yield {
@@ -326,6 +327,7 @@ def run_protocol(
         realized_contexts=[env.realized_context(i) for i in range(m)],
         optimal_arms=[env.optimal_arm(i) for i in range(m)],
         true_rewards=env.expected_rewards(),
+        design_tol=server.design_tol,
         meter=meter,
     )
 

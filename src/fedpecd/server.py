@@ -174,9 +174,10 @@ class CentralServer:
 
     Per (agent, arm) it keeps the direction learned at initialization and
     the pull count it last issued; the issued counts' keys are each agent's
-    active set.  ``design`` is the last phase's design solve, which also
-    warm-starts the next one.  The server proceeds on an unconverged
-    solve: its allocation is feasible, and ``design.converged`` reports it.
+    active set.  ``design`` is the last phase's design solve, run at
+    ``design_tol``; it also warm-starts the next one.  The server proceeds
+    on an unconverged solve: its allocation is feasible, and
+    ``design.converged`` reports it.
     """
 
     def __init__(self, m: int, k: int, d: int):
@@ -185,6 +186,7 @@ class CentralServer:
         self.d = d
         self.model: GlobalBroadcast | None = None
         self.directions: dict[tuple[int, int], np.ndarray] = {}
+        self.design_tol = DESIGN_TOL
         self.design: DesignAllocation | None = None
         self._f_issued: dict[int, dict[int, int]] | None = None
 
@@ -231,7 +233,7 @@ class CentralServer:
             if (i, a) in self.directions
         }
         prob = DesignProblem(active_sets=active_sets, directions=dirs, dim=self.d)
-        self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
+        self.design = solve_design(prob, tol=self.design_tol, warm_start=self.design)
         self._f_issued = allocate(self.design, f_p)
         # Copies: a recipient editing its message must not edit the record.
         return [
