@@ -22,8 +22,10 @@ Gram would lose rank, so every roster direction stays inside the range
 of its arm Gram and the rank-1 line-search formula is exact at every
 iterate.
 
-The state is dense: pi is (M, K), the directions (M, K, d) with zero rows
-for pairs that have none, and each arm keeps its Gram's range
+The input and the state are dense.  A problem takes the directions as the
+server keeps them, an (M, K, d) array with a has-direction mask; the
+solver holds pi as (M, K), the directions (M, K, d) with zero rows for
+pairs that have none, and each arm keeps its Gram's range
 pseudo-inverse W_a^+ in a (K, d, d) stack.  A block reads all of its
 gradients g = e' W^+ e with one einsum, tracks them through its steps in
 closed form, and then refreshes W_a^+ for each arm it moved by one
@@ -60,17 +62,19 @@ _MIN_STEP_GAIN = 1e-9
 class DesignProblem:
     """Active sets per agent and unit directions per (agent, arm) pair.
 
-    A pair may lack a direction (the server never learned one for it);
-    such pairs contribute nothing to any Gram matrix and attract no budget.
-    Validation also builds the dense view the solver works on: ``arms``
-    (arm id per column), the ``(M, K)`` ``active`` mask and the
-    ``(M, K, d)`` ``dirs``, with a zero row for each pair without a
-    direction.
+    ``directions`` is dense, ``(M, K, d)`` over arm ids 0..K-1, and the
+    ``(M, K)`` mask ``has_direction`` marks the pairs that have one; only
+    active pairs may be marked.  A pair may lack a direction (the server
+    never learned one for it); such pairs contribute nothing to any Gram
+    matrix and attract no budget.  Validation also builds the dense view
+    the solver works on: ``arms`` (the active arm ids, one column each),
+    the ``(M, K')`` ``active`` mask and the ``(M, K', d)`` ``dirs``, with a
+    zero row for each pair without a direction.
     """
 
     active_sets: list[list[int]]
-    directions: dict[tuple[int, int], np.ndarray]
-    dim: int
+    directions: np.ndarray
+    has_direction: np.ndarray
     arms: list[int] = field(init=False, repr=False)
     active: np.ndarray = field(init=False, repr=False)
     dirs: np.ndarray = field(init=False, repr=False)
@@ -82,36 +86,40 @@ class DesignProblem:
         for i, arms in enumerate(self.active_sets):
             if not arms:
                 raise ValidationError(f"agent {i} has an empty active set")
-        pairs = {(i, a) for i, arms in enumerate(self.active_sets) for a in arms}
-        self.arms = sorted({a for _, a in pairs})
-        col = {a: k for k, a in enumerate(self.arms)}
-        self.active = np.zeros((self.n_agents, len(self.arms)), dtype=bool)
+        self.directions = np.asarray(self.directions, dtype=float)
+        self.has_direction = np.asarray(self.has_direction, dtype=bool)
+        shape = self.directions.shape
+        if len(shape) != 3 or shape[0] != self.n_agents:
+            raise ValidationError(
+                f"directions have shape {shape}, expected ({self.n_agents}, K, d)"
+            )
+        if self.has_direction.shape != shape[:2]:
+            raise ValidationError(
+                f"has_direction has shape {self.has_direction.shape}, expected {shape[:2]}"
+            )
+        active = np.zeros(shape[:2], dtype=bool)
         for i, arms in enumerate(self.active_sets):
-            self.active[i, [col[a] for a in arms]] = True
-        self.dirs = np.zeros((self.n_agents, len(self.arms), self.dim))
-        dirs = {}
-        for (i, a), vec in self.directions.items():
-            if (i, a) not in pairs:
-                raise ValidationError(f"direction for inactive pair (agent {i}, arm {a})")
-            v = np.asarray(vec, dtype=float)
-            if v.shape != (self.dim,):
-                raise ValidationError(
-                    f"direction for (agent {i}, arm {a}) has shape {v.shape}"
-                )
-            dirs[(i, a)] = v
-            self.dirs[i, col[a]] = v
-        self.directions = dirs
-        keys = list(dirs)
-        norms = np.linalg.norm(
-            self.dirs[[i for i, _ in keys], [col[a] for _, a in keys]], axis=-1
-        )
+            if arms[0] < 0 or arms[-1] >= shape[1]:
+                raise ValidationError(f"agent {i} has an arm outside 0..{shape[1] - 1}")
+            active[i, arms] = True
+        stray = np.argwhere(self.has_direction & ~active)
+        if stray.size:
+            i, a = stray[0]
+            raise ValidationError(f"direction for inactive pair (agent {i}, arm {a})")
+        norms = np.linalg.norm(self.directions[self.has_direction], axis=-1)
         # Negated so that a NaN norm fails too.
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
         if bad.size:
-            i, a = keys[bad[0]]
+            i, a = np.argwhere(self.has_direction)[bad[0]]
             raise ValidationError(
                 f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
             )
+        self.arms = np.flatnonzero(active.any(axis=0)).tolist()
+        # C order: the solver's einsums round differently on other layouts.
+        self.active = np.ascontiguousarray(active[:, self.arms])
+        self.dirs = np.ascontiguousarray(
+            np.where(self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0)
+        )
 
     @property
     def n_agents(self) -> int:
@@ -337,7 +345,7 @@ def design_score(
 ) -> dict[tuple[int, int], float]:
     """g_{a,i} = e' (sum_j pi_{a,j} e_j e_j^T)^+ e for each active pair.
 
-    Pairs without a stored direction are omitted.
+    Pairs without a direction are omitted.
     """
     for i, arms in enumerate(prob.active_sets):
         total = sum(alloc.pi[i].get(a, 0.0) for a in arms)
@@ -345,4 +353,6 @@ def design_score(
             raise ValidationError(f"allocation for agent {i} sums to {total}")
     col = {a: k for k, a in enumerate(prob.arms)}
     g = _scores(prob.dirs, eigh_range(_grams(_pi_array(prob, alloc.pi), prob.dirs))[2])
-    return {(i, a): float(g[i, col[a]]) for (i, a) in sorted(prob.directions)}
+    return {
+        (int(i), int(a)): float(g[i, col[a]]) for i, a in np.argwhere(prob.has_direction)
+    }

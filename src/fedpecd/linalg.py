@@ -19,7 +19,7 @@ RANK_CUTOFF_SCALE = 1e-12
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix contains non-finite entries")
@@ -50,9 +50,10 @@ def eigh_range(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix or a ``(..., d, d)``
+    stack of them, each bit-identical to inverting that matrix alone.
 
-    Eigenvalues with magnitude at or below the relative cutoff are treated
-    as exact zeros.
+    Eigenvalues with magnitude at or below each matrix's relative cutoff
+    are treated as exact zeros.
     """
     return eigh_range(_as_square(m))[2]

@@ -5,6 +5,19 @@ from fedpecd.design import DesignProblem
 from fedpecd.model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
 
 
+def design_problem(active_sets, directions, dim):
+    """A DesignProblem from a {(agent, arm): unit vector} map, densified
+    over arm ids 0..max(arm)."""
+    k = 1 + max([a for arms in active_sets for a in arms] + [a for _, a in directions],
+                default=-1)
+    dense = np.zeros((len(active_sets), k, dim))
+    has = np.zeros((len(active_sets), k), dtype=bool)
+    for (i, a), v in directions.items():
+        dense[i, a] = v
+        has[i, a] = True
+    return DesignProblem(active_sets=active_sets, directions=dense, has_direction=has)
+
+
 def random_design_problem(m, k, d, seed=0, active_sets=None):
     rng = np.random.default_rng(seed)
     if active_sets is None:
@@ -14,7 +27,7 @@ def random_design_problem(m, k, d, seed=0, active_sets=None):
         for a in arms:
             v = rng.normal(size=d)
             dirs[(i, a)] = v / np.linalg.norm(v)
-    return DesignProblem(active_sets=active_sets, directions=dirs, dim=d)
+    return design_problem(active_sets, dirs, d)
 
 
 def identical_agents_scenario(m=5, sigma=0.0):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fedpecd.design import DesignProblem, solve_design
+from fedpecd.design import solve_design
 from fedpecd.harness import (
     SyntheticSpec,
     desk_spec,
@@ -21,7 +21,7 @@ from fedpecd.messages import LocalEstimate, LocalEstimateUpload
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import aggregate_init, aggregate_phase
 
-from conftest import identical_agents_scenario
+from conftest import design_problem, identical_agents_scenario
 from test_design import grid_search_two_by_two, rot
 
 BASE_SEED = 20260810
@@ -184,17 +184,13 @@ def test_c07_design_solver_oracle():
         (0, 0): rot(10), (0, 1): rot(75),
         (1, 0): rot(50), (1, 1): rot(160),
     }
-    prob = DesignProblem(active_sets=[[0, 1], [0, 1]], directions=dirs, dim=2)
+    prob = design_problem([[0, 1], [0, 1]], dirs, 2)
     alloc = solve_design(prob)
     grid_best, _ = grid_search_two_by_two(dirs)
     gap = abs(alloc.objective - grid_best)
 
     d = 3
-    frame = DesignProblem(
-        active_sets=[list(range(d))],
-        directions={(0, a): np.eye(d)[a] for a in range(d)},
-        dim=d,
-    )
+    frame = design_problem([list(range(d))], {(0, a): np.eye(d)[a] for a in range(d)}, d)
     frame_alloc = solve_design(frame)
     uniform_err = max(abs(frame_alloc.pi[0][a] - 1.0 / d) for a in range(d))
     ok = gap <= 1e-4 and uniform_err <= 1e-6

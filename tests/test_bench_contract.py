@@ -28,8 +28,10 @@ def test_tracer_wraps_and_restores_every_name():
 
 def test_tracer_counts_match_the_run():
     """The benchmark counts one scored arm per stats entry that
-    ``Agent.begin_phase`` returns and one pull per round; a changed return
-    shape or a pull counted twice (``pull`` calling ``pull_many``) breaks it."""
+    ``Agent.begin_phase`` returns, one pull per round and one
+    ``fedpecd.server.pinv`` call per aggregation; a changed return shape, a
+    pull counted twice (``pull`` calling ``pull_many``) or a per-arm
+    pseudo-inverse breaks it."""
     scenario = harness.generate_synthetic(harness.desk_spec(m=6), seed=3, variant="hidden")
     schedule = protocol.build_schedule(1, 2, scenario.K, 2**9)
     tr = tracer.Tracer()
@@ -39,3 +41,5 @@ def test_tracer_counts_match_the_run():
     assert entries > 0
     assert tr.counts["agent.arms_scored"] == entries
     assert tr.counts["environment.pulls"] == scenario.M * trace.total_rounds
+    # One batched pseudo-inverse per aggregation, not one per arm.
+    assert tr.counts["linalg.pinv_calls"] == tr.counts["server.aggregate_calls"]

@@ -12,7 +12,7 @@ from fedpecd.design import (
 from fedpecd.errors import ValidationError
 from fedpecd.linalg import pinv
 
-from conftest import random_design_problem
+from conftest import design_problem, random_design_problem
 
 
 def rot(angle_deg):
@@ -60,7 +60,7 @@ class TestSolveDesign:
     def test_orthonormal_frame_gives_uniform(self):
         d = 3
         dirs = {(0, a): np.eye(d)[a] for a in range(d)}
-        prob = DesignProblem(active_sets=[list(range(d))], directions=dirs, dim=d)
+        prob = design_problem([list(range(d))], dirs, d)
         alloc = solve_design(prob)
         for a in range(d):
             assert alloc.pi[0][a] == pytest.approx(1.0 / d, abs=1e-6)
@@ -73,9 +73,7 @@ class TestSolveDesign:
             (0, 0): rot(10), (0, 1): rot(75),
             (1, 0): rot(50), (1, 1): rot(160),
         }
-        prob = DesignProblem(
-            active_sets=[[0, 1], [0, 1]], directions=dirs, dim=2
-        )
+        prob = design_problem([[0, 1], [0, 1]], dirs, 2)
         alloc = solve_design(prob)
         grid_best, _ = grid_search_two_by_two(dirs)
         assert alloc.objective == pytest.approx(grid_best, abs=1e-4)
@@ -130,22 +128,42 @@ class TestSolveDesign:
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValidationError):
-            DesignProblem(
-                active_sets=[[0]], directions={(0, 0): np.array([2.0, 0.0])}, dim=2
-            )
+            design_problem([[0]], {(0, 0): np.array([2.0, 0.0])}, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_rejected(self, bad):
         with pytest.raises(ValidationError, match=r"\(agent 0, arm 1\)"):
-            DesignProblem(
-                active_sets=[[0, 1]],
-                directions={(0, 0): np.array([1.0, 0.0]), (0, 1): np.array([bad, 0.0])},
-                dim=2,
+            design_problem(
+                [[0, 1]], {(0, 0): np.array([1.0, 0.0]), (0, 1): np.array([bad, 0.0])}, 2
             )
 
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValidationError):
-            DesignProblem(active_sets=[[]], directions={}, dim=2)
+            design_problem([[]], {}, 2)
+
+    def test_direction_for_inactive_pair_rejected(self):
+        dirs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValidationError, match=r"inactive pair \(agent 0, arm 1\)"):
+            DesignProblem([[0]], dirs, [[True, True]])
+
+    def test_arm_outside_the_directions_rejected(self):
+        with pytest.raises(ValidationError, match="agent 0 has an arm outside 0..1"):
+            DesignProblem([[0, 2]], np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
+
+    @pytest.mark.parametrize("dirs_shape,mask_shape", [
+        ((2, 2, 2), (2, 2)),  # two agents' directions for one agent
+        ((1, 2), (1, 2)),     # no direction axis
+        ((1, 2, 2), (1, 3)),  # mask over other arms
+    ])
+    def test_mis_shaped_input_rejected(self, dirs_shape, mask_shape):
+        with pytest.raises(ValidationError, match="shape"):
+            DesignProblem([[0, 1]], np.zeros(dirs_shape), np.zeros(mask_shape, dtype=bool))
+
+    def test_solver_view_is_c_ordered(self):
+        """Column selection from the dense input yields a transposed
+        layout, on which the solver's einsums round differently."""
+        prob = random_design_problem(6, 5, 3, seed=1, active_sets=[[1, 3, 4]] * 6)
+        assert prob.dirs.flags.c_contiguous and prob.active.flags.c_contiguous
 
 
 def assert_consistent(prob, alloc):
@@ -176,29 +194,30 @@ class TestRankOneUpdates:
             (0, 0): rot(30), (1, 0): -rot(30), (2, 0): rot(30),
             (0, 1): rot(100), (1, 1): rot(0), (2, 1): rot(45),
         }
-        prob = DesignProblem(active_sets=[[0, 1]] * 3, directions=dirs, dim=2)
+        prob = design_problem([[0, 1]] * 3, dirs, 2)
         alloc = solve_design(prob)
         assert np.isfinite(alloc.objective)
         assert_consistent(prob, alloc)
 
     def test_pairs_without_direction(self):
         prob = random_design_problem(6, 4, 3, seed=8)
-        dirs = {p: v for p, v in prob.directions.items() if (p[0] + p[1]) % 3}
-        holed = DesignProblem(active_sets=prob.active_sets, directions=dirs, dim=3)
+        i, a = np.indices(prob.has_direction.shape)
+        holes = (i + a) % 3 == 0
+        holed = DesignProblem(prob.active_sets, prob.directions, prob.has_direction & ~holes)
         alloc = solve_design(holed)
         assert np.isfinite(alloc.objective)
         assert_consistent(holed, alloc)
         # A pair with no direction attracts no budget once the solver moves.
         for i, a in [(0, 0), (1, 2), (3, 0)]:
-            assert (i, a) not in dirs
+            assert holes[i, a]
             assert alloc.pi[i][a] == 0.0
 
     def test_warm_start_with_eliminated_arms(self):
         prob = random_design_problem(8, 6, 3, seed=9)
         cold = solve_design(prob)
         active_sets = [[a for a in range(6) if (a + i) % 4] for i in range(8)]
-        dirs = {p: v for p, v in prob.directions.items() if p[1] in active_sets[p[0]]}
-        later = DesignProblem(active_sets=active_sets, directions=dirs, dim=3)
+        active = np.array([[a in arms for a in range(6)] for arms in active_sets])
+        later = DesignProblem(active_sets, prob.directions, prob.has_direction & active)
         warm = solve_design(later, warm_start=cold)
         assert_consistent(later, warm)
         assert warm.objective == pytest.approx(solve_design(later).objective, abs=1e-4)
@@ -240,7 +259,7 @@ class TestDualityGap:
             (0, 0): rot(10), (0, 1): rot(75),
             (1, 0): rot(50), (1, 1): rot(160),
         }
-        prob = DesignProblem(active_sets=[[0, 1], [0, 1]], directions=dirs, dim=2)
+        prob = design_problem([[0, 1], [0, 1]], dirs, 2)
         alloc = solve_design(prob)
         grid_best, _ = grid_search_two_by_two(dirs)
         assert alloc.gap >= 0.0
@@ -287,7 +306,7 @@ class TestDesignScore:
 class TestObjective:
     def test_rank_drop_is_minus_inf(self):
         dirs = {(0, 0): rot(0), (1, 0): rot(60)}
-        prob = DesignProblem(active_sets=[[0], [0]], directions=dirs, dim=2)
+        prob = design_problem([[0], [0]], dirs, 2)
         good = design_objective(prob, [{0: 1.0}, {0: 1.0}])
         assert np.isfinite(good)
         # zeroing one agent's contribution drops the arm Gram below its span rank
@@ -343,7 +362,7 @@ class TestGapCertificate:
         assert early.gap > tol * span_rank_sum(prob)
 
     def test_no_directions_converges_in_one_sweep(self):
-        prob = DesignProblem(active_sets=[[0, 1], [1, 2], [2]], directions={}, dim=3)
+        prob = design_problem([[0, 1], [1, 2], [2]], {}, 3)
         alloc = solve_design(prob)
         assert alloc.converged
         assert alloc.sweeps == 1

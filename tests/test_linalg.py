@@ -57,6 +57,20 @@ class TestPinv:
         with pytest.raises(NonFiniteError):
             pinv(m)
 
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng):
+        mats = [random_psd(rng), random_psd(rng, deficient=True), np.zeros((3, 3)),
+                random_symmetric(rng), 1e6 * random_psd(rng), np.eye(3)]
+        stack = np.array(mats).reshape(2, 3, 3, 3)
+        out = pinv(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], pinv(stack[idx]))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 3), (2, 2, 3, 2)])
+    def test_non_square_stack_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            pinv(np.ones(shape))
+
 
 def weighted_norm(z, v) -> float:
     """||z||_V as ``agent.score_arms`` computes it: one arm, alpha = ell = 1."""

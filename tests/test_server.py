@@ -180,6 +180,37 @@ class TestAggregatePhase:
                 self.prev,
             )
 
+    def test_missing_issued_pair_rejected(self):
+        """An issued pair that does not report would silently keep prev's model."""
+        with pytest.raises(ProtocolError, match="agent 1, arm 0, phase 1"):
+            aggregate_phase(
+                [upload(0, 1, [(0, self.psi, 2)]), upload(1, 1, [])],
+                {0: {0: 2}, 1: {0: 3}},
+                self.prev,
+            )
+
+    def test_empty_upload_list_rejected(self):
+        with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+            aggregate_phase([], {0: {0: 1}}, self.prev)
+
+    def test_upload_order_does_not_change_a_bit(self, rng):
+        """Each arm's terms add in agent order, whatever order the uploads
+        arrive in."""
+        m, k, d = 8, 3, 3
+        prev = GlobalBroadcast(phase=1, models={a: (np.zeros(d), np.eye(d)) for a in range(k)})
+        f_issued = {i: {a: int(rng.integers(1, 5)) for a in range(k)} for i in range(m)}
+        uploads = [
+            upload(i, 1, [(a, rng.normal(size=d), f) for a, f in counts.items()])
+            for i, counts in f_issued.items()
+        ]
+        ordered = aggregate_phase(uploads, f_issued, prev)
+        for _ in range(10):
+            shuffled = [uploads[j] for j in rng.permutation(m)]
+            model = aggregate_phase(shuffled, f_issued, prev)
+            for a in range(k):
+                assert np.array_equal(model.models[a][0], ordered.models[a][0])
+                assert np.array_equal(model.models[a][1], ordered.models[a][1])
+
     @pytest.mark.parametrize("stamp", [0, 2])
     def test_stale_or_future_phase_rejected(self, stamp):
         with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
@@ -264,16 +295,24 @@ class TestDirections:
         """Phase uploads that are not collinear with the init uploads leave
         the directions as the init round set them, signs included."""
         server = initialized_server()
-        expected = {
-            (i, a): np.asarray(th) / np.linalg.norm(th)
-            for i, ests in INIT_ESTIMATES.items()
-            for a, th in ests.items()
-        }
-        assert server.directions.keys() == expected.keys()
+        expected = np.array([
+            [np.asarray(th) / np.linalg.norm(th) for _, th in sorted(ests.items())]
+            for _, ests in sorted(INIT_ESTIMATES.items())
+        ])
+        np.testing.assert_array_equal(server.directions, expected)
+        assert server.has_direction.all()
         explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.1, 0.7])
-        assert server.directions.keys() == expected.keys()
-        for pair, e in expected.items():
-            np.testing.assert_array_equal(server.directions[pair], e)
+        np.testing.assert_array_equal(server.directions, expected)
+        assert server.has_direction.all()
+
+    def test_zero_init_estimate_has_no_direction(self):
+        server = CentralServer(m=2, k=2, d=2)
+        server.ingest_init([
+            upload(0, 0, [(0, [0.5, 0.0], 1), (1, [0.0, 0.0], 1)]),
+            upload(1, 0, [(0, [0.0, -0.5], 1), (1, [-0.4, 0.3], 1)]),
+        ])
+        np.testing.assert_array_equal(server.has_direction, [[True, False], [True, True]])
+        np.testing.assert_array_equal(server.directions[0, 1], [0.0, 0.0])
 
 
 class TestAggregationInvariants:
@@ -334,7 +373,18 @@ class TestCheckPsd:
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(NotPSDError):
-            _check_psd(np.diag([1.0, -0.1]), 0)
+            _check_psd(np.diag([1.0, -0.1])[None], [0])
+
+    def test_names_the_first_indefinite_arm_of_a_stack(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.1]), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPSDError, match="arm 5 "):
+            _check_psd(stack, [3, 5, 7])
+
+    def test_cutoff_is_relative_per_matrix(self):
+        """-1e-9 is rounding next to 1e6 but not next to 1."""
+        _check_psd(np.array([np.diag([1e6, -1e-9]), np.eye(2)]), [0, 1])
+        with pytest.raises(NotPSDError, match="arm 1 "):
+            _check_psd(np.array([np.diag([1e6, -1e-9]), np.diag([1.0, -1e-9])]), [0, 1])
 
 
 class TestAllocate:
