@@ -103,9 +103,15 @@ class Agent:
     ) -> tuple[LocalEstimateUpload, int]:
         """Pull each assigned arm its allotted number of times.
 
+        The message must be addressed to this agent and its current phase.
         Arms with a zero count produce no estimate.  Returns the upload and
         the number of rounds consumed.
         """
+        if assignment.agent != self.index or assignment.phase != self.phase:
+            raise ProtocolError(
+                f"agent {self.index}, phase {self.phase}: allocation addressed to "
+                f"agent {assignment.agent}, phase {assignment.phase}"
+            )
         estimates = []
         rounds = 0
         for a in sorted(assignment.counts):

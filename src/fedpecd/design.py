@@ -22,11 +22,14 @@ Gram would lose rank, so every roster direction stays inside the range
 of its arm Gram and the rank-1 line-search formula is exact at every
 iterate.
 
-The input and the state are dense.  A problem takes the directions as the
-server keeps them, an (M, K, d) array with a has-direction mask; the
-solver holds pi as (M, K), the directions (M, K, d) with zero rows for
-pairs that have none, and each arm keeps its Gram's range
-pseudo-inverse W_a^+ in a (K, d, d) stack.  A block reads all of its
+The input, the state and the output are dense.  A problem takes the
+rosters and directions as the server keeps them, over arm ids 0..K-1: an
+(M, K) active mask and an (M, K, d) array with a has-direction mask.  The
+solver works on the K' arms some agent keeps active: it holds pi as
+(M, K'), the directions (M, K', d) with zero rows for pairs that have
+none, and each arm keeps its Gram's range pseudo-inverse W_a^+ in a
+(K', d, d) stack.  The returned allocation is (M, K) again, zero off each
+agent's active set.  A block reads all of its
 gradients g = e' W^+ e with one einsum, tracks them through its steps in
 closed form, and then refreshes W_a^+ for each arm it moved by one
 Sherman-Morrison update, exact on the range because that range never
@@ -60,49 +63,43 @@ _MIN_STEP_GAIN = 1e-9
 
 @dataclass
 class DesignProblem:
-    """Active sets per agent and unit directions per (agent, arm) pair.
+    """Active sets and unit directions per (agent, arm) pair.
 
-    ``directions`` is dense, ``(M, K, d)`` over arm ids 0..K-1, and the
-    ``(M, K)`` mask ``has_direction`` marks the pairs that have one; only
-    active pairs may be marked.  A pair may lack a direction (the server
-    never learned one for it); such pairs contribute nothing to any Gram
-    matrix and attract no budget.  Validation also builds the dense view
-    the solver works on: ``arms`` (the active arm ids, one column each),
-    the ``(M, K')`` ``active`` mask and the ``(M, K', d)`` ``dirs``, with a
-    zero row for each pair without a direction.
+    The input is dense over arm ids 0..K-1: ``active`` is the ``(M, K)``
+    mask of each agent's active arms, ``directions`` is ``(M, K, d)``, and
+    the ``(M, K)`` mask ``has_direction`` marks the pairs that have one;
+    only active pairs may be marked.  A pair may lack a direction (the
+    server never learned one for it); such pairs contribute nothing to any
+    Gram matrix and attract no budget.  Validation also builds the view
+    the solver works on: ``arms`` (the ids of the arms some agent keeps
+    active, one column each) and the ``(M, K', d)`` ``dirs`` over those
+    columns, with a zero row for each pair without a direction.
     """
 
-    active_sets: list[list[int]]
+    active: np.ndarray
     directions: np.ndarray
     has_direction: np.ndarray
     arms: list[int] = field(init=False, repr=False)
-    active: np.ndarray = field(init=False, repr=False)
     dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.active_sets:
-            raise ValidationError("need at least one agent")
-        self.active_sets = [sorted(int(a) for a in s) for s in self.active_sets]
-        for i, arms in enumerate(self.active_sets):
-            if not arms:
-                raise ValidationError(f"agent {i} has an empty active set")
+        self.active = np.asarray(self.active, dtype=bool)
         self.directions = np.asarray(self.directions, dtype=float)
         self.has_direction = np.asarray(self.has_direction, dtype=bool)
+        if self.active.ndim != 2 or not self.active.shape[0]:
+            raise ValidationError(f"active has shape {self.active.shape}, expected (M, K), M >= 1")
+        empty = np.flatnonzero(~self.active.any(axis=1))
+        if empty.size:
+            raise ValidationError(f"agent {empty[0]} has an empty active set")
+        m, k = self.active.shape
         shape = self.directions.shape
-        if len(shape) != 3 or shape[0] != self.n_agents:
+        if len(shape) != 3 or shape[:2] != (m, k):
+            raise ValidationError(f"directions have shape {shape}, expected ({m}, {k}, d)")
+        if self.has_direction.shape != (m, k):
             raise ValidationError(
-                f"directions have shape {shape}, expected ({self.n_agents}, K, d)"
+                f"has_direction has shape {self.has_direction.shape}, expected {(m, k)}"
             )
-        if self.has_direction.shape != shape[:2]:
-            raise ValidationError(
-                f"has_direction has shape {self.has_direction.shape}, expected {shape[:2]}"
-            )
-        active = np.zeros(shape[:2], dtype=bool)
-        for i, arms in enumerate(self.active_sets):
-            if arms[0] < 0 or arms[-1] >= shape[1]:
-                raise ValidationError(f"agent {i} has an arm outside 0..{shape[1] - 1}")
-            active[i, arms] = True
-        stray = np.argwhere(self.has_direction & ~active)
+        stray = np.argwhere(self.has_direction & ~self.active)
         if stray.size:
             i, a = stray[0]
             raise ValidationError(f"direction for inactive pair (agent {i}, arm {a})")
@@ -114,38 +111,30 @@ class DesignProblem:
             raise ValidationError(
                 f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
             )
-        self.arms = np.flatnonzero(active.any(axis=0)).tolist()
+        self.arms = np.flatnonzero(self.active.any(axis=0)).tolist()
         # C order: the solver's einsums round differently on other layouts.
-        self.active = np.ascontiguousarray(active[:, self.arms])
         self.dirs = np.ascontiguousarray(
             np.where(self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0)
         )
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.active_sets)
 
 
 @dataclass
 class DesignAllocation:
     """Exploration fractions pi_{a,i}; one distribution per agent.
 
-    ``gap`` is the Frank-Wolfe duality gap at the returned iterate, an
-    upper bound on how far ``objective`` is below the optimum (nan for an
-    allocation the solver did not produce).  ``converged`` says whether
-    that gap met the solver's stopping rule.
+    ``pi`` is ``(M, K)`` over arm ids 0..K-1 and zero off each agent's
+    active set.  ``gap`` is the Frank-Wolfe duality gap at the returned
+    iterate, an upper bound on how far ``objective`` is below the optimum
+    (nan for an allocation the solver did not produce).  ``converged``
+    says whether that gap met the solver's stopping rule.
     """
 
-    pi: list[dict[int, float]]
+    pi: np.ndarray
     converged: bool = True
     objective: float = 0.0
     sweeps: int = 0
     objective_trace: list[float] = field(default_factory=list)
     gap: float = math.nan
-
-
-def _pi_array(prob: DesignProblem, pi: list[dict[int, float]]) -> np.ndarray:
-    return np.array([[p.get(a, 0.0) for a in prob.arms] for p in pi[: prob.n_agents]])
 
 
 def _grams(pi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -170,22 +159,22 @@ def _logdet_span(w: np.ndarray, keep: np.ndarray, ranks: np.ndarray) -> float:
     return float(np.sum(np.log(w, out=np.zeros_like(w), where=keep)))
 
 
-def design_objective(prob: DesignProblem, pi: list[dict[int, float]]) -> float:
-    """Span-restricted log-det objective at an arbitrary feasible point."""
-    w, keep, _ = eigh_range(_grams(_pi_array(prob, pi), prob.dirs))
+def design_objective(prob: DesignProblem, pi: np.ndarray) -> float:
+    """Span-restricted log-det objective at an arbitrary feasible ``(M, K)`` point."""
+    w, keep, _ = eigh_range(_grams(pi[:, prob.arms], prob.dirs))
     return _logdet_span(w, keep, _span_ranks(prob.dirs))
 
 
-def _start_pi(prob: DesignProblem, warm: DesignAllocation | None) -> np.ndarray:
-    """Uniform start, or the warm allocation restricted to the active arms,
-    renormalized and blended with uniform so restored rosters stay interior."""
-    active = prob.active
+def _start_pi(
+    active: np.ndarray, arms: list[int], warm: DesignAllocation | None
+) -> np.ndarray:
+    """Uniform over each row of the ``(M, K')`` mask ``active``, or the warm
+    allocation restricted to the active arms, renormalized and blended with
+    uniform so restored rosters stay interior."""
     uniform = active / active.sum(axis=1, keepdims=True)
     if warm is None:
         return uniform
-    prev = np.zeros(active.shape)
-    prev[: len(warm.pi)] = np.maximum(_pi_array(prob, warm.pi), 0.0)
-    prev[~active] = 0.0
+    prev = np.where(active, np.maximum(warm.pi[:, arms], 0.0), 0.0)
     total = prev.sum(axis=1, keepdims=True)
     kept = total >= 1e-9
     share = np.divide(prev, total, out=np.zeros_like(prev), where=kept)
@@ -204,9 +193,11 @@ class _Solver:
     """
 
     def __init__(self, prob: DesignProblem, warm: DesignAllocation | None):
-        self.active, self.dirs = prob.active, prob.dirs
+        # C order, as ``dirs``: row sums round differently on other layouts.
+        self.active = np.ascontiguousarray(prob.active[:, prob.arms])
+        self.dirs = prob.dirs
         self.ranks = _span_ranks(self.dirs)
-        self.pi = _start_pi(prob, warm)
+        self.pi = _start_pi(self.active, prob.arms, warm)
         self.cols = [np.flatnonzero(row) for row in self.active]
         self.agent_dirs = [d[c] for d, c in zip(self.dirs, self.cols)]
         self._rebuild()
@@ -326,12 +317,10 @@ def solve_design(
     total = solver.pi.sum(axis=1, keepdims=True)
     # Kill float drift so each agent's budget sums to one.
     drift = (np.abs(total - 1.0) > SIMPLEX_TOL) & (total > 0.0)
-    pi = np.divide(solver.pi, total, out=solver.pi.copy(), where=drift)
+    pi = np.zeros(prob.active.shape)
+    pi[:, prob.arms] = np.divide(solver.pi, total, out=solver.pi.copy(), where=drift)
     return DesignAllocation(
-        pi=[
-            {a: float(pi[i, k]) for a, k in zip(prob.active_sets[i], solver.cols[i])}
-            for i in range(prob.n_agents)
-        ],
+        pi=pi,
         converged=converged,
         objective=trace[-1],
         sweeps=sweeps,
@@ -340,19 +329,16 @@ def solve_design(
     )
 
 
-def design_score(
-    prob: DesignProblem, alloc: DesignAllocation
-) -> dict[tuple[int, int], float]:
-    """g_{a,i} = e' (sum_j pi_{a,j} e_j e_j^T)^+ e for each active pair.
+def design_score(prob: DesignProblem, alloc: DesignAllocation) -> np.ndarray:
+    """g_{a,i} = e' (sum_j pi_{a,j} e_j e_j^T)^+ e for every pair, as ``(M, K)``.
 
-    Pairs without a direction are omitted.
+    Pairs without a direction, and pairs off the active sets, score 0.
     """
-    for i, arms in enumerate(prob.active_sets):
-        total = sum(alloc.pi[i].get(a, 0.0) for a in arms)
-        if abs(total - 1.0) > 1e-6:
-            raise ValidationError(f"allocation for agent {i} sums to {total}")
-    col = {a: k for k, a in enumerate(prob.arms)}
-    g = _scores(prob.dirs, eigh_range(_grams(_pi_array(prob, alloc.pi), prob.dirs))[2])
-    return {
-        (int(i), int(a)): float(g[i, col[a]]) for i, a in np.argwhere(prob.has_direction)
-    }
+    total = np.where(prob.active, alloc.pi, 0.0).sum(axis=1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > 1e-6)
+    if bad.size:
+        raise ValidationError(f"allocation for agent {bad[0]} sums to {total[bad[0]]}")
+    g = np.zeros(prob.active.shape)
+    pinvs = eigh_range(_grams(alloc.pi[:, prob.arms], prob.dirs))[2]
+    g[:, prob.arms] = _scores(prob.dirs, pinvs)
+    return g

@@ -6,8 +6,10 @@ phase: each (agent, arm) pair the server issued pulls for, with the
 issued count f), and every pair issued a pull must report.  All arms
 are aggregated in one stacked pass with one batched pseudo-inverse; each
 arm's terms are added in agent order, so the order of the uploads cannot
-change a bit of the result.  The issued counts, zeros included, are the
-server's only record of who keeps which arm active.
+change a bit of the result.  Inside the server and the design, rosters
+and allocations are dense over arm ids 0..K-1: each phase's active sets
+are an ``(M, K)`` bool mask and the issued pull counts an ``(M, K)`` int
+array; only the messages carry them as dicts.
 
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
@@ -160,63 +162,57 @@ def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -
 
 def aggregate_phase(
     uploads: list[LocalEstimateUpload],
-    f_issued: dict[int, dict[int, int]],
+    issued: np.ndarray,
+    active: np.ndarray,
     prev: GlobalBroadcast,
 ) -> GlobalBroadcast:
     """Aggregate phase-p uploads into the next global model.
 
-    The model covers the union of the arms in ``f_issued`` (agent -> {active
-    arm -> issued pulls}).  Each upload must be stamped with the phase of
-    ``prev``, and each (agent, arm) estimate must be finite, shaped like
-    ``prev``'s models and come from a pair in ``f_issued``, at most once,
-    with the issued pull count; every pair issued at least one pull must
-    report.
+    ``issued`` holds the ``(M, K)`` pull counts the server issued and
+    ``active`` the ``(M, K)`` mask of the active sets they were issued for;
+    the model covers the union of those sets.  Each upload must be stamped
+    with the phase of ``prev``, and each (agent, arm) estimate must be
+    finite, shaped like ``prev``'s models and come from an active pair, at
+    most once, with the issued pull count; every pair issued at least one
+    pull must report.
     """
     d = len(next(iter(prev.models.values()))[0])
-    union = sorted({a for counts in f_issued.values() for a in counts})
-    col = {a: k for k, a in enumerate(union)}
-    row = {i: r for r, i in enumerate(sorted(f_issued))}
+    m, k = issued.shape
     # Indexed by agent, so each arm's terms add in agent order whatever
     # the order of the uploads.
-    f = np.zeros((len(row), len(union)))
-    th = np.zeros((len(row), len(union), d))
-    seen: set[tuple[int, int]] = set()
+    th = np.zeros((m, k, d))
+    seen = np.zeros((m, k), dtype=bool)
     for u in uploads:
         if u.phase != prev.phase:
             arms = [e.arm for e in u.estimates]
             raise _rejected(u, arms, f"expected phase {prev.phase}")
         for e in u.estimates:
-            if e.arm not in f_issued.get(u.agent, {}):
+            # Range first: a negative id would wrap around the arrays.
+            if not (0 <= u.agent < m and 0 <= e.arm < k and active[u.agent, e.arm]):
                 raise _rejected(u, e.arm, "upload outside the agent's roster")
-            if (u.agent, e.arm) in seen:
+            if seen[u.agent, e.arm]:
                 raise _rejected(u, e.arm, "second upload for this pair")
-            seen.add((u.agent, e.arm))
-            issued = f_issued[u.agent][e.arm]
-            if e.pulls != issued:
-                raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {issued}")
-            f[row[u.agent], col[e.arm]] = e.pulls
-            th[row[u.agent], col[e.arm]] = _checked_theta(u, e, d)
-    for i in row:
-        for a, issued in sorted(f_issued[i].items()):
-            if issued >= 1 and (i, a) not in seen:
-                raise ProtocolError(
-                    f"agent {i}, arm {a}, phase {prev.phase}: "
-                    f"no upload for {issued} issued pulls"
-                )
-    return _aggregate(prev.phase + 1, union, f, th, prev)
+            seen[u.agent, e.arm] = True
+            f = issued[u.agent, e.arm]
+            if e.pulls != f:
+                raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {f}")
+            th[u.agent, e.arm] = _checked_theta(u, e, d)
+    missing = np.argwhere((issued >= 1) & ~seen)
+    if missing.size:
+        i, a = missing[0]
+        raise ProtocolError(
+            f"agent {i}, arm {a}, phase {prev.phase}: no upload for {issued[i, a]} issued pulls"
+        )
+    union = np.flatnonzero(active.any(axis=0))
+    return _aggregate(prev.phase + 1, union.tolist(), issued[:, union], th[:, union], prev)
 
 
-def allocate(alloc: DesignAllocation, f_p: int) -> dict[int, dict[int, int]]:
-    """Pull counts f = ceil(pi * f_p); exact zeros stay zero."""
+def allocate(alloc: DesignAllocation, f_p: int) -> np.ndarray:
+    """Pull counts f = ceil(pi * f_p) as ``(M, K)`` ints; exact zeros stay zero."""
     if f_p < 1:
         raise ProtocolError(f"phase budget must be at least 1, got {f_p}")
-    out = {}
-    for agent, weights in enumerate(alloc.pi):
-        counts = {}
-        for a, p in sorted(weights.items()):
-            counts[a] = 0 if p == 0.0 else int(math.ceil(p * f_p - _CEIL_RELIEF))
-        out[agent] = counts
-    return out
+    pi = alloc.pi
+    return np.where(pi == 0.0, 0, np.ceil(pi * f_p - _CEIL_RELIEF)).astype(int)
 
 
 class CentralServer:
@@ -224,12 +220,12 @@ class CentralServer:
 
     Per (agent, arm) it keeps the direction learned at initialization, as
     the dense ``(M, K, d)`` ``directions`` with the ``(M, K)`` mask
-    ``has_direction``, and the pull count it last issued; the issued
-    counts' keys are each agent's active set.  ``design`` is the last
+    ``has_direction``; the ``(M, K)`` mask ``active`` of the last active
+    sets it planned for (every arm before the first phase); and the
+    ``(M, K)`` pull counts ``issued`` for them.  ``design`` is the last
     phase's design solve, run at ``design_tol``; it also warm-starts the
-    next one.  The server proceeds
-    on an unconverged solve: its allocation is feasible, and
-    ``design.converged`` reports it.
+    next one.  The server proceeds on an unconverged solve: its allocation
+    is feasible, and ``design.converged`` reports it.
     """
 
     def __init__(self, m: int, k: int, d: int):
@@ -241,7 +237,8 @@ class CentralServer:
         self.has_direction = np.zeros((m, k), dtype=bool)
         self.design_tol = DESIGN_TOL
         self.design: DesignAllocation | None = None
-        self._f_issued: dict[int, dict[int, int]] | None = None
+        self.active = np.ones((m, k), dtype=bool)
+        self.issued: np.ndarray | None = None
 
     def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
         self.model = aggregate_init(uploads, self.m, self.k, self.d)
@@ -259,43 +256,43 @@ class CentralServer:
     ) -> list[AllocationMessage]:
         """Check the active sets, solve the design, and issue pull counts.
 
-        Each agent's arms must be distinct, nonempty and within its previous
-        active set (all K arms before the first phase).
+        Each upload must be stamped with the phase of the current model, and
+        each agent's arms must be distinct, nonempty and within its previous
+        active set.
         """
         ordered = sorted(active_uploads, key=lambda u: u.agent)
         if [u.agent for u in ordered] != list(range(self.m)):
             raise ProtocolError("need exactly one active-set upload per agent")
-        phase = ordered[0].phase
-        if any(u.phase != phase for u in ordered):
-            raise ProtocolError("active-set uploads span different phases")
         active = np.zeros((self.m, self.k), dtype=bool)
         for u in ordered:
+            if self.model is None:
+                raise _rejected(u, u.arms, "active set before initialization")
+            if u.phase != self.model.phase:
+                raise _rejected(u, u.arms, f"expected phase {self.model.phase}")
             if not u.arms:
                 raise ProtocolError(f"agent {u.agent} reported an empty active set")
-            before = range(self.k) if self._f_issued is None else self._f_issued[u.agent]
-            seen: set[int] = set()
             for a in u.arms:
-                if a in seen:
-                    raise _rejected(u, a, "arm reported twice")
-                if a not in before:
+                # Range first: a negative id would wrap around the masks.
+                if not (0 <= a < self.k and self.active[u.agent, a]):
                     raise _rejected(u, a, "arm outside the agent's previous active set")
-                seen.add(a)
-            active[u.agent, u.arms] = True
-        prob = DesignProblem(
-            active_sets=[list(u.arms) for u in ordered],
-            directions=self.directions,
-            has_direction=self.has_direction & active,
-        )
+                if active[u.agent, a]:
+                    raise _rejected(u, a, "arm reported twice")
+                active[u.agent, a] = True
+        prob = DesignProblem(active, self.directions, self.has_direction & active)
         self.design = solve_design(prob, tol=self.design_tol, warm_start=self.design)
-        self._f_issued = allocate(self.design, f_p)
-        # Copies: a recipient editing its message must not edit the record.
+        self.active = active
+        self.issued = allocate(self.design, f_p)
         return [
-            AllocationMessage(agent=i, phase=phase, counts=dict(self._f_issued[i]))
-            for i in range(self.m)
+            AllocationMessage(
+                agent=i,
+                phase=self.model.phase,
+                counts=dict(zip(np.flatnonzero(row).tolist(), self.issued[i, row].tolist())),
+            )
+            for i, row in enumerate(active)
         ]
 
     def ingest_phase(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
-        if self._f_issued is None or self.model is None:
+        if self.issued is None or self.model is None:
             raise ProtocolError("phase uploads arrived before planning")
-        self.model = aggregate_phase(uploads, self._f_issued, self.model)
+        self.model = aggregate_phase(uploads, self.issued, self.active, self.model)
         return self.model

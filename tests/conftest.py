@@ -10,12 +10,15 @@ def design_problem(active_sets, directions, dim):
     over arm ids 0..max(arm)."""
     k = 1 + max([a for arms in active_sets for a in arms] + [a for _, a in directions],
                 default=-1)
+    active = np.zeros((len(active_sets), k), dtype=bool)
+    for i, arms in enumerate(active_sets):
+        active[i, arms] = True
     dense = np.zeros((len(active_sets), k, dim))
     has = np.zeros((len(active_sets), k), dtype=bool)
     for (i, a), v in directions.items():
         dense[i, a] = v
         has[i, a] = True
-    return DesignProblem(active_sets=active_sets, directions=dense, has_direction=has)
+    return DesignProblem(active=active, directions=dense, has_direction=has)
 
 
 def random_design_problem(m, k, d, seed=0, active_sets=None):

@@ -245,29 +245,30 @@ def test_c08_aggregation_oracle():
             np.testing.assert_allclose(theta, theta_ref, rtol=1e-8, atol=1e-12)
 
         # one phase of f-weighted aggregation
-        active = [sorted(rng.choice(k, size=int(rng.integers(1, k + 1)),
-                                    replace=False).tolist()) for _ in range(m)]
-        f_issued = {
-            i: {a: int(rng.integers(0, 4)) for a in active[i]} for i in range(m)
-        }
+        active = np.zeros((m, k), dtype=bool)
+        for i in range(m):
+            active[i, rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)] = True
+        issued = np.zeros((m, k), dtype=int)
+        for i, a in np.argwhere(active):
+            issued[i, a] = rng.integers(0, 4)
         uploads = []
         for i in range(m):
             entries = []
-            for a in active[i]:
-                if f_issued[i][a] >= 1:
+            for a in np.flatnonzero(active[i]).tolist():
+                if issued[i, a] >= 1:
                     y = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
                     entries.append(LocalEstimate(
-                        arm=a, theta_hat=estimate(i, a, y), pulls=f_issued[i][a]
+                        arm=a, theta_hat=estimate(i, a, y), pulls=int(issued[i, a])
                     ))
             uploads.append(LocalEstimateUpload(agent=i, phase=1, estimates=entries))
-        phase_model = aggregate_phase(uploads, f_issued, model)
+        phase_model = aggregate_phase(uploads, issued, active, model)
 
-        for a in sorted({a for arms in active for a in arms}):
+        for a in np.flatnonzero(active.any(axis=0)).tolist():
             gram = np.zeros((d, d))
             linear = np.zeros(d)
             seen = False
             for i in range(m):
-                f = f_issued[i].get(a, 0)
+                f = int(issued[i, a])
                 if f < 1:
                     continue
                 th = next(e.theta_hat for e in uploads[i].estimates if e.arm == a)

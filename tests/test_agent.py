@@ -154,6 +154,7 @@ class TestExplorePhase:
     def test_zero_count_emits_nothing(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
+        agent.phase = 1
         msg = AllocationMessage(agent=0, phase=1, counts={0: 0, 1: 0})
         upload, used = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
         assert upload.estimates == [] and used == 0
@@ -161,6 +162,7 @@ class TestExplorePhase:
     def test_average_concentrates(self):
         env = Environment(one_agent_scenario(sigma=1e-3), master_seed=3)
         agent = make_agent(env)
+        agent.phase = 1
         n = 10**4
         msg = AllocationMessage(agent=0, phase=1, counts={0: n})
         upload, _ = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
@@ -172,12 +174,22 @@ class TestExplorePhase:
     def test_collinearity_of_estimates(self, rng):
         env = Environment(one_agent_scenario(sigma=0.5), master_seed=1)
         agent = make_agent(env)
+        agent.phase = 1
         msg = AllocationMessage(agent=0, phase=1, counts={0: 3, 1: 2})
         upload, _ = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
         for est in upload.estimates:
             psi = agent.psi[est.arm]
             cross = np.outer(est.theta_hat, psi) - np.outer(psi, est.theta_hat)
             assert np.max(np.abs(cross)) <= 1e-10
+
+    @pytest.mark.parametrize("agent_id,phase", [(1, 1), (0, 0), (0, 2)])
+    def test_misaddressed_allocation_rejected(self, agent_id, phase):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        agent.phase = 1
+        msg = AllocationMessage(agent=agent_id, phase=phase, counts={0: 1})
+        with pytest.raises(ProtocolError, match="agent 0, phase 1: allocation addressed to"):
+            agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
 
 
 class TestExploitRemainder:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fedpecd.design import (
 )
 from fedpecd.errors import ValidationError
 from fedpecd.linalg import pinv
+from fedpecd.server import DESIGN_TOL
 
 from conftest import design_problem, random_design_problem
 
@@ -54,7 +57,7 @@ class TestSolveDesign:
         alloc = solve_design(prob)
         assert alloc.converged
         for i in range(4):
-            (weight,) = alloc.pi[i].values()
+            (weight,) = alloc.pi[i][prob.active[i]]
             assert weight == pytest.approx(1.0)
 
     def test_orthonormal_frame_gives_uniform(self):
@@ -82,8 +85,8 @@ class TestSolveDesign:
         for seed in range(5):
             prob = random_design_problem(4, 5, 3, seed=seed)
             alloc = solve_design(prob)
-            for i, arms in enumerate(prob.active_sets):
-                weights = [alloc.pi[i][a] for a in arms]
+            for i, row in enumerate(prob.active):
+                weights = alloc.pi[i][row]
                 assert all(w >= -1e-12 for w in weights)
                 assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
@@ -100,9 +103,7 @@ class TestSolveDesign:
             prob = random_design_problem(m, k, d, seed=seed)
             alloc = solve_design(prob)
             scores = design_score(prob, alloc)
-            total = sum(
-                max(scores[(i, a)] for a in prob.active_sets[i]) for i in range(m)
-            )
+            total = sum(scores[i][prob.active[i]].max() for i in range(m))
             assert total <= d * k * 1.05
 
     def test_single_agent_matches_total_rank(self):
@@ -112,7 +113,7 @@ class TestSolveDesign:
         alloc = solve_design(prob)
         scores = design_score(prob, alloc)
         total_rank = 4  # one rank-1 Gram per arm
-        assert max(scores.values()) <= total_rank + 1e-6
+        assert scores.max() <= total_rank + 1e-6
 
     def test_unconverged_flag_when_budget_exhausted(self):
         prob = random_design_problem(8, 6, 3, seed=2)
@@ -144,11 +145,11 @@ class TestSolveDesign:
     def test_direction_for_inactive_pair_rejected(self):
         dirs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         with pytest.raises(ValidationError, match=r"inactive pair \(agent 0, arm 1\)"):
-            DesignProblem([[0]], dirs, [[True, True]])
+            DesignProblem([[True, False]], dirs, [[True, True]])
 
     def test_arm_outside_the_directions_rejected(self):
-        with pytest.raises(ValidationError, match="agent 0 has an arm outside 0..1"):
-            DesignProblem([[0, 2]], np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
+        with pytest.raises(ValidationError, match=r"shape \(1, 2, 2\), expected \(1, 3, d\)"):
+            DesignProblem([[True, False, True]], np.zeros((1, 2, 2)), np.zeros((1, 2), bool))
 
     @pytest.mark.parametrize("dirs_shape,mask_shape", [
         ((2, 2, 2), (2, 2)),  # two agents' directions for one agent
@@ -157,7 +158,7 @@ class TestSolveDesign:
     ])
     def test_mis_shaped_input_rejected(self, dirs_shape, mask_shape):
         with pytest.raises(ValidationError, match="shape"):
-            DesignProblem([[0, 1]], np.zeros(dirs_shape), np.zeros(mask_shape, dtype=bool))
+            DesignProblem([[True, True]], np.zeros(dirs_shape), np.zeros(mask_shape, dtype=bool))
 
     def test_solver_view_is_c_ordered(self):
         """Column selection from the dense input yields a transposed
@@ -170,10 +171,11 @@ def assert_consistent(prob, alloc):
     """The reported objective is the objective of the returned weights, and
     each agent's weights form a distribution over its active arms."""
     assert alloc.objective == pytest.approx(design_objective(prob, alloc.pi), abs=1e-9)
-    for i, arms in enumerate(prob.active_sets):
-        assert sorted(alloc.pi[i]) == arms
-        assert all(w >= 0.0 for w in alloc.pi[i].values())
-        assert sum(alloc.pi[i].values()) == pytest.approx(1.0, abs=1e-12)
+    assert alloc.pi.shape == prob.active.shape
+    assert np.all(alloc.pi[~prob.active] == 0.0)
+    for i, row in enumerate(prob.active):
+        assert all(w >= 0.0 for w in alloc.pi[i][row])
+        assert sum(alloc.pi[i][row]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRankOneUpdates:
@@ -203,7 +205,7 @@ class TestRankOneUpdates:
         prob = random_design_problem(6, 4, 3, seed=8)
         i, a = np.indices(prob.has_direction.shape)
         holes = (i + a) % 3 == 0
-        holed = DesignProblem(prob.active_sets, prob.directions, prob.has_direction & ~holes)
+        holed = DesignProblem(prob.active, prob.directions, prob.has_direction & ~holes)
         alloc = solve_design(holed)
         assert np.isfinite(alloc.objective)
         assert_consistent(holed, alloc)
@@ -215,9 +217,9 @@ class TestRankOneUpdates:
     def test_warm_start_with_eliminated_arms(self):
         prob = random_design_problem(8, 6, 3, seed=9)
         cold = solve_design(prob)
-        active_sets = [[a for a in range(6) if (a + i) % 4] for i in range(8)]
-        active = np.array([[a in arms for a in range(6)] for arms in active_sets])
-        later = DesignProblem(active_sets, prob.directions, prob.has_direction & active)
+        i, a = np.indices((8, 6))
+        active = (a + i) % 4 != 0
+        later = DesignProblem(active, prob.directions, prob.has_direction & active)
         warm = solve_design(later, warm_start=cold)
         assert_consistent(later, warm)
         assert warm.objective == pytest.approx(solve_design(later).objective, abs=1e-4)
@@ -229,7 +231,7 @@ class TestRankOneUpdates:
         prob = random_design_problem(4, 4, 3, seed=11, active_sets=active_sets)
         solver = _Solver(prob, None)
         for _ in range(3):
-            for agent in range(prob.n_agents):
+            for agent in range(len(prob.active)):
                 solver._block_update(agent)
                 grams = np.einsum("ik,ikj,ikl->kjl", solver.pi, solver.dirs, solver.dirs)
                 for a in range(4):
@@ -270,9 +272,8 @@ class TestDualityGap:
         alloc = solve_design(prob)
         scores = design_score(prob, alloc)
         gap = sum(
-            max(scores[(i, a)] for a in arms)
-            - sum(alloc.pi[i][a] * scores[(i, a)] for a in arms)
-            for i, arms in enumerate(prob.active_sets)
+            max(scores[i][row]) - sum(alloc.pi[i][row] * scores[i][row])
+            for i, row in enumerate(prob.active)
         )
         assert alloc.gap >= 0.0
         assert alloc.gap == pytest.approx(gap, abs=1e-8)
@@ -281,7 +282,7 @@ class TestDualityGap:
 class TestDesignScore:
     def test_single_pair_scores_one(self):
         prob = random_design_problem(1, 1, 3, seed=0, active_sets=[[0]])
-        alloc = DesignAllocation(pi=[{0: 1.0}])
+        alloc = DesignAllocation(pi=np.array([[1.0]]))
         assert design_score(prob, alloc)[(0, 0)] == pytest.approx(1.0)
 
     def test_matches_direct_pinv_recomputation(self, rng):
@@ -289,8 +290,8 @@ class TestDesignScore:
             prob = random_design_problem(3, 3, 3, seed=seed)
             alloc = solve_design(prob)
             scores = design_score(prob, alloc)
-            for a in sorted({a for arms in prob.active_sets for a in arms}):
-                members = [i for i, arms in enumerate(prob.active_sets) if a in arms]
+            for a in prob.arms:
+                members = np.flatnonzero(prob.active[:, a])
                 gram = np.zeros((3, 3))
                 for i in members:
                     e = prob.directions[(i, a)]
@@ -307,10 +308,10 @@ class TestObjective:
     def test_rank_drop_is_minus_inf(self):
         dirs = {(0, 0): rot(0), (1, 0): rot(60)}
         prob = design_problem([[0], [0]], dirs, 2)
-        good = design_objective(prob, [{0: 1.0}, {0: 1.0}])
+        good = design_objective(prob, np.array([[1.0], [1.0]]))
         assert np.isfinite(good)
         # zeroing one agent's contribution drops the arm Gram below its span rank
-        assert design_objective(prob, [{0: 1.0}, {0: 0.0}]) == -np.inf
+        assert design_objective(prob, np.array([[1.0], [0.0]])) == -np.inf
 
 
 def span_rank_sum(prob):
@@ -367,3 +368,29 @@ class TestGapCertificate:
         assert alloc.converged
         assert alloc.sweeps == 1
         assert alloc.gap == 0.0
+
+
+class TestPinnedBits:
+    """The design's output to the last bit, on a problem large enough that a
+    changed summation order or memory layout shows (a 12 x 5 one is not)."""
+
+    # sha256 of pi's bytes, gap.hex() and sweeps: cold solve, then warm re-solve.
+    DIGEST = "7e49b2449234d6dc739d3109847fd0df0d6acb1282b0dcfa981dcb9201c8e961"
+
+    def test_cold_and_warm_solves(self):
+        m, k = 40, 10
+        prob = random_design_problem(
+            m, k, 3, seed=21, active_sets=[[a for a in range(k) if (a + i) % 4] for i in range(m)]
+        )
+        i, a = np.indices((m, k))
+        active = prob.active & ((7 * a + i) % 5 != 0)
+        later = DesignProblem(active, prob.directions, prob.has_direction & active)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        warm = solve_design(later, tol=DESIGN_TOL, warm_start=cold)
+        digest = hashlib.sha256()
+        for alloc in (cold, warm):
+            assert alloc.converged
+            digest.update(alloc.pi.tobytes())
+            digest.update(alloc.gap.hex().encode())
+            digest.update(str(alloc.sweeps).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -52,6 +52,7 @@ def test_arm_stats_propagate_not_psd():
 def test_explore_negative_count_rejected():
     env = Environment(one_agent_scenario(), master_seed=0)
     agent = make_agent(env)
+    agent.phase = 1
     msg = AllocationMessage(agent=0, phase=1, counts={0: -1})
     with pytest.raises(ProtocolError):
         agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
@@ -59,7 +60,7 @@ def test_explore_negative_count_rejected():
 
 def test_allocate_requires_positive_budget():
     with pytest.raises(ProtocolError):
-        allocate(DesignAllocation(pi=[{0: 1.0}]), 0)
+        allocate(DesignAllocation(pi=np.array([[1.0]])), 0)
 
 
 def test_plan_phase_requires_all_agents():

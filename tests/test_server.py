@@ -115,12 +115,16 @@ class TestAggregatePhase:
         self.psi = psi
         init = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
         self.prev = init
+        # One pull issued to agent 0 for its one active arm.
+        self.issued = np.array([[1]])
+        self.active = np.array([[True]])
 
     def test_single_collinear_upload(self):
         c = 0.4
         model = aggregate_phase(
             [upload(0, 1, [(0, c * self.psi, 1)])],
-            {0: {0: 1}},
+            self.issued,
+            self.active,
             self.prev,
         )
         theta, v = model.models[0]
@@ -129,7 +133,7 @@ class TestAggregatePhase:
 
     def test_carry_over_when_no_uploads(self):
         model = aggregate_phase(
-            [upload(0, 1, [])], {0: {0: 0}}, self.prev
+            [upload(0, 1, [])], np.array([[0]]), self.active, self.prev
         )
         assert model.models[0] is self.prev.models[0]
 
@@ -138,7 +142,8 @@ class TestAggregatePhase:
         c1, c2 = 0.5, 0.9
         model = aggregate_phase(
             [upload(0, 1, [(0, c1 * e, 2)]), upload(1, 1, [(0, c2 * e, 2)])],
-            {0: {0: 2}, 1: {0: 2}},
+            np.array([[2], [2]]),
+            np.array([[True], [True]]),
             GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))}),
         )
         theta, v = model.models[0]
@@ -150,7 +155,8 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError):
             aggregate_phase(
                 [upload(0, 1, [(1, self.psi, 1)])],
-                {0: {0: 1}},
+                self.issued,
+                self.active,
                 self.prev,
             )
 
@@ -158,7 +164,8 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError):
             aggregate_phase(
                 [upload(0, 1, [(0, self.psi, 3)])],
-                {0: {0: 1}},
+                self.issued,
+                self.active,
                 self.prev,
             )
 
@@ -169,14 +176,15 @@ class TestAggregatePhase:
             [upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])],
         ):
             with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
-                aggregate_phase(uploads, {0: {0: 1}}, self.prev)
+                aggregate_phase(uploads, self.issued, self.active, self.prev)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
         with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
             aggregate_phase(
                 [upload(0, 1, [(0, MALFORMED_THETAS[case], 1)])],
-                {0: {0: 1}},
+                self.issued,
+                self.active,
                 self.prev,
             )
 
@@ -185,28 +193,30 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError, match="agent 1, arm 0, phase 1"):
             aggregate_phase(
                 [upload(0, 1, [(0, self.psi, 2)]), upload(1, 1, [])],
-                {0: {0: 2}, 1: {0: 3}},
+                np.array([[2], [3]]),
+                np.array([[True], [True]]),
                 self.prev,
             )
 
     def test_empty_upload_list_rejected(self):
         with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
-            aggregate_phase([], {0: {0: 1}}, self.prev)
+            aggregate_phase([], self.issued, self.active, self.prev)
 
     def test_upload_order_does_not_change_a_bit(self, rng):
         """Each arm's terms add in agent order, whatever order the uploads
         arrive in."""
         m, k, d = 8, 3, 3
         prev = GlobalBroadcast(phase=1, models={a: (np.zeros(d), np.eye(d)) for a in range(k)})
-        f_issued = {i: {a: int(rng.integers(1, 5)) for a in range(k)} for i in range(m)}
+        issued = np.array([[int(rng.integers(1, 5)) for a in range(k)] for i in range(m)])
+        active = np.ones((m, k), dtype=bool)
         uploads = [
-            upload(i, 1, [(a, rng.normal(size=d), f) for a, f in counts.items()])
-            for i, counts in f_issued.items()
+            upload(i, 1, [(a, rng.normal(size=d), f) for a, f in enumerate(counts.tolist())])
+            for i, counts in enumerate(issued)
         ]
-        ordered = aggregate_phase(uploads, f_issued, prev)
+        ordered = aggregate_phase(uploads, issued, active, prev)
         for _ in range(10):
             shuffled = [uploads[j] for j in rng.permutation(m)]
-            model = aggregate_phase(shuffled, f_issued, prev)
+            model = aggregate_phase(shuffled, issued, active, prev)
             for a in range(k):
                 assert np.array_equal(model.models[a][0], ordered.models[a][0])
                 assert np.array_equal(model.models[a][1], ordered.models[a][1])
@@ -216,7 +226,8 @@ class TestAggregatePhase:
         with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
             aggregate_phase(
                 [upload(0, stamp, [(0, self.psi, 1)])],
-                {0: {0: 1}},
+                self.issued,
+                self.active,
                 self.prev,
             )
 
@@ -283,6 +294,17 @@ class TestPlanPhase:
         with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
             explore(server, msgs, [0.5, 0.0])
 
+    @pytest.mark.parametrize("stamp", [0, 2])
+    def test_stale_or_future_phase_rejected(self, stamp):
+        server = initialized_server()
+        with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
+            server.plan_phase(active([[0], [0, 1]], stamp), f_p=4)
+
+    def test_planning_before_initialization_rejected(self):
+        server = CentralServer(m=2, k=2, d=2)
+        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1"):
+            server.plan_phase(active([[0], [0, 1]], 1), f_p=4)
+
     def test_shrinking_active_sets_accepted(self):
         server = initialized_server()
         explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.5, 0.0])
@@ -348,7 +370,7 @@ class TestAggregationInvariants:
             upload(i, 1, [(0, c * e, f)]) for i, (c, f) in enumerate(zip(coeffs, fs))
         ]
         model = aggregate_phase(
-            uploads, {i: {0: f} for i, f in enumerate(fs)}, prev
+            uploads, np.array(fs)[:, None], np.ones((len(fs), 1), dtype=bool), prev
         )
         theta, v = model.models[0]
         total = sum(fs)
@@ -389,15 +411,15 @@ class TestCheckPsd:
 
 class TestAllocate:
     def test_full_mass(self):
-        alloc = DesignAllocation(pi=[{0: 1.0}])
-        assert allocate(alloc, 8) == {0: {0: 8}}
+        alloc = DesignAllocation(pi=np.array([[1.0]]))
+        np.testing.assert_array_equal(allocate(alloc, 8), [[8]])
 
     def test_zero_stays_zero(self):
-        alloc = DesignAllocation(pi=[{0: 1.0, 1: 0.0}])
+        alloc = DesignAllocation(pi=np.array([[1.0, 0.0]]))
         assert allocate(alloc, 8)[0][1] == 0
 
     def test_ceiling(self):
-        alloc = DesignAllocation(pi=[{0: 0.3, 1: 0.7}])
+        alloc = DesignAllocation(pi=np.array([[0.3, 0.7]]))
         counts = allocate(alloc, 8)[0]
         assert counts[0] == 3  # ceil(2.4)
         assert counts[1] == 6  # ceil(5.6)
@@ -406,7 +428,7 @@ class TestAllocate:
         for _ in range(20):
             k = int(rng.integers(1, 6))
             weights = rng.dirichlet(np.ones(k))
-            alloc = DesignAllocation(pi=[dict(enumerate(weights))])
+            alloc = DesignAllocation(pi=weights[None])
             f_p = int(rng.integers(1, 100))
             counts = allocate(alloc, f_p)[0]
-            assert sum(counts.values()) <= f_p + k
+            assert counts.sum() <= f_p + k
