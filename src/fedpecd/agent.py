@@ -86,10 +86,23 @@ class Agent:
     ) -> tuple[ActiveSetUpload, list[tuple[int, float, float]]]:
         """Score the active arms against the broadcast model and eliminate.
 
-        The stats hold one ``(arm, r_hat, u)`` per scored arm.
+        The broadcast must be stamped with the phase this call begins and
+        carry a model for every active arm.  The stats hold one
+        ``(arm, r_hat, u)`` per scored arm.
         """
-        self.phase += 1
+        phase = self.phase + 1
         arms = self.active
+        if broadcast.phase != phase:
+            raise ProtocolError(
+                f"agent {self.index}, arm {arms}, phase {phase}: "
+                f"broadcast stamped with phase {broadcast.phase}"
+            )
+        missing = [a for a in arms if a not in broadcast.models]
+        if missing:
+            raise ProtocolError(
+                f"agent {self.index}, arm {missing}, phase {phase}: broadcast has no model"
+            )
+        self.phase = phase
         theta, v = zip(*(broadcast.models[a] for a in arms))
         psi = np.array([self.psi[a] for a in arms])
         r_hat, u = score_arms(psi, np.array(theta), np.array(v), self.alpha, self.ell)

@@ -12,15 +12,16 @@ the rank that span supports, the term is -inf.  Without that convention
 the pseudo-determinant would reward collapsing an arm's Gram to a lower
 rank, and the problem would have spurious boundary maxima.
 
-The solver is cyclic block-coordinate ascent over agents; each agent block
-takes pairwise Frank-Wolfe steps on its simplex: mass moves from the
-in-support arm with the smallest gradient to the arm with the largest,
-with a closed-form optimal step length.  Pairwise steps avoid the
-zigzagging that makes plain Frank-Wolfe slow to close its duality gap.
-The optimal step is always strictly short of the pole where an arm's
-Gram would lose rank, so every roster direction stays inside the range
-of its arm Gram and the rank-1 line-search formula is exact at every
-iterate.
+The solver is cyclic block-coordinate ascent over agents, and each agent
+block is maximized exactly.  Moving one agent's weights changes each arm
+Gram only along that agent's direction, so by the matrix determinant
+lemma on the range the block objective is separable and concave,
+sum_a log(1 + delta_a g_a) with g_a = e' W_a^+ e, and its maximizer over
+the simplex is a closed-form water-filling (Tseng 2001: cyclic
+block-coordinate ascent converges when each block is maximized exactly).
+The maximizer keeps positive weight on every arm whose Gram rests on this
+agent alone along its direction, so every roster direction stays inside
+the range of its arm Gram and the rank-1 formulas stay exact.
 
 The input, the state and the output are dense.  A problem takes the
 rosters and directions as the server keeps them, over arm ids 0..K-1: an
@@ -29,16 +30,15 @@ solver works on the K' arms some agent keeps active: it holds pi as
 (M, K'), the directions (M, K', d) with zero rows for pairs that have
 none, and each arm keeps its Gram's range pseudo-inverse W_a^+ in a
 (K', d, d) stack.  The returned allocation is (M, K) again, zero off each
-agent's active set.  A block reads all of its
-gradients g = e' W^+ e with one einsum, tracks them through its steps in
-closed form, and then refreshes W_a^+ for each arm it moved by one
-Sherman-Morrison update, exact on the range because that range never
-shrinks.  Once per sweep W is rebuilt from pi with one einsum, and W^+ and
-the objective's eigenvalues come from one batched eigh, so the number of
-eigendecompositions grows with sweeps, not steps.  After each sweep the
-solver computes the Frank-Wolfe duality gap, which bounds the distance to
-the optimum because F is concave, and stops once that gap certifies the
-allocation; the returned allocation carries it.
+agent's active set.  A block reads all of its scores g = e' W^+ e with
+one einsum, water-fills, and then refreshes W_a^+ for each arm it moved
+by one Sherman-Morrison update, exact on the range because that range
+never shrinks.  Once per sweep W is rebuilt from pi with one einsum, and
+W^+ and the objective's eigenvalues come from one batched eigh, so the
+number of eigendecompositions grows with sweeps, not blocks.  After each
+sweep the solver computes the Frank-Wolfe duality gap, which bounds the
+distance to the optimum because F is concave, and stops once that gap
+certifies the allocation; the returned allocation carries it.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ SIMPLEX_TOL = 1e-9
 
 # Uniform mass blended into a warm start so restored rosters stay interior.
 _WARM_BLEND = 1e-2
-_INNER_STEPS = 40
-# A block stops stepping after a step that gains less than this.
-_MIN_STEP_GAIN = 1e-9
 
 
 @dataclass
@@ -112,7 +109,9 @@ class DesignProblem:
                 f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
             )
         self.arms = np.flatnonzero(self.active.any(axis=0)).tolist()
-        # C order: the solver's einsums round differently on other layouts.
+        # C order, so the view has one layout whatever the input's.  No bit
+        # of the solve depends on it: the einsums over it give the same sums
+        # on any layout.  The compact active mask's layout does (``_Solver``).
         self.dirs = np.ascontiguousarray(
             np.where(self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0)
         )
@@ -185,15 +184,18 @@ class _Solver:
     """Dense solver state.
 
     ``pi`` is (M, K), ``dirs`` (M, K, d), and ``pinv`` holds the range
-    pseudo-inverse W_a^+ of every arm Gram as (K, d, d).  A block step
-    changes W_a only along the agent's own direction e_{a,i}, so after a
-    block each touched arm's W_a^+ is brought up to date by one exact
-    Sherman-Morrison update on the range; W, W^+ and the objective's
-    eigenvalues are rebuilt from pi once per sweep.
+    pseudo-inverse W_a^+ of every arm Gram as (K, d, d).  A block sets one
+    agent's weights to their exact maximizer, which changes W_a only along
+    the agent's own direction e_{a,i}, so each touched arm's W_a^+ is
+    brought up to date by one exact Sherman-Morrison update on the range;
+    W, W^+ and the objective's eigenvalues are rebuilt from pi once per
+    sweep.
     """
 
     def __init__(self, prob: DesignProblem, warm: DesignAllocation | None):
-        # C order, as ``dirs``: row sums round differently on other layouts.
+        # C order: column selection yields the transposed layout, along whose
+        # rows numpy adds one column at a time instead of pairwise, so the
+        # warm start's row sums would round differently.
         self.active = np.ascontiguousarray(prob.active[:, prob.arms])
         self.dirs = prob.dirs
         self.ranks = _span_ranks(self.dirs)
@@ -213,67 +215,54 @@ class _Solver:
         return float(np.sum(best - np.sum(self.pi * g, axis=1)))
 
     def _block_update(self, agent: int):
-        """Pairwise Frank-Wolfe steps on one agent's simplex.
+        """Set one agent's weights to the exact maximizer of its block.
 
-        Each step moves mass from the in-support arm with the smallest
-        gradient to the arm with the largest.  The exact step length for
-        h(t) = log(1 + t g_b) + log(1 - t g_w) is t* = (g_b - g_w) /
-        (2 g_b g_w), which always lies strictly before the pole 1/g_w;
-        clamping at the full away mass therefore never drops an arm Gram's
-        rank.  A step of t along e changes g = e' W^+ e to g / (1 + t g),
-        so the gradients stay current without touching W^+ inside the loop.
-        Stepping ends after a step that gains less than ``_MIN_STEP_GAIN``.
+        Moving the agent's weights by delta changes each arm Gram W_a only
+        along the agent's direction e_a, so by the matrix determinant
+        lemma on the range F changes by sum_a log(1 + delta_a g_a), with
+        g_a = e_a' W_a^+ e_a.  That is separable and concave on the
+        simplex, and its KKT conditions give the water-filling rule
+        w_a = max(0, tau - c_a) with level c_a = 1/g_a - pi_a and tau set
+        so that the weights sum to one.  Arms with g_a = 0 carry no
+        information and get no weight.  An arm whose Gram rests on this
+        agent alone along e_a (pi_a g_a = 1) has c_a = 0 < tau, so it keeps
+        positive weight and never loses rank.  The levels are few (one per
+        active arm), so plain Python sorts them faster than numpy calls.
         """
         cols = self.cols[agent]
         if cols.size == 1:
             return
         e = self.agent_dirs[agent]
-        pe = np.einsum("kjl,kl->kj", self.pinv[cols], e)
-        g0 = np.einsum("kj,kj->k", pe, e)
-        if not g0.max() > 0.0:
-            return
-        g = g0.copy()
-        start = self.pi[agent, cols]
-        # Gradients of the in-support arms, +inf elsewhere: the away choice.
-        away = np.where(start > 0.0, g, np.inf)
-        weights = start.tolist()
-        for _ in range(_INNER_STEPS):
-            best = int(g.argmax())  # first max = lowest arm index on ties
-            worst = int(away.argmin())
-            g_b, g_w = g.item(best), g.item(worst)
-            if best == worst or g_b <= 0.0 or g_b <= g_w:
+        pinv = self.pinv[cols]
+        pe = np.einsum("kjl,kl->kj", pinv, e)
+        g = np.einsum("kj,kj->k", pe, e).tolist()
+        start = self.pi[agent, cols].tolist()
+        levels = [1.0 / gj - pj if gj > 0.0 else math.inf for gj, pj in zip(g, start)]
+        order = sorted(levels)
+        if order[0] == math.inf:
+            return  # no arm carries information; leave the weights
+        # tau = (1 + sum of the n lowest levels) / n for the largest n whose
+        # n-th lowest level lies below it.
+        total, n = 1.0, 0
+        for c in order:
+            if n and c * n >= total:
                 break
-            if g_w <= 0.0:
-                # Away arm carries no information; move its whole mass.
-                step = weights[worst]
-                gain = math.log1p(step * g_b)
-            else:
-                step = (g_b - g_w) / (2.0 * g_b * g_w)
-                step = min(step, weights[worst])
-                gain = math.log1p(step * g_b) + math.log1p(-step * g_w)
-            if step <= 0.0 or gain <= 0.0:
-                break
-            weights[best] += step
-            weights[worst] -= step
-            if weights[worst] < 1e-15:
-                weights[worst] = 0.0
-            g[best] = away[best] = g_b / (1.0 + step * g_b)
-            g[worst] = g_w / (1.0 - step * g_w)
-            away[worst] = g[worst] if weights[worst] > 0.0 else np.inf
-            if gain < _MIN_STEP_GAIN:
-                break
-        weights = np.array(weights)
+            total += c
+            n += 1
+        tau = total / n
+        weights = [max(0.0, tau - c) for c in levels]
         self.pi[agent, cols] = weights
         # Net change of W_a is delta * e e'.  Every roster direction lies in
         # its arm's range and the range never shrinks, so Sherman-Morrison
-        # is exact there:  W^+ -= delta (W^+ e)(W^+ e)' / (1 + delta g0),
-        # with 1 / (1 + delta g0) = g / g0 from the tracked gradients.
-        delta = weights - start
-        moved = (delta != 0.0) & (g0 > 0.0)
-        if np.any(moved):
-            c = delta[moved] * g[moved] / g0[moved]
-            p = pe[moved]
-            self.pinv[cols[moved]] -= c[:, None, None] * p[:, :, None] * p[:, None, :]
+        # is exact there:  W^+ -= delta (W^+ e)(W^+ e)' / (1 + delta g).
+        # An arm that did not move, or has no direction, gets coefficient 0,
+        # which leaves its W^+ exactly as it was.
+        coef = []
+        for w, p, gj in zip(weights, start, g):
+            delta = w - p
+            coef.append(delta / (1.0 + delta * gj) if gj > 0.0 else 0.0)
+        step = np.array(coef)[:, None] * pe
+        self.pinv[cols] = pinv - step[:, :, None] * pe[:, None, :]
 
     def sweep(self):
         for agent in range(len(self.cols)):

@@ -148,6 +148,8 @@ def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -
         arms = sorted(e.arm for e in u.estimates)
         if u.phase != 0:
             raise _rejected(u, arms, "initial uploads must be phase 0")
+        if not 0 <= u.agent < m:
+            raise _rejected(u, arms, f"agent id outside 0..{m - 1}")
         if u.agent in seen:
             raise _rejected(u, arms, "second initial upload from this agent")
         seen.add(u.agent)
@@ -155,8 +157,9 @@ def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -
             raise _rejected(u, arms, f"initial upload must cover all {k} arms")
         for e in u.estimates:
             _checked_theta(u, e, d)
-    if seen != set(range(m)):
-        raise ProtocolError(f"initialization needs uploads from all {m} agents")
+    missing = set(range(m)) - seen
+    if missing:
+        raise ProtocolError(f"agent {min(missing)}, arm {list(range(k))}, phase 0: no initial upload")
     return _aggregate(1, list(range(k)), np.ones((m, k)), _init_stack(uploads, m, k, d), None)
 
 
@@ -256,19 +259,27 @@ class CentralServer:
     ) -> list[AllocationMessage]:
         """Check the active sets, solve the design, and issue pull counts.
 
-        Each upload must be stamped with the phase of the current model, and
-        each agent's arms must be distinct, nonempty and within its previous
-        active set.
+        Each agent 0..M-1 must send exactly one upload, stamped with the
+        phase of the current model, and its arms must be distinct, nonempty
+        and within its previous active set.  Uploads are checked in the
+        order they arrive; an agent that sent none is named after them.
         """
-        ordered = sorted(active_uploads, key=lambda u: u.agent)
-        if [u.agent for u in ordered] != list(range(self.m)):
-            raise ProtocolError("need exactly one active-set upload per agent")
-        active = np.zeros((self.m, self.k), dtype=bool)
-        for u in ordered:
-            if self.model is None:
+        if self.model is None:
+            if active_uploads:
+                u = active_uploads[0]
                 raise _rejected(u, u.arms, "active set before initialization")
-            if u.phase != self.model.phase:
-                raise _rejected(u, u.arms, f"expected phase {self.model.phase}")
+            raise ProtocolError("planning before initialization")
+        phase = self.model.phase
+        active = np.zeros((self.m, self.k), dtype=bool)
+        for u in active_uploads:
+            if u.phase != phase:
+                raise _rejected(u, u.arms, f"expected phase {phase}")
+            # Range first: a negative id would wrap around the masks.
+            if not 0 <= u.agent < self.m:
+                raise _rejected(u, u.arms, f"agent id outside 0..{self.m - 1}")
+            # Every accepted upload marks at least one arm of its row.
+            if active[u.agent].any():
+                raise _rejected(u, u.arms, "second active-set upload from this agent")
             if not u.arms:
                 raise ProtocolError(f"agent {u.agent} reported an empty active set")
             for a in u.arms:
@@ -278,6 +289,11 @@ class CentralServer:
                 if active[u.agent, a]:
                     raise _rejected(u, a, "arm reported twice")
                 active[u.agent, a] = True
+        missing = np.flatnonzero(~active.any(axis=1))
+        if missing.size:
+            i = missing[0]
+            prev = np.flatnonzero(self.active[i]).tolist()
+            raise ProtocolError(f"agent {i}, arm {prev}, phase {phase}: no active-set upload")
         prob = DesignProblem(active, self.directions, self.has_direction & active)
         self.design = solve_design(prob, tol=self.design_tol, warm_start=self.design)
         self.active = active
@@ -285,7 +301,7 @@ class CentralServer:
         return [
             AllocationMessage(
                 agent=i,
-                phase=self.model.phase,
+                phase=phase,
                 counts=dict(zip(np.flatnonzero(row).tolist(), self.issued[i, row].tolist())),
             )
             for i, row in enumerate(active)

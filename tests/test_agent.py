@@ -262,3 +262,22 @@ class TestBeginPhase:
         # r_hat ties at 0 with zero widths: both survive, the first is best
         assert agent.a_hat == 0
         assert upload.arms == [0, 1]
+
+    @pytest.mark.parametrize("stamp", [0, 2, 7])
+    def test_broadcast_for_another_phase_rejected(self, stamp):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        models = {a: (np.zeros(3), np.eye(3)) for a in range(2)}
+        with pytest.raises(
+            ProtocolError, match=rf"^agent 0, arm \[0, 1\], phase 1: .* phase {stamp}$"
+        ):
+            agent.begin_phase(GlobalBroadcast(phase=stamp, models=models))
+        assert agent.phase == 0 and agent.active == [0, 1]
+
+    def test_broadcast_without_an_active_arm_rejected(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        models = {0: (np.zeros(3), np.eye(3))}
+        with pytest.raises(ProtocolError, match=r"^agent 0, arm \[1\], phase 1: "):
+            agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        assert agent.phase == 0 and agent.active == [0, 1]

@@ -9,7 +9,9 @@ carried-over models, and the same error where the loop raises one.
 
 A perturbed phase upload set must either raise a ``ProtocolError`` that
 names the offending agent, arm and phase, or aggregate bit for bit as the
-clean set does.
+clean set does.  The same holds for the initial uploads and for the
+active sets a phase is planned from: a missing, repeated or out-of-range
+agent is named too.
 """
 
 from dataclasses import replace
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import eigen_cutoff, pinv
-from fedpecd.messages import GlobalBroadcast, LocalEstimate, LocalEstimateUpload
-from fedpecd.server import aggregate_init, aggregate_phase
+from fedpecd.messages import ActiveSetUpload, GlobalBroadcast, LocalEstimate, LocalEstimateUpload
+from fedpecd.server import CentralServer, aggregate_init, aggregate_phase
 
 # Derandomized so tier-1 runs the same examples every time; no database.
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -99,15 +101,20 @@ def rounds(draw):
     return m, k, d, init, phase
 
 
-@PROFILE
-@given(rounds())
-def test_init_matches_the_loop(case):
-    m, k, d, init, _ = case
-    uploads = [
+def init_uploads(init):
+    """The phase-0 uploads of a drawn round: every agent, every arm, one pull."""
+    return [
         LocalEstimateUpload(agent=i, phase=0,
                             estimates=[estimate(a, th, 1) for a, th in enumerate(row)])
         for i, row in enumerate(init)
     ]
+
+
+@PROFILE
+@given(rounds())
+def test_init_matches_the_loop(case):
+    m, k, d, init, _ = case
+    uploads = init_uploads(init)
     collected = {a: [(1, np.asarray(init[i][a], dtype=float)) for i in range(m)]
                  for a in range(k)}
     assert_same_outcome(outcome(aggregate_init, uploads, m, k, d),
@@ -149,6 +156,17 @@ def test_phase_matches_the_loop(case):
         for a in union:
             if not any(f >= 1 and np.any(th) for f, th in collected[a]):
                 assert got.models[a] is prev.models[a]
+
+
+def named(got, offender, must_raise, kind):
+    """Whether ``got`` is a ``ProtocolError``, which must name the offending
+    (agent, arm, phase); a perturbation that must raise fails if not."""
+    if isinstance(got, ProtocolError):
+        agent, arm, phase = offender
+        assert str(got).startswith(f"agent {agent}, arm {arm}, phase {phase}: ")
+        return True
+    assert not must_raise, f"{kind} was accepted"
+    return False
 
 
 PERTURBATIONS = (
@@ -234,9 +252,129 @@ def test_perturbed_uploads_are_named_or_change_nothing(case, kind, data):
     clean = outcome(aggregate_phase, uploads, issued, active, prev)
     perturbed, offender, must_raise = perturb(kind, uploads, m, k, data.draw)
     got = outcome(aggregate_phase, perturbed, issued, active, prev)
-    if isinstance(got, ProtocolError):
-        agent, arm, phase = offender
-        assert str(got).startswith(f"agent {agent}, arm {arm}, phase {phase}: ")
-    else:
-        assert not must_raise, f"{kind} was accepted"
+    if not named(got, offender, must_raise, kind):
         assert_same_outcome(got, clean)
+
+
+ROSTER = ("duplicate", "drop", "agent id", "wrong phase", "reorder")
+
+
+def perturb_roster(kind, uploads, m, draw, arms_of, items, stamps):
+    """Apply one roster-level perturbation to a copy of the uploads.
+
+    ``arms_of(u)`` is the arm list an error about upload ``u`` names and
+    ``items`` the field ``reorder`` permutes.  Returns the perturbed list,
+    the (agent, arm, phase) an error must name (None when nothing may be
+    named) and whether the boundary must raise.
+    """
+    out = list(uploads)
+    if kind == "reorder":
+        out = [replace(u, **{items: draw(st.permutations(getattr(u, items)))})
+               for u in draw(st.permutations(out))]
+        return out, None, False
+    j = draw(st.integers(0, len(out) - 1))
+    u = out[j]
+    if kind == "duplicate":
+        out.insert(draw(st.integers(0, len(out))), u)
+        return out, (u.agent, arms_of(u), u.phase), True
+    if kind == "drop":
+        del out[j]
+        return out, None, True
+    if kind == "wrong phase":
+        out[j] = replace(u, phase=draw(st.sampled_from(stamps)))
+    else:  # "agent id"
+        out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
+    return out, (out[j].agent, arms_of(u), out[j].phase), True
+
+
+@PROFILE
+@given(rounds(), st.sampled_from(ROSTER + ("arm id", "non-finite")), st.data())
+def test_perturbed_init_uploads_are_named_or_change_nothing(case, kind, data):
+    m, k, d, init, _ = case
+    uploads = init_uploads(init)
+    clean = outcome(aggregate_init, uploads, m, k, d)
+    every_arm = list(range(k))
+    if kind in ROSTER:
+        perturbed, offender, must_raise = perturb_roster(
+            kind, uploads, m, data.draw, lambda u: every_arm, "estimates", [1, 2, -1]
+        )
+        if kind == "drop":
+            missing = min(set(range(m)) - {u.agent for u in perturbed})
+            offender = (missing, every_arm, 0)
+    else:
+        perturbed = list(uploads)
+        j = data.draw(st.integers(0, m - 1))
+        n = data.draw(st.integers(0, k - 1))
+        estimates = list(perturbed[j].estimates)
+        e = estimates[n]
+        if kind == "arm id":
+            estimates[n] = replace(e, arm=e.arm + k * data.draw(st.sampled_from([-2, -1, 1, 2])))
+            arm = sorted(x.arm for x in estimates)
+        else:  # "non-finite"
+            th = e.theta_hat.copy()
+            th[data.draw(st.integers(0, d - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+            estimates[n] = replace(e, theta_hat=th)
+            arm = e.arm
+        perturbed[j] = replace(perturbed[j], estimates=estimates)
+        offender, must_raise = (j, arm, 0), True
+    got = outcome(aggregate_init, perturbed, m, k, d)
+    if not named(got, offender, must_raise, kind):
+        assert_same_outcome(got, clean)
+
+
+# Nonzero init coordinates, so every drawn server initializes.
+NONZERO = st.one_of(st.floats(0.1, 4.0), st.floats(-4.0, -0.1))
+
+
+@st.composite
+def planned_rounds(draw):
+    """Nonzero init estimates and nonempty phase-1 active sets of m agents."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    init = [[draw(st.lists(NONZERO, min_size=d, max_size=d)) for _ in range(k)]
+            for _ in range(m)]
+    sets = [draw(st.lists(st.integers(0, k - 1), unique=True, min_size=1, max_size=k))
+            for _ in range(m)]
+    return m, k, d, init, sets
+
+
+def plan(m, k, d, init, uploads):
+    """The allocation a freshly initialized server plans from ``uploads``."""
+    server = CentralServer(m, k, d)
+    server.ingest_init(init_uploads(init))
+    return outcome(server.plan_phase, uploads, 8)
+
+
+@PROFILE
+@given(planned_rounds(), st.sampled_from(ROSTER + ("arm id", "repeat arm")), st.data())
+def test_perturbed_active_sets_are_named_or_change_nothing(case, kind, data):
+    m, k, d, init, sets = case
+    uploads = [ActiveSetUpload(agent=i, phase=1, arms=arms) for i, arms in enumerate(sets)]
+    clean = plan(m, k, d, init, uploads)
+    assert not isinstance(clean, Exception)
+    if kind in ROSTER:
+        perturbed, offender, must_raise = perturb_roster(
+            kind, uploads, m, data.draw, lambda u: u.arms, "arms", [0, 2, -1]
+        )
+        if kind == "drop":
+            missing = min(set(range(m)) - {u.agent for u in perturbed})
+            # Before phase 1 every arm is in every agent's active set.
+            offender = (missing, list(range(k)), 1)
+    else:
+        perturbed = list(uploads)
+        j = data.draw(st.integers(0, m - 1))
+        arms = list(perturbed[j].arms)
+        n = data.draw(st.integers(0, len(arms) - 1))
+        if kind == "arm id":
+            arms[n] += k * data.draw(st.sampled_from([-2, -1, 1, 2]))
+            arm = arms[n]
+        else:  # "repeat arm"
+            arm = arms[n]
+            arms.insert(data.draw(st.integers(0, len(arms))), arm)
+        perturbed[j] = replace(perturbed[j], arms=arms)
+        offender, must_raise = (j, arm, 1), True
+    got = plan(m, k, d, init, perturbed)
+    if not named(got, offender, must_raise, kind):
+        assert got == clean

@@ -162,7 +162,10 @@ class TestSolveDesign:
 
     def test_solver_view_is_c_ordered(self):
         """Column selection from the dense input yields a transposed
-        layout, on which the solver's einsums round differently."""
+        layout; the solver's direction view is copied back to C order.  That
+        layout moves no bit of the solve.  The one that can is the compact
+        active mask's: numpy adds a transposed row one column at a time, not
+        pairwise, so the warm start's row sums would round differently."""
         prob = random_design_problem(6, 5, 3, seed=1, active_sets=[[1, 3, 4]] * 6)
         assert prob.dirs.flags.c_contiguous and prob.active.flags.c_contiguous
 
@@ -239,6 +242,23 @@ class TestRankOneUpdates:
                         solver.pinv[a], pinv(grams[a]), rtol=1e-9, atol=1e-9
                     )
             solver.sweep()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_update_is_the_exact_block_maximizer(self, seed):
+        """After each block, the agent's scores at the new weights satisfy
+        the block's KKT conditions: every positive-weight arm scores the
+        same lambda, and no zero-weight active arm scores above it."""
+        prob = random_design_problem(12, 6, 3, seed=seed)
+        solver = _Solver(prob, None)
+        for _ in range(2):
+            for agent in range(len(prob.active)):
+                solver._block_update(agent)
+                g = design_score(prob, DesignAllocation(pi=solver.pi))[agent]
+                weights = solver.pi[agent]
+                lam = g[weights > 0.0].max()
+                assert g[weights > 0.0].min() >= lam * (1.0 - 1e-9)
+                assert np.all(g[(weights == 0.0) & prob.active[agent]] <= lam * (1.0 + 1e-9))
+            solver._rebuild()
 
     def test_eigendecompositions_scale_with_sweeps_not_steps(self, monkeypatch):
         calls = []
@@ -375,7 +395,7 @@ class TestPinnedBits:
     changed summation order or memory layout shows (a 12 x 5 one is not)."""
 
     # sha256 of pi's bytes, gap.hex() and sweeps: cold solve, then warm re-solve.
-    DIGEST = "7e49b2449234d6dc739d3109847fd0df0d6acb1282b0dcfa981dcb9201c8e961"
+    DIGEST = "e18e081435892e552d10054943db13d4269b847f053296d251481765771e7da3"
 
     def test_cold_and_warm_solves(self):
         m, k = 40, 10

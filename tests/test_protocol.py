@@ -247,7 +247,7 @@ class TestRunProtocol:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "2870388860a4376bffa5c7e5559fabc4844e6b96857dcb61063df45d1c4da0e1"
+        "8492458d5d3f2d343d5c253ffbdde8de5d5a936b9f480fb0b38775572251ebf4"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):
