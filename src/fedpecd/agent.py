@@ -13,18 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, NotPSDError, ProtocolError
-from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimate, LocalEstimateUpload
+from .linalg import sq_norms
+from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload
 
 # Quadratic forms down to this value are treated as zero (round-off).
 NEG_QUADFORM_TOL = -1e-12
-
-
-def init_local_estimate(arm: int, y: float, psi: np.ndarray, pulls: int) -> LocalEstimate:
-    """Estimate y * psi / ||psi||^2 from the average reward y of ``pulls`` pulls."""
-    norm_sq = float(psi @ psi)
-    if norm_sq <= 0.0:
-        raise ProtocolError(f"arm {arm}: psi has zero norm")
-    return LocalEstimate(arm=arm, theta_hat=(y / norm_sq) * psi, pulls=pulls)
 
 
 def score_arms(psi, theta_hat, v, alpha: float, ell: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,49 +56,62 @@ def eliminate(active: list[int], r_hat, u) -> list[int]:
 
 
 class Agent:
-    """One agent's state across phases."""
+    """One agent's state across phases; ``psi`` is its ``(K, d)`` table."""
 
-    def __init__(self, index: int, psi: dict[int, np.ndarray], alpha: float, ell: float):
+    def __init__(self, index: int, psi: np.ndarray, alpha: float, ell: float):
         self.index = index
         self.psi = psi
         self.alpha = alpha
         self.ell = ell
-        self.active: list[int] = sorted(psi)
+        self.active: list[int] = list(range(len(psi)))
         self.phase = 0
         self.a_hat: int | None = None
+        self._norm_sq = sq_norms(psi)
+        zero = np.flatnonzero(~(self._norm_sq > 0.0))
+        if zero.size:
+            raise ProtocolError(f"agent {index}, arm {zero[0]}: psi has zero norm")
+
+    def _upload(self, arms: np.ndarray, y: np.ndarray, pulls: np.ndarray) -> LocalEstimateUpload:
+        """The estimates y * psi / ||psi||^2 from the average rewards y of ``arms``."""
+        theta_hat = (y / self._norm_sq[arms])[:, None] * self.psi[arms]
+        return LocalEstimateUpload(
+            agent=self.index, phase=self.phase, arms=arms, theta_hat=theta_hat, pulls=pulls
+        )
+
+    def _rejected(self, arm, problem: str) -> ProtocolError:
+        return ProtocolError(f"agent {self.index}, arm {arm}, phase {self.phase}: {problem}")
 
     def initialize(self, pull) -> LocalEstimateUpload:
         """Pull each arm once and upload the single-pull estimates."""
-        estimates = [
-            init_local_estimate(a, pull(a), self.psi[a], 1) for a in sorted(self.psi)
-        ]
-        return LocalEstimateUpload(agent=self.index, phase=0, estimates=estimates)
+        k = len(self.psi)
+        y = np.array([pull(a) for a in range(k)])
+        return self._upload(np.arange(k), y, np.ones(k, dtype=int))
 
     def begin_phase(
         self, broadcast: GlobalBroadcast
     ) -> tuple[ActiveSetUpload, list[tuple[int, float, float]]]:
         """Score the active arms against the broadcast model and eliminate.
 
-        The broadcast must be stamped with the phase this call begins and
-        carry a model for every active arm.  The stats hold one
-        ``(arm, r_hat, u)`` per scored arm.
+        The broadcast must be stamped with the phase this call begins, have
+        one row per arm and carry a model for every active arm.  The stats
+        hold one ``(arm, r_hat, u)`` per scored arm.
         """
         phase = self.phase + 1
         arms = self.active
+        prefix = f"agent {self.index}, arm {arms}, phase {phase}: broadcast"
         if broadcast.phase != phase:
-            raise ProtocolError(
-                f"agent {self.index}, arm {arms}, phase {phase}: "
-                f"broadcast stamped with phase {broadcast.phase}"
-            )
-        missing = [a for a in arms if a not in broadcast.models]
+            raise ProtocolError(f"{prefix} stamped with phase {broadcast.phase}")
+        if broadcast.theta.shape != self.psi.shape or len(broadcast.has_model) != len(self.psi):
+            raise ProtocolError(f"{prefix} shaped {broadcast.theta.shape}, not {self.psi.shape}")
+        missing = [a for a in arms if not broadcast.has_model[a]]
         if missing:
             raise ProtocolError(
                 f"agent {self.index}, arm {missing}, phase {phase}: broadcast has no model"
             )
         self.phase = phase
-        theta, v = zip(*(broadcast.models[a] for a in arms))
-        psi = np.array([self.psi[a] for a in arms])
-        r_hat, u = score_arms(psi, np.array(theta), np.array(v), self.alpha, self.ell)
+        r_hat, u = score_arms(
+            self.psi[arms], broadcast.theta[arms], broadcast.v[arms], self.alpha, self.ell
+        )
         self.a_hat = arms[int(np.argmax(r_hat))]
         self.active = eliminate(arms, r_hat, u)
         upload = ActiveSetUpload(agent=self.index, phase=self.phase, arms=list(self.active))
@@ -116,7 +122,9 @@ class Agent:
     ) -> tuple[LocalEstimateUpload, int]:
         """Pull each assigned arm its allotted number of times.
 
-        The message must be addressed to this agent and its current phase.
+        The whole message is checked before the first pull: it must be
+        addressed to this agent and its current phase, and its arms must be
+        distinct, ascending and active, each with one nonnegative count.
         Arms with a zero count produce no estimate.  Returns the upload and
         the number of rounds consumed.
         """
@@ -125,22 +133,21 @@ class Agent:
                 f"agent {self.index}, phase {self.phase}: allocation addressed to "
                 f"agent {assignment.agent}, phase {assignment.phase}"
             )
-        estimates = []
-        rounds = 0
-        for a in sorted(assignment.counts):
-            count = assignment.counts[a]
-            if count < 0:
-                raise ProtocolError(f"negative pull count for arm {a}")
-            if a not in self.active:
-                raise ProtocolError(f"allocation for inactive arm {a}")
-            if count == 0:
-                continue
-            estimates.append(
-                init_local_estimate(a, pull_many(a, count), self.psi[a], count)
+        arms, counts = np.asarray(assignment.arms), np.asarray(assignment.counts)
+        listed = arms.tolist()
+        if arms.ndim != 1 or counts.shape != arms.shape or listed != sorted(set(listed)):
+            raise self._rejected(
+                listed, "allocation arms must be distinct and ascending, one count each"
             )
-            rounds += count
-        upload = LocalEstimateUpload(agent=self.index, phase=self.phase, estimates=estimates)
-        return upload, rounds
+        for a, count in zip(listed, counts.tolist()):
+            if a not in self.active:
+                raise self._rejected(a, "allocation for inactive arm")
+            if count < 0:
+                raise self._rejected(a, f"negative pull count {count}")
+        pulled = counts > 0
+        arms, counts = arms[pulled], counts[pulled]
+        y = np.array([pull_many(a, c) for a, c in zip(arms.tolist(), counts.tolist())])
+        return self._upload(arms, y, counts), int(counts.sum())
 
     def exploit_remainder(self, rounds: int, pull_many) -> None:
         """Pull the current empirical best; rewards are not used for estimation."""

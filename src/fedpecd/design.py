@@ -109,11 +109,8 @@ class DesignProblem:
                 f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
             )
         self.arms = np.flatnonzero(self.active.any(axis=0)).tolist()
-        # C order, so the view has one layout whatever the input's.  No bit
-        # of the solve depends on it: the einsums over it give the same sums
-        # on any layout.  The compact active mask's layout does (``_Solver``).
-        self.dirs = np.ascontiguousarray(
-            np.where(self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0)
+        self.dirs = np.where(
+            self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0
         )
 
 

@@ -57,3 +57,12 @@ def pinv(m) -> np.ndarray:
     are treated as exact zeros.
     """
     return eigh_range(_as_square(m))[2]
+
+
+def sq_norms(v: np.ndarray) -> np.ndarray:
+    """||v||^2 along the last axis, bit-identical to ``v @ v`` per vector.
+
+    A stacked matmul reduces each vector as ``v @ v`` does; an einsum or
+    ``np.linalg.norm(axis=-1)`` can differ in the last bit.
+    """
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]

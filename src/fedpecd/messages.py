@@ -1,7 +1,11 @@
 """Message types crossing the agent/server boundary.
 
 These dataclasses are the only messages agents send or receive; their
-fields are the whole federation contract.  Outbound agent messages carry
+fields are the whole federation contract.  Per-arm payloads are dense
+arrays, the format the server and the design keep: row j of an upload or
+an allocation belongs to ``arms[j]``.  A broadcast has one row per arm id
+0..K-1; the rows of arms without ``has_model`` are zero.  An estimate is
+collinear with the uploading agent's psi.  Outbound agent messages carry
 active sets and reward-parameter estimates, never psi vectors, context
 distributions, realized contexts, or raw rewards.
 """
@@ -14,19 +18,12 @@ import numpy as np
 
 
 @dataclass
-class LocalEstimate:
-    """One arm's local estimate: a vector collinear with the agent's psi."""
-
-    arm: int
-    theta_hat: np.ndarray
-    pulls: int
-
-
-@dataclass
 class LocalEstimateUpload:
     agent: int
     phase: int
-    estimates: list[LocalEstimate]
+    arms: np.ndarray  # (n,) arm ids
+    theta_hat: np.ndarray  # (n, d)
+    pulls: np.ndarray  # (n,)
 
 
 @dataclass
@@ -39,11 +36,14 @@ class ActiveSetUpload:
 @dataclass
 class GlobalBroadcast:
     phase: int
-    models: dict[int, tuple[np.ndarray, np.ndarray]]  # arm -> (theta_hat, V)
+    theta: np.ndarray  # (K, d)
+    v: np.ndarray  # (K, d, d)
+    has_model: np.ndarray  # (K,) bool
 
 
 @dataclass
 class AllocationMessage:
     agent: int
     phase: int
-    counts: dict[int, int]  # arm -> pull count
+    arms: np.ndarray  # (n,) arm ids
+    counts: np.ndarray  # (n,) pull counts

@@ -171,29 +171,25 @@ def build_psi_set(
     phi: FeatureMap,
     mus: list[ContextDistribution],
     bounds: Bounds,
-) -> list[dict[int, np.ndarray]]:
-    """Compute psi for every (agent, arm) as one arm -> psi table per agent;
-    reject norms below the ell floor.
+) -> np.ndarray:
+    """Compute psi for every (agent, arm) as one read-only ``(M, K, d)``
+    array, arms in ``phi.arms`` order; reject norms below the ell floor.
 
     The estimators divide by ||psi||^2, so scenarios whose mixing drives a
     psi below ell are rejected outright instead of silently producing
     near-singular updates.
     """
-    per_agent = []
-    for i, mu in enumerate(mus):
-        table = {}
-        for a in phi.arms:
-            psi = expected_feature(phi, mu, a)
-            nrm = float(np.linalg.norm(psi))
+    psi = np.array([[expected_feature(phi, mu, a) for a in phi.arms] for mu in mus])
+    for i, row in enumerate(psi):
+        for a, v in zip(phi.arms, row):
+            nrm = float(np.linalg.norm(v))
             if nrm < bounds.ell - NORM_TOL:
                 raise ConfigurationError(
                     f"||psi|| = {nrm} below floor ell = {bounds.ell} "
                     f"for agent {i}, arm {a}"
                 )
-            psi.setflags(write=False)
-            table[a] = psi
-        per_agent.append(table)
-    return per_agent
+    psi.setflags(write=False)
+    return psi
 
 
 @dataclass

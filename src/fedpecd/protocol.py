@@ -116,16 +116,17 @@ def meter_message(msg) -> int:
     """Number of real scalars a message carries.
 
     Arm ids and pull counts cost one scalar each; a theta vector costs d
-    and a V matrix costs d^2.
+    and a V matrix costs d^2.  A broadcast carries one arm id per model.
     """
     if isinstance(msg, LocalEstimateUpload):
-        return sum(1 + len(e.theta_hat) + 1 for e in msg.estimates)
+        return msg.arms.size + msg.theta_hat.size + msg.pulls.size
     if isinstance(msg, ActiveSetUpload):
         return len(msg.arms)
     if isinstance(msg, GlobalBroadcast):
-        return sum(1 + len(th) + len(th) ** 2 for th, _ in msg.models.values())
+        d = msg.theta.shape[1]
+        return int(msg.has_model.sum()) * (1 + d + d * d)
     if isinstance(msg, AllocationMessage):
-        return 2 * len(msg.counts)
+        return msg.arms.size + msg.counts.size
     raise ProtocolError(f"cannot meter message of type {type(msg).__name__}")
 
 
@@ -390,7 +391,7 @@ def run_protocol(
                 active_before=active_before,
                 active_after=[list(a.active) for a in agents],
                 stats=stats_per_agent,
-                allocations=[dict(msg.counts) for msg in alloc_msgs],
+                allocations=[dict(zip(x.arms.tolist(), x.counts.tolist())) for x in alloc_msgs],
                 round_end=round_cursor,
                 regret_per_agent=[float(x) for x in per_agent],
                 design={

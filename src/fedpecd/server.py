@@ -1,4 +1,10 @@
-"""Server-side protocol: aggregation, design solving, allocation.
+"""Server-side protocol: round checks, aggregation, design solving, allocation.
+
+The server keeps everything dense over arm ids 0..K-1: a phase's active
+sets are an ``(M, K)`` bool mask, its issued pull counts an ``(M, K)`` int
+array and a round's estimates an ``(M, K, d)`` array.  Every round of
+uploads passes one roster check (``_check_roster``): one upload per agent,
+stamped with the expected phase, naming distinct arms it may report.
 
 Initialization and every phase share one aggregation formula; they differ
 only in which uploads they accept (init: every agent, every arm, f = 1;
@@ -6,10 +12,7 @@ phase: each (agent, arm) pair the server issued pulls for, with the
 issued count f), and every pair issued a pull must report.  All arms
 are aggregated in one stacked pass with one batched pseudo-inverse; each
 arm's terms are added in agent order, so the order of the uploads cannot
-change a bit of the result.  Inside the server and the design, rosters
-and allocations are dense over arm ids 0..K-1: each phase's active sets
-are an ``(M, K)`` bool mask and the issued pull counts an ``(M, K)`` int
-array; only the messages carry them as dicts.
+change a bit of the result.
 
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
@@ -26,13 +29,11 @@ and no sign rule is applied.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .design import DesignAllocation, DesignProblem, solve_design
 from .errors import DegenerateArmError, NotPSDError, ProtocolError
-from .linalg import eigen_cutoff, pinv
+from .linalg import eigen_cutoff, pinv, sq_norms
 from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload
 
 # Relief subtracted before ceil() so float dust cannot inflate a count.
@@ -46,16 +47,7 @@ _CEIL_RELIEF = 1e-9
 DESIGN_TOL = 1e-3
 
 
-def _sq_norms(th: np.ndarray) -> np.ndarray:
-    """||th||^2 along the last axis, bit-identical to ``th @ th`` per vector.
-
-    A stacked matmul reduces each vector as ``th @ th`` does; an einsum or
-    ``np.linalg.norm(axis=-1)`` can differ in the last bit.
-    """
-    return (th[..., None, :] @ th[..., :, None])[..., 0, 0]
-
-
-def _check_psd(v: np.ndarray, arms: list[int]):
+def _check_psd(v: np.ndarray, arms: np.ndarray):
     """Reject a ``(K, d, d)`` stack of V naming the first non-PSD arm.
 
     The tolerance is relative per matrix: V = Gram^+ has norm ~1 /
@@ -71,21 +63,21 @@ def _check_psd(v: np.ndarray, arms: list[int]):
 
 def _aggregate(
     phase: int,
-    arms: list[int],
     f: np.ndarray,
     th: np.ndarray,
+    arms: np.ndarray,
     prev: GlobalBroadcast | None,
 ) -> GlobalBroadcast:
     """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
 
     ``f`` is ``(M, K)`` and ``th`` ``(M, K, d)``: agent i's pull count and
-    estimate for ``arms[k]``, with f = 0 where the agent sent none.  Terms
-    with f < 1 are skipped.  Estimates that are exactly zero (zero observed
-    reward) carry no direction and are skipped in the Gram sum; their
-    contribution to the linear term is zero anyway.  An arm with no usable
-    estimate keeps its model from ``prev``, since a zero model would
-    spuriously eliminate it; without ``prev`` (initialization) it is
-    degenerate.
+    estimate for each arm, with f = 0 where the agent sent none; the
+    broadcast carries a model for each of ``arms``.  Terms with f < 1 are
+    skipped.  Estimates that are exactly zero (zero observed reward) carry
+    no direction and are skipped in the Gram sum; their contribution to the
+    linear term is zero anyway.  An arm with no usable estimate keeps its
+    model from ``prev``, since a zero model would spuriously eliminate it;
+    without ``prev`` (initialization) it is degenerate.
 
     Every arm is aggregated in one stacked pass that gives the bits of
     adding each arm's terms one by one in agent order: a skipped term
@@ -93,8 +85,10 @@ def _aggregate(
     adds along the agent axis in order (a ``reduceat`` sum does not give
     the same bits).  One ``pinv`` call inverts the ``(K, d, d)`` Gram stack.
     """
+    k, d = th.shape[1:]
+    f, th = f[:, arms], th[:, arms]
     usable = f >= 1
-    norm_sq = _sq_norms(th)
+    norm_sq = sq_norms(th)
     in_gram = usable & (norm_sq != 0.0)
     has_gram = in_gram.any(axis=0)
     if prev is None and not has_gram.all():
@@ -107,10 +101,14 @@ def _aggregate(
     v = pinv(gram)
     _check_psd(v, arms)
     theta = (v @ linear[..., None])[..., 0]
-    models = {
-        a: (theta[k], v[k]) if has_gram[k] else prev.models[a] for k, a in enumerate(arms)
-    }
-    return GlobalBroadcast(phase=phase, models=models)
+    if prev is not None:
+        theta = np.where(has_gram[:, None], theta, prev.theta[arms])
+        v = np.where(has_gram[:, None, None], v, prev.v[arms])
+    out = GlobalBroadcast(phase, np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k, dtype=bool))
+    out.theta[arms] = theta
+    out.v[arms] = v
+    out.has_model[arms] = True
+    return out
 
 
 def _rejected(u: LocalEstimateUpload | ActiveSetUpload, arm, problem: str) -> ProtocolError:
@@ -118,49 +116,89 @@ def _rejected(u: LocalEstimateUpload | ActiveSetUpload, arm, problem: str) -> Pr
     return ProtocolError(f"agent {u.agent}, arm {arm}, phase {u.phase}: {problem}")
 
 
-def _checked_theta(u: LocalEstimateUpload, e, d: int) -> np.ndarray:
-    """An estimate's theta_hat as a finite (d,) array, or its rejection."""
-    th = np.asarray(e.theta_hat, dtype=float)
-    if th.shape != (d,) or not all(map(math.isfinite, th.tolist())):
-        raise _rejected(u, e.arm, f"theta_hat must be finite of shape ({d},), got {th.shape}")
-    return th
+def _check_roster(uploads, phase: int, allowed: np.ndarray) -> np.ndarray:
+    """The ``(M, K)`` mask of the (agent, arm) pairs a round of uploads reports.
+
+    Each agent 0..M-1 must send exactly one upload, stamped ``phase``,
+    whose arms are distinct and ``allowed`` for it.  Uploads are checked in
+    the order they arrive; an agent that sent none is named after them.
+    """
+    m, k = allowed.shape
+    reported = np.zeros((m, k), dtype=bool)
+    sent = np.zeros(m, dtype=bool)
+    for u in uploads:
+        arms = np.asarray(u.arms).tolist()
+        if u.phase != phase:
+            raise _rejected(u, arms, f"expected phase {phase}")
+        # Range first: a negative id would wrap around the masks.
+        if not 0 <= u.agent < m:
+            raise _rejected(u, arms, f"agent id outside 0..{m - 1}")
+        if sent[u.agent]:
+            raise _rejected(u, arms, "second upload from this agent")
+        sent[u.agent] = True
+        for a in arms:
+            if not (0 <= a < k and allowed[u.agent, a]):
+                raise _rejected(u, a, "arm outside the agent's roster")
+            if reported[u.agent, a]:
+                raise _rejected(u, a, "arm reported twice")
+            reported[u.agent, a] = True
+    missing = np.flatnonzero(~sent)
+    if missing.size:
+        i = missing[0]
+        arms = np.flatnonzero(allowed[i]).tolist()
+        raise ProtocolError(f"agent {i}, arm {arms}, phase {phase}: no upload")
+    return reported
 
 
-def _init_stack(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -> np.ndarray:
-    """The ``(M, K, d)`` stack of checked init estimates, by agent then arm."""
-    return np.array(
-        [
-            [e.theta_hat for e in sorted(u.estimates, key=lambda e: e.arm)]
-            for u in sorted(uploads, key=lambda u: u.agent)
-        ],
-        dtype=float,
-    ).reshape(m, k, d)
+def _stack(uploads: list[LocalEstimateUpload], m: int, k: int, d: int):
+    """The uploaded estimates and pull counts as ``(M, K, d)`` and ``(M, K)``
+    arrays by agent and arm, zero where none was uploaded."""
+    th = np.zeros((m, k, d))
+    pulls = np.zeros((m, k))
+    for u in uploads:
+        n = len(u.arms)
+        if np.shape(u.theta_hat) != (n, d) or np.shape(u.pulls) != (n,):
+            arms = np.asarray(u.arms).tolist()
+            raise _rejected(u, arms, f"theta_hat must be ({n}, {d}) and pulls ({n},)")
+        th[u.agent, u.arms] = u.theta_hat
+        pulls[u.agent, u.arms] = u.pulls
+    return th, pulls
+
+
+def _aggregate_round(
+    uploads: list[LocalEstimateUpload],
+    issued: np.ndarray,
+    active: np.ndarray,
+    phase: int,
+    d: int,
+    prev: GlobalBroadcast | None,
+) -> GlobalBroadcast:
+    """Check one round of estimate uploads and aggregate it (see ``aggregate_phase``)."""
+    m, k = issued.shape
+    reported = _check_roster(uploads, phase, active)
+    th, pulls = _stack(uploads, m, k, d)
+    for bad, problem in (
+        (~np.isfinite(th).all(axis=-1), "theta_hat is not finite"),
+        (reported & (pulls != issued), "uploaded {p:g} pulls, server issued {f}"),
+        ((issued >= 1) & ~reported, "no upload for {f} issued pulls"),
+    ):
+        if bad.any():
+            i, a = np.argwhere(bad)[0]
+            problem = problem.format(p=pulls[i, a], f=issued[i, a])
+            raise ProtocolError(f"agent {i}, arm {a}, phase {phase}: {problem}")
+    union = np.flatnonzero(active.any(axis=0))
+    return _aggregate(phase + 1, issued, th, union, prev)
 
 
 def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -> GlobalBroadcast:
     """Aggregate the single-pull estimates into the first global model.
 
-    Needs one phase-0 upload per agent covering every arm with finite
-    ``(d,)`` estimates; each enters the aggregation with f = 1.
+    Needs one phase-0 upload per agent covering every arm with one pull and
+    a finite ``(d,)`` estimate each; each enters the aggregation with f = 1.
     """
-    seen: set[int] = set()
-    for u in uploads:
-        arms = sorted(e.arm for e in u.estimates)
-        if u.phase != 0:
-            raise _rejected(u, arms, "initial uploads must be phase 0")
-        if not 0 <= u.agent < m:
-            raise _rejected(u, arms, f"agent id outside 0..{m - 1}")
-        if u.agent in seen:
-            raise _rejected(u, arms, "second initial upload from this agent")
-        seen.add(u.agent)
-        if arms != list(range(k)):
-            raise _rejected(u, arms, f"initial upload must cover all {k} arms")
-        for e in u.estimates:
-            _checked_theta(u, e, d)
-    missing = set(range(m)) - seen
-    if missing:
-        raise ProtocolError(f"agent {min(missing)}, arm {list(range(k))}, phase 0: no initial upload")
-    return _aggregate(1, list(range(k)), np.ones((m, k)), _init_stack(uploads, m, k, d), None)
+    return _aggregate_round(
+        uploads, np.ones((m, k), dtype=int), np.ones((m, k), dtype=bool), 0, d, None
+    )
 
 
 def aggregate_phase(
@@ -173,41 +211,13 @@ def aggregate_phase(
 
     ``issued`` holds the ``(M, K)`` pull counts the server issued and
     ``active`` the ``(M, K)`` mask of the active sets they were issued for;
-    the model covers the union of those sets.  Each upload must be stamped
-    with the phase of ``prev``, and each (agent, arm) estimate must be
+    the model covers the union of those sets.  Each agent sends one upload
+    stamped with the phase of ``prev``; each of its estimates must be
     finite, shaped like ``prev``'s models and come from an active pair, at
     most once, with the issued pull count; every pair issued at least one
     pull must report.
     """
-    d = len(next(iter(prev.models.values()))[0])
-    m, k = issued.shape
-    # Indexed by agent, so each arm's terms add in agent order whatever
-    # the order of the uploads.
-    th = np.zeros((m, k, d))
-    seen = np.zeros((m, k), dtype=bool)
-    for u in uploads:
-        if u.phase != prev.phase:
-            arms = [e.arm for e in u.estimates]
-            raise _rejected(u, arms, f"expected phase {prev.phase}")
-        for e in u.estimates:
-            # Range first: a negative id would wrap around the arrays.
-            if not (0 <= u.agent < m and 0 <= e.arm < k and active[u.agent, e.arm]):
-                raise _rejected(u, e.arm, "upload outside the agent's roster")
-            if seen[u.agent, e.arm]:
-                raise _rejected(u, e.arm, "second upload for this pair")
-            seen[u.agent, e.arm] = True
-            f = issued[u.agent, e.arm]
-            if e.pulls != f:
-                raise _rejected(u, e.arm, f"uploaded {e.pulls} pulls, server issued {f}")
-            th[u.agent, e.arm] = _checked_theta(u, e, d)
-    missing = np.argwhere((issued >= 1) & ~seen)
-    if missing.size:
-        i, a = missing[0]
-        raise ProtocolError(
-            f"agent {i}, arm {a}, phase {prev.phase}: no upload for {issued[i, a]} issued pulls"
-        )
-    union = np.flatnonzero(active.any(axis=0))
-    return _aggregate(prev.phase + 1, union.tolist(), issued[:, union], th[:, union], prev)
+    return _aggregate_round(uploads, issued, active, prev.phase, prev.theta.shape[1], prev)
 
 
 def allocate(alloc: DesignAllocation, f_p: int) -> np.ndarray:
@@ -245,9 +255,9 @@ class CentralServer:
 
     def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
         self.model = aggregate_init(uploads, self.m, self.k, self.d)
-        th = _init_stack(uploads, self.m, self.k, self.d)
+        th, _ = _stack(uploads, self.m, self.k, self.d)
         # np.linalg.norm of one vector is sqrt(th @ th): the same bits.
-        norm = np.sqrt(_sq_norms(th))
+        norm = np.sqrt(sq_norms(th))
         self.has_direction = norm > 0.0
         self.directions = np.divide(
             th, norm[..., None], out=np.zeros_like(th), where=self.has_direction[..., None]
@@ -270,39 +280,17 @@ class CentralServer:
                 raise _rejected(u, u.arms, "active set before initialization")
             raise ProtocolError("planning before initialization")
         phase = self.model.phase
-        active = np.zeros((self.m, self.k), dtype=bool)
-        for u in active_uploads:
-            if u.phase != phase:
-                raise _rejected(u, u.arms, f"expected phase {phase}")
-            # Range first: a negative id would wrap around the masks.
-            if not 0 <= u.agent < self.m:
-                raise _rejected(u, u.arms, f"agent id outside 0..{self.m - 1}")
-            # Every accepted upload marks at least one arm of its row.
-            if active[u.agent].any():
-                raise _rejected(u, u.arms, "second active-set upload from this agent")
-            if not u.arms:
-                raise ProtocolError(f"agent {u.agent} reported an empty active set")
-            for a in u.arms:
-                # Range first: a negative id would wrap around the masks.
-                if not (0 <= a < self.k and self.active[u.agent, a]):
-                    raise _rejected(u, a, "arm outside the agent's previous active set")
-                if active[u.agent, a]:
-                    raise _rejected(u, a, "arm reported twice")
-                active[u.agent, a] = True
-        missing = np.flatnonzero(~active.any(axis=1))
-        if missing.size:
-            i = missing[0]
-            prev = np.flatnonzero(self.active[i]).tolist()
-            raise ProtocolError(f"agent {i}, arm {prev}, phase {phase}: no active-set upload")
+        active = _check_roster(active_uploads, phase, self.active)
+        empty = np.flatnonzero(~active.any(axis=1))
+        if empty.size:
+            raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
         prob = DesignProblem(active, self.directions, self.has_direction & active)
         self.design = solve_design(prob, tol=self.design_tol, warm_start=self.design)
         self.active = active
         self.issued = allocate(self.design, f_p)
         return [
             AllocationMessage(
-                agent=i,
-                phase=phase,
-                counts=dict(zip(np.flatnonzero(row).tolist(), self.issued[i, row].tolist())),
+                agent=i, phase=phase, arms=np.flatnonzero(row), counts=self.issued[i, row]
             )
             for i, row in enumerate(active)
         ]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedpecd.design import DesignProblem
+from fedpecd.messages import GlobalBroadcast, LocalEstimateUpload
 from fedpecd.model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
 
 
@@ -19,6 +20,25 @@ def design_problem(active_sets, directions, dim):
         dense[i, a] = v
         has[i, a] = True
     return DesignProblem(active=active, directions=dense, has_direction=has)
+
+
+def broadcast(models, k, phase=1):
+    """The broadcast over k arms carrying ``models``, {arm: (theta_hat, V)}."""
+    d = len(next(iter(models.values()))[0])
+    out = GlobalBroadcast(phase, np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k, dtype=bool))
+    for a, (theta, v) in models.items():
+        out.theta[a], out.v[a], out.has_model[a] = theta, v, True
+    return out
+
+
+def upload(agent, phase, rows, d=2):
+    """The estimate upload of ``rows``, (arm, theta_hat, pulls) triples; ``d``
+    shapes an upload without rows."""
+    theta = np.array([th for _, th, _ in rows], dtype=float) if rows else np.zeros((0, d))
+    return LocalEstimateUpload(
+        agent=agent, phase=phase, arms=np.array([a for a, _, _ in rows], dtype=int),
+        theta_hat=theta, pulls=np.array([f for _, _, f in rows], dtype=int),
+    )
 
 
 def random_design_problem(m, k, d, seed=0, active_sets=None):

@@ -17,7 +17,7 @@ from fedpecd.harness import (
     sweep_csv_lines,
 )
 from fedpecd.linalg import pinv
-from fedpecd.messages import LocalEstimate, LocalEstimateUpload
+from fedpecd.messages import LocalEstimateUpload
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import aggregate_init, aggregate_phase
 
@@ -217,13 +217,16 @@ def test_c08_aggregation_oracle():
             psi = psis[(i, a)]
             return (y / float(psi @ psi)) * psi
 
-        init_uploads = []
-        for i in range(m):
-            entries = []
-            for a in range(k):
+        def upload(i, phase, arms, pulls):
+            """Agent i's estimates of ``arms`` from fresh average rewards."""
+            theta_hat = np.zeros((len(arms), d))
+            for row, a in enumerate(arms):
                 y = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
-                entries.append(LocalEstimate(arm=a, theta_hat=estimate(i, a, y), pulls=1))
-            init_uploads.append(LocalEstimateUpload(agent=i, phase=0, estimates=entries))
+                theta_hat[row] = estimate(i, a, y)
+            return LocalEstimateUpload(agent=i, phase=phase, arms=np.array(arms, dtype=int),
+                                       theta_hat=theta_hat, pulls=np.array(pulls, dtype=int))
+
+        init_uploads = [upload(i, 0, list(range(k)), [1] * k) for i in range(m)]
         model = aggregate_init(init_uploads, m=m, k=k, d=d)
 
         # independent recomputation from the printed formulas
@@ -231,14 +234,14 @@ def test_c08_aggregation_oracle():
             gram = np.zeros((d, d))
             linear = np.zeros(d)
             for i in range(m):
-                th = init_uploads[i].estimates[a].theta_hat
+                th = init_uploads[i].theta_hat[a]
                 linear += th
                 nsq = float(th @ th)
                 if nsq > 0.0:
                     gram += np.outer(th, th) / nsq
             v_ref = pinv(gram)
             theta_ref = v_ref @ linear
-            theta, v = model.models[a]
+            theta, v = model.theta[a], model.v[a]
             worst = max(worst, float(np.max(np.abs(v - v_ref))),
                         float(np.max(np.abs(theta - theta_ref))))
             np.testing.assert_allclose(v, v_ref, rtol=1e-8, atol=1e-12)
@@ -253,14 +256,8 @@ def test_c08_aggregation_oracle():
             issued[i, a] = rng.integers(0, 4)
         uploads = []
         for i in range(m):
-            entries = []
-            for a in np.flatnonzero(active[i]).tolist():
-                if issued[i, a] >= 1:
-                    y = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
-                    entries.append(LocalEstimate(
-                        arm=a, theta_hat=estimate(i, a, y), pulls=int(issued[i, a])
-                    ))
-            uploads.append(LocalEstimateUpload(agent=i, phase=1, estimates=entries))
+            arms = np.flatnonzero(active[i] & (issued[i] >= 1)).tolist()
+            uploads.append(upload(i, 1, arms, issued[i, arms]))
         phase_model = aggregate_phase(uploads, issued, active, model)
 
         for a in np.flatnonzero(active.any(axis=0)).tolist():
@@ -271,15 +268,15 @@ def test_c08_aggregation_oracle():
                 f = int(issued[i, a])
                 if f < 1:
                     continue
-                th = next(e.theta_hat for e in uploads[i].estimates if e.arm == a)
+                th = uploads[i].theta_hat[uploads[i].arms.tolist().index(a)]
                 linear += f * th
                 nsq = float(th @ th)
                 if nsq > 0.0:
                     gram += (f / nsq) * np.outer(th, th)
                     seen = True
-            theta, v = phase_model.models[a]
+            theta, v = phase_model.theta[a], phase_model.v[a]
             if not seen:
-                theta_ref, v_ref = model.models[a]
+                theta_ref, v_ref = model.theta[a], model.v[a]
             else:
                 v_ref = pinv(gram)
                 theta_ref = v_ref @ linear

@@ -1,36 +1,40 @@
 import numpy as np
 import pytest
 
-from fedpecd.agent import Agent, eliminate, init_local_estimate, score_arms
+from fedpecd.agent import Agent, eliminate, score_arms
 from fedpecd.environment import Environment
 from fedpecd.errors import DimensionError, NonFiniteError, ProtocolError
 from fedpecd.linalg import pinv
-from fedpecd.messages import (
-    ActiveSetUpload,
-    AllocationMessage,
-    GlobalBroadcast,
-    LocalEstimate,
-    LocalEstimateUpload,
-)
+from fedpecd.messages import ActiveSetUpload, AllocationMessage, LocalEstimateUpload
 
+from conftest import broadcast
 from test_environment import one_agent_scenario
 
 
 class TestInitLocalEstimate:
+    """The rank-one estimates y psi / ||psi||^2 an agent uploads, one row per arm."""
+
     def test_zero_reward_gives_zero_vector(self):
-        est = init_local_estimate(0, 0.0, np.array([0.6, 0.8]), 1)
-        np.testing.assert_allclose(est.theta_hat, [0.0, 0.0])
-        assert est.pulls == 1
+        agent = Agent(0, np.array([[0.6, 0.8]]), alpha=1.0, ell=0.5)
+        upload = agent.initialize(lambda a: 0.0)
+        np.testing.assert_allclose(upload.theta_hat, [[0.0, 0.0]])
+        np.testing.assert_array_equal(upload.pulls, [1])
 
     def test_unit_norm_psi(self):
-        est = init_local_estimate(2, 0.7, np.array([1.0, 0.0, 0.0]), 1)
-        np.testing.assert_allclose(est.theta_hat, [0.7, 0.0, 0.0])
-        assert est.arm == 2
+        psi = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        agent = Agent(0, psi, alpha=1.0, ell=0.5)
+        agent.phase = 1
+        msg = AllocationMessage(agent=0, phase=1, arms=np.array([2]), counts=np.array([4]))
+        upload, _ = agent.explore_phase(msg, lambda a, c: 0.7)
+        np.testing.assert_allclose(upload.theta_hat, [[0.7, 0.0, 0.0]])
+        np.testing.assert_array_equal(upload.arms, [2])
+        np.testing.assert_array_equal(upload.pulls, [4])
 
     def test_unit_norm_square(self):
         # ||psi||^2 = 1 here, so theta_hat equals psi itself
-        est = init_local_estimate(0, 1.0, np.array([0.6, 0.8]), 1)
-        np.testing.assert_allclose(est.theta_hat, [0.6, 0.8])
+        agent = Agent(0, np.array([[0.6, 0.8]]), alpha=1.0, ell=0.5)
+        upload = agent.initialize(lambda a: 1.0)
+        np.testing.assert_allclose(upload.theta_hat, [[0.6, 0.8]])
 
 
 def score_one(psi, theta, v, alpha=2.0, ell=0.5):
@@ -131,11 +135,18 @@ class TestEliminate:
 
 def make_agent(env, alpha=1.0):
     scenario = env.scenario
-    psi = {
-        a: scenario.features.vector(a, env.realized_context(0))
-        for a in range(scenario.K)
-    }
+    psi = np.array([
+        scenario.features.vector(a, env.realized_context(0)) for a in range(scenario.K)
+    ])
     return Agent(0, psi, alpha=alpha, ell=scenario.bounds.ell)
+
+
+def allocation(counts, agent=0, phase=1):
+    """The allocation message for an {arm: count} map."""
+    return AllocationMessage(
+        agent=agent, phase=phase, arms=np.array(list(counts), dtype=int),
+        counts=np.array(list(counts.values()), dtype=int),
+    )
 
 
 class TestExplorePhase:
@@ -143,43 +154,43 @@ class TestExplorePhase:
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
         agent.phase = 1
-        msg = AllocationMessage(agent=0, phase=1, counts={0: 1, 1: 0})
+        msg = allocation({0: 1, 1: 0})
         upload, used = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
         assert used == 1
-        assert [e.arm for e in upload.estimates] == [0]
+        assert upload.arms.tolist() == [0]
         psi = agent.psi[0]
         expected = (0.5 / float(psi @ psi)) * psi
-        np.testing.assert_allclose(upload.estimates[0].theta_hat, expected)
+        np.testing.assert_allclose(upload.theta_hat[0], expected)
 
     def test_zero_count_emits_nothing(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
         agent.phase = 1
-        msg = AllocationMessage(agent=0, phase=1, counts={0: 0, 1: 0})
+        msg = allocation({0: 0, 1: 0})
         upload, used = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
-        assert upload.estimates == [] and used == 0
+        assert upload.arms.size == 0 and upload.theta_hat.shape == (0, 3) and used == 0
 
     def test_average_concentrates(self):
         env = Environment(one_agent_scenario(sigma=1e-3), master_seed=3)
         agent = make_agent(env)
         agent.phase = 1
         n = 10**4
-        msg = AllocationMessage(agent=0, phase=1, counts={0: n})
+        msg = allocation({0: n})
         upload, _ = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
         psi = agent.psi[0]
         # recover the average reward the estimate was built from
-        y_bar = float(upload.estimates[0].theta_hat @ psi)
+        y_bar = float(upload.theta_hat[0] @ psi)
         assert abs(y_bar - 0.5) <= 4e-3 / np.sqrt(n)
 
     def test_collinearity_of_estimates(self, rng):
         env = Environment(one_agent_scenario(sigma=0.5), master_seed=1)
         agent = make_agent(env)
         agent.phase = 1
-        msg = AllocationMessage(agent=0, phase=1, counts={0: 3, 1: 2})
+        msg = allocation({0: 3, 1: 2})
         upload, _ = agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
-        for est in upload.estimates:
-            psi = agent.psi[est.arm]
-            cross = np.outer(est.theta_hat, psi) - np.outer(psi, est.theta_hat)
+        for arm, theta_hat in zip(upload.arms, upload.theta_hat):
+            psi = agent.psi[arm]
+            cross = np.outer(theta_hat, psi) - np.outer(psi, theta_hat)
             assert np.max(np.abs(cross)) <= 1e-10
 
     @pytest.mark.parametrize("agent_id,phase", [(1, 1), (0, 0), (0, 2)])
@@ -187,9 +198,26 @@ class TestExplorePhase:
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
         agent.phase = 1
-        msg = AllocationMessage(agent=agent_id, phase=phase, counts={0: 1})
+        msg = allocation({0: 1}, agent=agent_id, phase=phase)
         with pytest.raises(ProtocolError, match="agent 0, phase 1: allocation addressed to"):
             agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
+
+    @pytest.mark.parametrize("active,arms,counts,named", [
+        ([0], [0, 1], [3, 2], "1"),  # arm 1 was eliminated
+        ([0, 1], [0, 0], [3, 2], r"\[0, 0\]"),  # repeated arm
+        ([0, 1], [1, 0], [2, 3], r"\[1, 0\]"),  # not ascending
+        ([0, 1], [0, 1], [3, -1], "1"),  # negative count after a valid one
+        ([0, 1], [0], [3, 2], r"\[0\]"),  # two counts for one arm
+    ])
+    def test_whole_allocation_checked_before_the_first_pull(self, active, arms, counts, named):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        agent.phase, agent.active = 1, active
+        msg = AllocationMessage(agent=0, phase=1, arms=np.array(arms), counts=np.array(counts))
+        with pytest.raises(ProtocolError, match=rf"^agent 0, arm {named}, phase 1: "):
+            agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
+        with pytest.raises(ValueError):  # no round was booked
+            env.cumulative_regret(upto=1)
 
 
 class TestExploitRemainder:
@@ -222,9 +250,8 @@ class TestFederationBoundary:
         """Agents upload only active sets and per-arm estimates; psi, mu,
         contexts, and raw rewards never appear in message types."""
         assert set(LocalEstimateUpload.__dataclass_fields__) == {
-            "agent", "phase", "estimates",
+            "agent", "phase", "arms", "theta_hat", "pulls",
         }
-        assert set(LocalEstimate.__dataclass_fields__) == {"arm", "theta_hat", "pulls"}
         assert set(ActiveSetUpload.__dataclass_fields__) == {"agent", "phase", "arms"}
 
 
@@ -234,7 +261,7 @@ class TestBeginPhase:
         agent = make_agent(env, alpha=0.0)
         theta = np.array([1.0, 0.0, 0.0])
         models = {a: (theta, np.zeros((3, 3))) for a in range(2)}
-        upload, stats = agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        upload, stats = agent.begin_phase(broadcast(models, 2, phase=1))
         # zero-width intervals: only the better arm survives
         assert upload.arms == [0]
         assert agent.a_hat == 0
@@ -248,7 +275,7 @@ class TestBeginPhase:
         for a in range(2):
             g = rng.normal(size=(3, 4))
             models[a] = (rng.normal(size=3), pinv(g @ g.T))
-        _, stats = agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        _, stats = agent.begin_phase(broadcast(models, 2, phase=1))
         for a, r_hat, u in stats:
             theta, v = models[a]
             assert (r_hat, u) == score_one(agent.psi[a], theta, v, 1.5, agent.ell)
@@ -258,7 +285,7 @@ class TestBeginPhase:
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env, alpha=0.0)
         models = {a: (np.zeros(3), np.zeros((3, 3))) for a in range(2)}
-        upload, _ = agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+        upload, _ = agent.begin_phase(broadcast(models, 2, phase=1))
         # r_hat ties at 0 with zero widths: both survive, the first is best
         assert agent.a_hat == 0
         assert upload.arms == [0, 1]
@@ -271,7 +298,7 @@ class TestBeginPhase:
         with pytest.raises(
             ProtocolError, match=rf"^agent 0, arm \[0, 1\], phase 1: .* phase {stamp}$"
         ):
-            agent.begin_phase(GlobalBroadcast(phase=stamp, models=models))
+            agent.begin_phase(broadcast(models, 2, phase=stamp))
         assert agent.phase == 0 and agent.active == [0, 1]
 
     def test_broadcast_without_an_active_arm_rejected(self):
@@ -279,5 +306,5 @@ class TestBeginPhase:
         agent = make_agent(env)
         models = {0: (np.zeros(3), np.eye(3))}
         with pytest.raises(ProtocolError, match=r"^agent 0, arm \[1\], phase 1: "):
-            agent.begin_phase(GlobalBroadcast(phase=1, models=models))
+            agent.begin_phase(broadcast(models, 2, phase=1))
         assert agent.phase == 0 and agent.active == [0, 1]

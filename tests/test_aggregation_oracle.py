@@ -22,16 +22,21 @@ from hypothesis import strategies as st
 
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import eigen_cutoff, pinv
-from fedpecd.messages import ActiveSetUpload, GlobalBroadcast, LocalEstimate, LocalEstimateUpload
+from fedpecd.messages import ActiveSetUpload, GlobalBroadcast
 from fedpecd.server import CentralServer, aggregate_init, aggregate_phase
+
+from conftest import broadcast, upload
 
 # Derandomized so tier-1 runs the same examples every time; no database.
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 
-def loop_aggregate(phase, collected, prev):
-    """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th)."""
-    models = {}
+def loop_aggregate(phase, collected, prev, k, d):
+    """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
+
+    Returns the broadcast over k arms with a model for each collected arm.
+    """
+    out = GlobalBroadcast(phase, np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k, dtype=bool))
     for a, terms in collected.items():
         gram = None
         linear = None
@@ -44,17 +49,18 @@ def loop_aggregate(phase, collected, prev):
                 continue
             outer = (f / norm_sq) * np.outer(th, th)
             gram = outer if gram is None else gram + outer
+        out.has_model[a] = True
         if gram is None:
             if prev is None:
                 raise DegenerateArmError(f"all initial estimates for arm {a} are zero")
-            models[a] = prev.models[a]
+            out.theta[a], out.v[a] = prev.theta[a], prev.v[a]
             continue
         v = pinv(gram)
         w = np.linalg.eigvalsh(0.5 * (v + v.T))
         if float(w.min()) < -float(eigen_cutoff(w)):
             raise NotPSDError(f"aggregated V for arm {a} has eigenvalue {w.min()}")
-        models[a] = (v @ linear, v)
-    return GlobalBroadcast(phase=phase, models=models)
+        out.theta[a], out.v[a] = v @ linear, v
+    return out
 
 
 def outcome(fn, *args):
@@ -69,14 +75,27 @@ def assert_same_outcome(got, want):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert got.phase == want.phase
-    assert list(got.models) == list(want.models)
-    for a, (theta, v) in want.models.items():
-        assert np.array_equal(got.models[a][0], theta)
-        assert np.array_equal(got.models[a][1], v)
+    assert np.array_equal(got.has_model, want.has_model)
+    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(got.v, want.v)
 
 
-def estimate(arm, theta, pulls):
-    return LocalEstimate(arm=arm, theta_hat=np.asarray(theta, dtype=float), pulls=pulls)
+def rows_of(u):
+    return list(zip(u.arms.tolist(), u.theta_hat, u.pulls.tolist()))
+
+
+def permuted(u, order):
+    """``u`` with its rows, every per-arm field, in ``order``."""
+    if isinstance(u, ActiveSetUpload):
+        return replace(u, arms=[u.arms[n] for n in order])
+    order = np.array(order, dtype=int)
+    return replace(u, arms=u.arms[order], theta_hat=u.theta_hat[order], pulls=u.pulls[order])
+
+
+def shuffled(uploads, draw):
+    """The uploads in a drawn order, each with its rows in a drawn order."""
+    return [permuted(u, draw(st.permutations(range(len(u.arms)))))
+            for u in draw(st.permutations(uploads))]
 
 
 # Coordinates with full mantissas, so a changed summation order shows in
@@ -103,11 +122,8 @@ def rounds(draw):
 
 def init_uploads(init):
     """The phase-0 uploads of a drawn round: every agent, every arm, one pull."""
-    return [
-        LocalEstimateUpload(agent=i, phase=0,
-                            estimates=[estimate(a, th, 1) for a, th in enumerate(row)])
-        for i, row in enumerate(init)
-    ]
+    return [upload(i, 0, [(a, th, 1) for a, th in enumerate(row)], len(row[0]))
+            for i, row in enumerate(init)]
 
 
 @PROFILE
@@ -118,26 +134,24 @@ def test_init_matches_the_loop(case):
     collected = {a: [(1, np.asarray(init[i][a], dtype=float)) for i in range(m)]
                  for a in range(k)}
     assert_same_outcome(outcome(aggregate_init, uploads, m, k, d),
-                        outcome(loop_aggregate, 1, collected, None))
+                        outcome(loop_aggregate, 1, collected, None, k, d))
 
 
 def phase_round(case):
     """The clean phase-1 uploads of a drawn round, with the server's issued
     counts, its roster mask and the phase-1 model they aggregate into."""
     m, k, d, _, phase = case
-    prev = GlobalBroadcast(
-        phase=1, models={a: (np.full(d, float(a)), np.eye(d)) for a in range(k)}
-    )
+    prev = broadcast({a: (np.full(d, float(a)), np.eye(d)) for a in range(k)}, k)
     issued = np.zeros((m, k), dtype=int)
     active = np.zeros((m, k), dtype=bool)
     uploads = []
     for i, pairs in enumerate(phase):
-        estimates = []
+        rows = []
         for a, (f, th, extra) in pairs.items():
             issued[i, a], active[i, a] = f, True
             if f >= 1 or extra:
-                estimates.append(estimate(a, th, f))
-        uploads.append(LocalEstimateUpload(agent=i, phase=1, estimates=estimates))
+                rows.append((a, th, f))
+        uploads.append(upload(i, 1, rows, d))
     return uploads, issued, active, prev
 
 
@@ -145,17 +159,18 @@ def phase_round(case):
 @given(rounds())
 def test_phase_matches_the_loop(case):
     uploads, issued, active, prev = phase_round(case)
+    k, d = prev.theta.shape
     union = np.flatnonzero(active.any(axis=0)).tolist()
     collected = {
-        a: [(e.pulls, e.theta_hat) for u in uploads for e in u.estimates if e.arm == a]
-        for a in union
+        a: [(f, th) for u in uploads for arm, th, f in rows_of(u) if arm == a] for a in union
     }
     got = outcome(aggregate_phase, uploads, issued, active, prev)
-    assert_same_outcome(got, outcome(loop_aggregate, 2, collected, prev))
+    assert_same_outcome(got, outcome(loop_aggregate, 2, collected, prev, k, d))
     if isinstance(got, GlobalBroadcast):
         for a in union:
             if not any(f >= 1 and np.any(th) for f, th in collected[a]):
-                assert got.models[a] is prev.models[a]
+                assert np.array_equal(got.theta[a], prev.theta[a])
+                assert np.array_equal(got.v[a], prev.v[a])
 
 
 def named(got, offender, must_raise, kind):
@@ -175,82 +190,79 @@ PERTURBATIONS = (
 )
 
 
-def perturb(kind, uploads, m, k, draw):
-    """Apply one perturbation to a copy of the uploads.
+def perturb(kind, uploads, m, k, d, draw):
+    """Apply one perturbation to the rows of a copy of the uploads.
 
     Returns the perturbed list, the (agent, arm, phase) an error must name,
-    and whether the boundary must raise.  "rescale" reports c times the
-    pulls with 1/c of the estimate, the same pooled sum f * theta, which the
-    server must not take in place of its own issued count.  Agent and arm
-    ids move out of range by whole multiples of M or K, negative ones
+    and whether the boundary must raise.  "reorder" permutes the uploads
+    and the rows of each.  "rescale" reports c times the pulls with 1/c of
+    the estimate, the same pooled sum f * theta, which the server must not
+    take in place of its own issued count.  "wrong shape" reshapes an
+    upload's whole theta_hat, so the error names its arm list.  Agent and
+    arm ids move out of range by whole multiples of M or K, negative ones
     included, where they would wrap onto a valid pair.
     """
     out = list(uploads)
-    pairs = [(j, n) for j, u in enumerate(out) for n in range(len(u.estimates))]
     if kind == "reorder":
-        out = [replace(u, estimates=draw(st.permutations(u.estimates)))
-               for u in draw(st.permutations(out))]
-        return out, None, False
+        return shuffled(out, draw), None, False
     if kind in ("wrong phase", "agent id"):
         j = draw(st.integers(0, len(out) - 1))
         u = out[j]
-        arms = [e.arm for e in u.estimates]
         if kind == "wrong phase":
             out[j] = replace(u, phase=draw(st.sampled_from([0, 2, -1])))
-            return out, (u.agent, arms, out[j].phase), True
-        out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
-        return out, (out[j].agent, arms[0] if arms else None, 1), bool(arms)
+        else:
+            out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
+        return out, (out[j].agent, u.arms.tolist(), out[j].phase), True
+    pairs = [(j, n) for j, u in enumerate(out) for n in range(len(u.arms))]
     if not pairs:
         return out, None, False
     j, n = draw(st.sampled_from(pairs))
     u = out[j]
-    e = u.estimates[n]
-    offender = (u.agent, e.arm, 1)
-    estimates = list(u.estimates)
+    rows = rows_of(u)
+    arm, th, f = rows[n]
+    offender = (u.agent, arm, 1)
+    must_raise = True
     if kind == "duplicate":
         if draw(st.booleans()):
-            estimates.insert(draw(st.integers(0, len(estimates))), e)
-            out[j] = replace(u, estimates=estimates)
+            rows.insert(draw(st.integers(0, len(rows))), rows[n])
         else:
-            out.insert(draw(st.integers(0, len(out))), replace(u, estimates=[e]))
-        return out, offender, True
-    if kind == "drop":
-        del estimates[n]
-        out[j] = replace(u, estimates=estimates)
-        return out, offender, e.pulls >= 1
-    if kind == "rescale":
-        c = draw(st.sampled_from([2, 3]))
-        estimates[n] = replace(e, pulls=c * e.pulls, theta_hat=e.theta_hat / c)
-        must_raise = e.pulls >= 1
+            # A second upload from the agent, named by its arm list.
+            out.insert(draw(st.integers(0, len(out))), upload(u.agent, 1, [rows[n]], d))
+            second = [x for x in out if x.agent == u.agent][1]
+            return out, (u.agent, second.arms.tolist(), 1), True
     elif kind == "wrong shape":
-        th = e.theta_hat
-        estimates[n] = replace(e, theta_hat=draw(st.sampled_from(
-            [th[:-1], np.append(th, 1.0), th[None], np.float64(th[0])])))
-        must_raise = True
+        t = u.theta_hat
+        out[j] = replace(u, theta_hat=draw(st.sampled_from(
+            [t[:, :-1], np.append(t, np.ones((len(t), 1)), axis=1), t[None], t.ravel()])))
+        return out, (u.agent, u.arms.tolist(), 1), True
+    elif kind == "drop":
+        del rows[n]
+        must_raise = f >= 1
+    elif kind == "rescale":
+        c = draw(st.sampled_from([2, 3]))
+        rows[n] = (arm, th / c, c * f)
+        must_raise = f >= 1
     elif kind == "non-finite":
-        th = e.theta_hat.copy()
-        th[draw(st.integers(0, len(th) - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        estimates[n] = replace(e, theta_hat=th)
-        must_raise = True
+        th = th.copy()
+        th[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows[n] = (arm, th, f)
     elif kind == "pulls":
-        estimates[n] = replace(e, pulls=e.pulls + draw(st.sampled_from([-1, 1, 2])))
-        must_raise = True
+        rows[n] = (arm, th, f + draw(st.sampled_from([-1, 1, 2])))
     else:  # "arm id"
-        arm = e.arm + k * draw(st.sampled_from([-2, -1, 1, 2]))
-        estimates[n] = replace(e, arm=arm)
+        arm += k * draw(st.sampled_from([-2, -1, 1, 2]))
+        rows[n] = (arm, th, f)
         offender = (u.agent, arm, 1)
-        must_raise = True
-    out[j] = replace(u, estimates=estimates)
+    out[j] = upload(u.agent, 1, rows, d)
     return out, offender, must_raise
 
 
 @PROFILE
 @given(rounds(), st.sampled_from(PERTURBATIONS), st.data())
 def test_perturbed_uploads_are_named_or_change_nothing(case, kind, data):
-    m, k, _, _, _ = case
+    m, k, d, _, _ = case
     uploads, issued, active, prev = phase_round(case)
     clean = outcome(aggregate_phase, uploads, issued, active, prev)
-    perturbed, offender, must_raise = perturb(kind, uploads, m, k, data.draw)
+    perturbed, offender, must_raise = perturb(kind, uploads, m, k, d, data.draw)
     got = outcome(aggregate_phase, perturbed, issued, active, prev)
     if not named(got, offender, must_raise, kind):
         assert_same_outcome(got, clean)
@@ -259,24 +271,22 @@ def test_perturbed_uploads_are_named_or_change_nothing(case, kind, data):
 ROSTER = ("duplicate", "drop", "agent id", "wrong phase", "reorder")
 
 
-def perturb_roster(kind, uploads, m, draw, arms_of, items, stamps):
+def perturb_roster(kind, uploads, m, draw, stamps):
     """Apply one roster-level perturbation to a copy of the uploads.
 
-    ``arms_of(u)`` is the arm list an error about upload ``u`` names and
-    ``items`` the field ``reorder`` permutes.  Returns the perturbed list,
-    the (agent, arm, phase) an error must name (None when nothing may be
-    named) and whether the boundary must raise.
+    Returns the perturbed list, the (agent, arm, phase) an error must name
+    (None when nothing may be named) and whether the boundary must raise.
+    An error about an upload names its arm list.
     """
     out = list(uploads)
     if kind == "reorder":
-        out = [replace(u, **{items: draw(st.permutations(getattr(u, items)))})
-               for u in draw(st.permutations(out))]
-        return out, None, False
+        return shuffled(out, draw), None, False
     j = draw(st.integers(0, len(out) - 1))
     u = out[j]
+    arms = np.asarray(u.arms).tolist()
     if kind == "duplicate":
         out.insert(draw(st.integers(0, len(out))), u)
-        return out, (u.agent, arms_of(u), u.phase), True
+        return out, (u.agent, arms, u.phase), True
     if kind == "drop":
         del out[j]
         return out, None, True
@@ -284,7 +294,7 @@ def perturb_roster(kind, uploads, m, draw, arms_of, items, stamps):
         out[j] = replace(u, phase=draw(st.sampled_from(stamps)))
     else:  # "agent id"
         out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
-    return out, (out[j].agent, arms_of(u), out[j].phase), True
+    return out, (out[j].agent, arms, out[j].phase), True
 
 
 @PROFILE
@@ -293,30 +303,27 @@ def test_perturbed_init_uploads_are_named_or_change_nothing(case, kind, data):
     m, k, d, init, _ = case
     uploads = init_uploads(init)
     clean = outcome(aggregate_init, uploads, m, k, d)
-    every_arm = list(range(k))
     if kind in ROSTER:
         perturbed, offender, must_raise = perturb_roster(
-            kind, uploads, m, data.draw, lambda u: every_arm, "estimates", [1, 2, -1]
+            kind, uploads, m, data.draw, [1, 2, -1]
         )
         if kind == "drop":
             missing = min(set(range(m)) - {u.agent for u in perturbed})
-            offender = (missing, every_arm, 0)
+            offender = (missing, list(range(k)), 0)
     else:
         perturbed = list(uploads)
         j = data.draw(st.integers(0, m - 1))
         n = data.draw(st.integers(0, k - 1))
-        estimates = list(perturbed[j].estimates)
-        e = estimates[n]
+        rows = rows_of(perturbed[j])
+        arm, th, f = rows[n]
         if kind == "arm id":
-            estimates[n] = replace(e, arm=e.arm + k * data.draw(st.sampled_from([-2, -1, 1, 2])))
-            arm = sorted(x.arm for x in estimates)
+            arm += k * data.draw(st.sampled_from([-2, -1, 1, 2]))
         else:  # "non-finite"
-            th = e.theta_hat.copy()
+            th = th.copy()
             th[data.draw(st.integers(0, d - 1))] = data.draw(
                 st.sampled_from([np.nan, np.inf, -np.inf]))
-            estimates[n] = replace(e, theta_hat=th)
-            arm = e.arm
-        perturbed[j] = replace(perturbed[j], estimates=estimates)
+        rows[n] = (arm, th, f)
+        perturbed[j] = upload(j, 0, rows, d)
         offender, must_raise = (j, arm, 0), True
     got = outcome(aggregate_init, perturbed, m, k, d)
     if not named(got, offender, must_raise, kind):
@@ -341,14 +348,19 @@ def planned_rounds(draw):
 
 
 def plan(m, k, d, init, uploads):
-    """The allocation a freshly initialized server plans from ``uploads``."""
+    """The allocations a freshly initialized server plans from ``uploads``,
+    as (agent, phase, arms, counts) tuples of plain values."""
     server = CentralServer(m, k, d)
     server.ingest_init(init_uploads(init))
-    return outcome(server.plan_phase, uploads, 8)
+    got = outcome(server.plan_phase, uploads, 8)
+    if isinstance(got, Exception):
+        return got
+    return [(x.agent, x.phase, x.arms.tolist(), x.counts.tolist()) for x in got]
 
 
 @PROFILE
-@given(planned_rounds(), st.sampled_from(ROSTER + ("arm id", "repeat arm")), st.data())
+@given(planned_rounds(), st.sampled_from(ROSTER + ("arm id", "repeat arm", "empty")),
+       st.data())
 def test_perturbed_active_sets_are_named_or_change_nothing(case, kind, data):
     m, k, d, init, sets = case
     uploads = [ActiveSetUpload(agent=i, phase=1, arms=arms) for i, arms in enumerate(sets)]
@@ -356,7 +368,7 @@ def test_perturbed_active_sets_are_named_or_change_nothing(case, kind, data):
     assert not isinstance(clean, Exception)
     if kind in ROSTER:
         perturbed, offender, must_raise = perturb_roster(
-            kind, uploads, m, data.draw, lambda u: u.arms, "arms", [0, 2, -1]
+            kind, uploads, m, data.draw, [0, 2, -1]
         )
         if kind == "drop":
             missing = min(set(range(m)) - {u.agent for u in perturbed})
@@ -370,9 +382,11 @@ def test_perturbed_active_sets_are_named_or_change_nothing(case, kind, data):
         if kind == "arm id":
             arms[n] += k * data.draw(st.sampled_from([-2, -1, 1, 2]))
             arm = arms[n]
-        else:  # "repeat arm"
+        elif kind == "repeat arm":
             arm = arms[n]
             arms.insert(data.draw(st.integers(0, len(arms))), arm)
+        else:  # "empty"
+            arms = arm = []
         perturbed[j] = replace(perturbed[j], arms=arms)
         offender, must_raise = (j, arm, 1), True
     got = plan(m, k, d, init, perturbed)

@@ -162,12 +162,11 @@ class TestSolveDesign:
 
     def test_solver_view_is_c_ordered(self):
         """Column selection from the dense input yields a transposed
-        layout; the solver's direction view is copied back to C order.  That
-        layout moves no bit of the solve.  The one that can is the compact
-        active mask's: numpy adds a transposed row one column at a time, not
-        pairwise, so the warm start's row sums would round differently."""
+        layout.  The solver's compact active mask is copied back to C order:
+        numpy adds a transposed row one column at a time, not pairwise, so
+        the warm start's row sums would round differently."""
         prob = random_design_problem(6, 5, 3, seed=1, active_sets=[[1, 3, 4]] * 6)
-        assert prob.dirs.flags.c_contiguous and prob.active.flags.c_contiguous
+        assert _Solver(prob, None).active.flags.c_contiguous
 
 
 def assert_consistent(prob, alloc):

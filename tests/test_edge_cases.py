@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedpecd.agent import init_local_estimate, score_arms
+from fedpecd.agent import Agent, score_arms
 from fedpecd.design import DesignAllocation
 from fedpecd.environment import Environment
 from fedpecd.errors import (
@@ -20,7 +20,7 @@ from fedpecd.model import ContextDistribution, FeatureMap, expected_feature
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import CentralServer, allocate
 
-from conftest import identical_agents_scenario
+from conftest import identical_agents_scenario, upload
 from test_agent import make_agent
 from test_environment import one_agent_scenario
 from test_harness import tiny_sweep
@@ -39,8 +39,8 @@ def test_duplicate_context_id_rejected():
 
 
 def test_init_estimate_rejects_zero_psi():
-    with pytest.raises(ProtocolError):
-        init_local_estimate(0, 1.0, np.zeros(3), 1)
+    with pytest.raises(ProtocolError, match="agent 0, arm 1: psi has zero norm"):
+        Agent(0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), alpha=1.0, ell=0.5)
 
 
 def test_arm_stats_propagate_not_psd():
@@ -53,7 +53,7 @@ def test_explore_negative_count_rejected():
     env = Environment(one_agent_scenario(), master_seed=0)
     agent = make_agent(env)
     agent.phase = 1
-    msg = AllocationMessage(agent=0, phase=1, counts={0: -1})
+    msg = AllocationMessage(agent=0, phase=1, arms=np.array([0]), counts=np.array([-1]))
     with pytest.raises(ProtocolError):
         agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
 
@@ -72,11 +72,9 @@ def test_plan_phase_requires_all_agents():
 
 
 def test_phase_uploads_before_planning_rejected():
-    from fedpecd.messages import LocalEstimateUpload
-
     server = CentralServer(m=1, k=1, d=2)
     with pytest.raises(ProtocolError):
-        server.ingest_phase([LocalEstimateUpload(agent=0, phase=1, estimates=[])])
+        server.ingest_phase([upload(0, 1, [])])
 
 
 def test_invalid_variant_rejected():

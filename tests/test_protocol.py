@@ -12,7 +12,6 @@ from fedpecd.messages import (
     ActiveSetUpload,
     AllocationMessage,
     GlobalBroadcast,
-    LocalEstimate,
     LocalEstimateUpload,
 )
 from fedpecd.protocol import build_schedule, compute_alpha, meter_message, run_protocol
@@ -89,19 +88,21 @@ class TestComputeAlpha:
 
 class TestMeterMessage:
     def test_estimate_upload(self):
-        ests = [LocalEstimate(arm=a, theta_hat=np.zeros(3), pulls=1) for a in range(3)]
-        msg = LocalEstimateUpload(agent=0, phase=1, estimates=ests)
+        msg = LocalEstimateUpload(
+            agent=0, phase=1, arms=np.arange(3), theta_hat=np.zeros((3, 3)), pulls=np.ones(3)
+        )
         assert meter_message(msg) == 15  # 3 * (1 + 3 + 1)
 
     def test_active_set_upload(self):
         assert meter_message(ActiveSetUpload(agent=0, phase=1, arms=[4])) == 1
 
     def test_broadcast(self):
-        models = {a: (np.zeros(2), np.zeros((2, 2))) for a in range(2)}
-        assert meter_message(GlobalBroadcast(phase=1, models=models)) == 14
+        msg = GlobalBroadcast(phase=1, theta=np.zeros((3, 2)), v=np.zeros((3, 2, 2)),
+                              has_model=np.array([True, False, True]))
+        assert meter_message(msg) == 14  # 2 models * (1 + 2 + 4)
 
     def test_allocation(self):
-        msg = AllocationMessage(agent=0, phase=1, counts={0: 3, 2: 1})
+        msg = AllocationMessage(agent=0, phase=1, arms=np.array([0, 2]), counts=np.array([3, 1]))
         assert meter_message(msg) == 4
 
     def test_unknown_type(self):

@@ -4,12 +4,7 @@ import pytest
 from fedpecd.design import DesignAllocation
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import pinv
-from fedpecd.messages import (
-    ActiveSetUpload,
-    GlobalBroadcast,
-    LocalEstimate,
-    LocalEstimateUpload,
-)
+from fedpecd.messages import ActiveSetUpload
 from fedpecd.server import (
     CentralServer,
     aggregate_init,
@@ -18,28 +13,25 @@ from fedpecd.server import (
     allocate,
 )
 
+from conftest import broadcast, upload
 
-# theta_hat values the d = 2 aggregation must reject, by what is wrong.
+# A one-row theta_hat the d = 2 aggregation must reject, by what is wrong,
+# and the arm its error names: a mis-shaped array names the upload's arm
+# list, a non-finite row its own arm.
 MALFORMED_THETAS = {
-    "length-1": np.array([0.5]),
-    "length-3": np.array([0.5, 0.1, 0.2]),
-    "2-D": np.array([[0.5, 0.1]]),
-    "nan": np.array([np.nan, 0.1]),
-    "inf": np.array([0.5, np.inf]),
+    "length-1": (np.array([0.5]), r"\[0\]"),
+    "length-3": (np.array([0.5, 0.1, 0.2]), r"\[0\]"),
+    "2-D": (np.array([[0.5, 0.1]]), r"\[0\]"),
+    "nan": (np.array([np.nan, 0.1]), "0"),
+    "inf": (np.array([0.5, np.inf]), "0"),
 }
-
-
-def upload(agent, phase, entries):
-    ests = [LocalEstimate(arm=a, theta_hat=np.asarray(v, dtype=float), pulls=f)
-            for a, v, f in entries]
-    return LocalEstimateUpload(agent=agent, phase=phase, estimates=ests)
 
 
 class TestAggregateInit:
     def test_single_agent_unit_psi_fixed_point(self):
         psi = np.array([0.6, 0.8])  # unit norm
         model = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(psi, psi), atol=1e-12)
         np.testing.assert_allclose(theta, psi, atol=1e-12)
 
@@ -49,7 +41,7 @@ class TestAggregateInit:
         model = aggregate_init(
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1, d=2
         )
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(u, u) + np.outer(w, w), atol=1e-12)
         np.testing.assert_allclose(theta, u + w, atol=1e-12)
 
@@ -64,8 +56,8 @@ class TestAggregateInit:
         scaled = aggregate_init(
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, 3 * w, 1)])], m=2, k=1, d=2
         )
-        np.testing.assert_allclose(scaled.models[0][1], base.models[0][1], atol=1e-12)
-        assert not np.allclose(scaled.models[0][0], base.models[0][0])
+        np.testing.assert_allclose(scaled.v[0], base.v[0], atol=1e-12)
+        assert not np.allclose(scaled.theta[0], base.theta[0])
 
     def test_zero_upload_skipped_in_gram(self):
         u = np.array([1.0, 0.0])
@@ -73,7 +65,7 @@ class TestAggregateInit:
             [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, np.zeros(2), 1)])],
             m=2, k=1, d=2,
         )
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(u, u), atol=1e-12)
         np.testing.assert_allclose(theta, u, atol=1e-12)
 
@@ -101,11 +93,12 @@ class TestAggregateInit:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
+        theta, arm = MALFORMED_THETAS[case]
         uploads = [
             upload(0, 0, [(0, np.array([1.0, 0.0]), 1)]),
-            upload(1, 0, [(0, MALFORMED_THETAS[case], 1)]),
+            upload(1, 0, [(0, theta, 1)]),
         ]
-        with pytest.raises(ProtocolError, match="agent 1, arm 0, phase 0"):
+        with pytest.raises(ProtocolError, match=rf"agent 1, arm {arm}, phase 0"):
             aggregate_init(uploads, m=2, k=1, d=2)
 
 
@@ -127,7 +120,7 @@ class TestAggregatePhase:
             self.active,
             self.prev,
         )
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(self.psi, self.psi), atol=1e-12)
         np.testing.assert_allclose(theta, c * self.psi, atol=1e-12)
 
@@ -135,7 +128,9 @@ class TestAggregatePhase:
         model = aggregate_phase(
             [upload(0, 1, [])], np.array([[0]]), self.active, self.prev
         )
-        assert model.models[0] is self.prev.models[0]
+        assert model.has_model[0]
+        assert np.array_equal(model.theta[0], self.prev.theta[0])
+        assert np.array_equal(model.v[0], self.prev.v[0])
 
     def test_two_agents_same_direction(self):
         e = np.array([0.0, 1.0])
@@ -144,9 +139,9 @@ class TestAggregatePhase:
             [upload(0, 1, [(0, c1 * e, 2)]), upload(1, 1, [(0, c2 * e, 2)])],
             np.array([[2], [2]]),
             np.array([[True], [True]]),
-            GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))}),
+            broadcast({0: (e, np.outer(e, e))}, 1),
         )
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         # f-weighted direction Gram: (2 + 2) e e' -> pinv = e e' / 4
         np.testing.assert_allclose(v, np.outer(e, e) / 4.0, atol=1e-12)
         np.testing.assert_allclose(theta, ((2 * c1 + 2 * c2) / 4.0) * e, atol=1e-12)
@@ -170,19 +165,21 @@ class TestAggregatePhase:
             )
 
     def test_duplicate_estimate_rejected(self):
-        """A second estimate for the same (agent, arm) would be counted twice."""
-        for uploads in (
-            [upload(0, 1, [(0, self.psi, 1)]), upload(0, 1, [(0, self.psi, 1)])],
-            [upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])],
+        """A second estimate for the same (agent, arm) would be counted twice.
+        A second upload is named by its arm list, a repeated row by its arm."""
+        for uploads, arm in (
+            ([upload(0, 1, [(0, self.psi, 1)]), upload(0, 1, [(0, self.psi, 1)])], r"\[0\]"),
+            ([upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])], "0"),
         ):
-            with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+            with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
                 aggregate_phase(uploads, self.issued, self.active, self.prev)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
-        with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+        theta, arm = MALFORMED_THETAS[case]
+        with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
             aggregate_phase(
-                [upload(0, 1, [(0, MALFORMED_THETAS[case], 1)])],
+                [upload(0, 1, [(0, theta, 1)])],
                 self.issued,
                 self.active,
                 self.prev,
@@ -199,14 +196,15 @@ class TestAggregatePhase:
             )
 
     def test_empty_upload_list_rejected(self):
-        with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
+        """The missing agent is named with the arms it may report."""
+        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1: no upload"):
             aggregate_phase([], self.issued, self.active, self.prev)
 
     def test_upload_order_does_not_change_a_bit(self, rng):
         """Each arm's terms add in agent order, whatever order the uploads
         arrive in."""
         m, k, d = 8, 3, 3
-        prev = GlobalBroadcast(phase=1, models={a: (np.zeros(d), np.eye(d)) for a in range(k)})
+        prev = broadcast({a: (np.zeros(d), np.eye(d)) for a in range(k)}, k)
         issued = np.array([[int(rng.integers(1, 5)) for a in range(k)] for i in range(m)])
         active = np.ones((m, k), dtype=bool)
         uploads = [
@@ -217,9 +215,8 @@ class TestAggregatePhase:
         for _ in range(10):
             shuffled = [uploads[j] for j in rng.permutation(m)]
             model = aggregate_phase(shuffled, issued, active, prev)
-            for a in range(k):
-                assert np.array_equal(model.models[a][0], ordered.models[a][0])
-                assert np.array_equal(model.models[a][1], ordered.models[a][1])
+            assert np.array_equal(model.theta, ordered.theta)
+            assert np.array_equal(model.v, ordered.v)
 
     @pytest.mark.parametrize("stamp", [0, 2])
     def test_stale_or_future_phase_rejected(self, stamp):
@@ -255,7 +252,8 @@ def active(sets, phase):
 def explore(server, msgs, theta):
     """Upload ``theta`` for every pair the messages issued pulls for."""
     return server.ingest_phase([
-        upload(m.agent, m.phase, [(a, theta, f) for a, f in m.counts.items() if f >= 1])
+        upload(m.agent, m.phase,
+               [(a, theta, f) for a, f in zip(m.arms.tolist(), m.counts.tolist()) if f >= 1])
         for m in msgs
     ])
 
@@ -263,11 +261,11 @@ def explore(server, msgs, theta):
 class TestPlanPhase:
     def test_issued_counts_cover_the_active_sets(self):
         msgs = initialized_server().plan_phase(active([[0], [0, 1]], 1), f_p=4)
-        assert [sorted(m.counts) for m in msgs] == [[0], [0, 1]]
+        assert [m.arms.tolist() for m in msgs] == [[0], [0, 1]]
 
     def test_empty_set_rejected(self):
         server = initialized_server()
-        with pytest.raises(ProtocolError, match="agent 1 reported an empty active set"):
+        with pytest.raises(ProtocolError, match=r"^agent 1, arm \[\], phase 1: empty active set$"):
             server.plan_phase(active([[0], []], 1), f_p=4)
 
     @pytest.mark.parametrize("arm", [5, -1])
@@ -309,7 +307,7 @@ class TestPlanPhase:
         server = initialized_server()
         explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.5, 0.0])
         msgs = server.plan_phase(active([[1], [0]], 2), f_p=8)
-        assert [sorted(m.counts) for m in msgs] == [[1], [0]]
+        assert [m.arms.tolist() for m in msgs] == [[1], [0]]
 
 
 class TestDirections:
@@ -351,7 +349,7 @@ class TestAggregationInvariants:
                     entries.append((a, y * psi, 1))
                 uploads.append(upload(i, 0, entries))
             model = aggregate_init(uploads, m=m, k=2, d=d)
-            for a, (theta, v) in model.models.items():
+            for theta, v in zip(model.theta, model.v):
                 w = np.linalg.eigvalsh(v)
                 assert w.min() >= -1e-10
                 np.testing.assert_allclose(v, v.T, atol=1e-10)
@@ -365,14 +363,14 @@ class TestAggregationInvariants:
         e /= np.linalg.norm(e)
         coeffs = [0.7, -0.3, 1.1]
         fs = [2, 3, 4]
-        prev = GlobalBroadcast(phase=1, models={0: (e, np.outer(e, e))})
+        prev = broadcast({0: (e, np.outer(e, e))}, 1)
         uploads = [
             upload(i, 1, [(0, c * e, f)]) for i, (c, f) in enumerate(zip(coeffs, fs))
         ]
         model = aggregate_phase(
             uploads, np.array(fs)[:, None], np.ones((len(fs), 1), dtype=bool), prev
         )
-        theta, v = model.models[0]
+        theta, v = model.theta[0], model.v[0]
         total = sum(fs)
         np.testing.assert_allclose(v, np.outer(e, e) / total, atol=1e-12)
         mean = sum(f * c for f, c in zip(fs, coeffs)) / total
@@ -390,7 +388,7 @@ class TestCheckPsd:
             model = aggregate_init(
                 [upload(i, 0, [(0, 0.8 * e, 1)]) for i, e in enumerate(dirs)], m=2, k=1, d=3
             )
-            theta, v = model.models[0]
+            theta, v = model.theta[0], model.v[0]
             assert np.all(np.isfinite(v)) and np.all(np.isfinite(theta))
 
     def test_indefinite_matrix_rejected(self):
