@@ -93,8 +93,9 @@ class Agent:
         """Score the active arms against the broadcast model and eliminate.
 
         The broadcast must be stamped with the phase this call begins, have
-        one row per arm and carry a model for every active arm.  The stats
-        hold one ``(arm, r_hat, u)`` per scored arm.
+        one ``(d,)`` theta row and one ``(d, d)`` V per arm and carry a
+        model for every active arm.  The stats hold one ``(arm, r_hat, u)``
+        per scored arm.
         """
         phase = self.phase + 1
         arms = self.active
@@ -103,6 +104,9 @@ class Agent:
             raise ProtocolError(f"{prefix} stamped with phase {broadcast.phase}")
         if broadcast.theta.shape != self.psi.shape or len(broadcast.has_model) != len(self.psi):
             raise ProtocolError(f"{prefix} shaped {broadcast.theta.shape}, not {self.psi.shape}")
+        v_shape = self.psi.shape + self.psi.shape[-1:]
+        if broadcast.v.shape != v_shape:
+            raise ProtocolError(f"{prefix} V shaped {broadcast.v.shape}, not {v_shape}")
         missing = [a for a in arms if not broadcast.has_model[a]]
         if missing:
             raise ProtocolError(

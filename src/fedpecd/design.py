@@ -35,10 +35,20 @@ one einsum, water-fills, and then refreshes W_a^+ for each arm it moved
 by one Sherman-Morrison update, exact on the range because that range
 never shrinks.  Once per sweep W is rebuilt from pi with one einsum, and
 W^+ and the objective's eigenvalues come from one batched eigh, so the
-number of eigendecompositions grows with sweeps, not blocks.  After each
-sweep the solver computes the Frank-Wolfe duality gap, which bounds the
-distance to the optimum because F is concave, and stops once that gap
-certifies the allocation; the returned allocation carries it.
+number of eigendecompositions grows with sweeps, not blocks.
+
+The solver stops on a per-agent Kiefer-Wolfowitz certificate.  At the
+optimum every agent's block satisfies its KKT conditions, so each agent's
+worst score max_a g_{a,i} equals its budget-weighted mean score
+sum_a pi_{a,i} g_{a,i}.  After each sweep the solver reads every score
+from the rebuilt W^+ and stops once, for every agent, the worst score is
+at most (1 + tol) times the mean: the eps-approximate optimality of Todd
+(Minimum-Volume Ellipsoids, 2016, ch. 3).  Elimination widths scale with
+sqrt(g), so this bounds how far each agent's widest confidence interval
+sits above the optimum's.  Summed over agents the mean scores make up
+sum_a rank(W_a), so the certificate also bounds the Frank-Wolfe duality
+gap, and with it the distance of F to its optimum, by tol * sum_a rank_a.
+The returned allocation carries both the worst ratio and the gap.
 """
 
 from __future__ import annotations
@@ -119,10 +129,12 @@ class DesignAllocation:
     """Exploration fractions pi_{a,i}; one distribution per agent.
 
     ``pi`` is ``(M, K)`` over arm ids 0..K-1 and zero off each agent's
-    active set.  ``gap`` is the Frank-Wolfe duality gap at the returned
-    iterate, an upper bound on how far ``objective`` is below the optimum
-    (nan for an allocation the solver did not produce).  ``converged``
-    says whether that gap met the solver's stopping rule.
+    active set.  ``certificate`` is the worst per-agent ratio of the
+    largest score to the budget-weighted mean score at the returned
+    iterate (1 at the optimum), and ``gap`` the Frank-Wolfe duality gap
+    there, an upper bound on how far ``objective`` is below the optimum;
+    both are nan for an allocation the solver did not produce.
+    ``converged`` says whether the certificate met the solver's stop rule.
     """
 
     pi: np.ndarray
@@ -131,6 +143,7 @@ class DesignAllocation:
     sweeps: int = 0
     objective_trace: list[float] = field(default_factory=list)
     gap: float = math.nan
+    certificate: float = math.nan
 
 
 def _grams(pi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -205,11 +218,18 @@ class _Solver:
         w, keep, self.pinv = eigh_range(_grams(self.pi, self.dirs))
         self.objective = _logdet_span(w, keep, self.ranks)
 
-    def gap(self) -> float:
-        """Frank-Wolfe duality gap sum_i (max_a g_{a,i} - sum_a pi_{a,i} g_{a,i})."""
+    def certify(self) -> tuple[float, float]:
+        """The worst per-agent ratio max_a g_{a,i} / sum_a pi_{a,i} g_{a,i}
+        and the Frank-Wolfe duality gap sum_i (max_a g_{a,i} - sum_a pi_{a,i} g_{a,i}).
+
+        An agent whose scores are all 0 has nothing to balance and counts
+        as ratio 1; one with a positive score but a zero mean, as inf.
+        """
         g = _scores(self.dirs, self.pinv)
         best = np.max(g, axis=1, where=self.active, initial=-np.inf)
-        return float(np.sum(best - np.sum(self.pi * g, axis=1)))
+        mean = np.sum(self.pi * g, axis=1)
+        ratio = np.divide(best, mean, out=np.where(best > 0.0, np.inf, 1.0), where=mean > 0.0)
+        return float(ratio.max()), float(np.sum(best - mean))
 
     def _block_update(self, agent: int):
         """Set one agent's weights to the exact maximizer of its block.
@@ -276,12 +296,15 @@ def solve_design(
 ) -> DesignAllocation:
     """Block-coordinate ascent for the separable log-det design.
 
-    Runs full sweeps over agents and stops after the first sweep whose
-    Frank-Wolfe duality gap is at most ``tol`` times the summed span ranks
-    of the arms, so ``tol`` is the gap allowed per unit of rank.  F is
-    concave, so that gap bounds how far the objective is below the
-    optimum.  If ``max_iters`` sweeps elapse first, the last iterate is
-    returned with ``converged=False``; it is still a feasible allocation.
+    Runs full sweeps over agents and stops after the first sweep at which
+    every agent i has max_a g_{a,i} <= (1 + tol) * sum_a pi_{a,i} g_{a,i}
+    over its active arms, so ``tol`` is the relative slack allowed on each
+    agent's worst score (an agent whose scores are all 0 passes).  Summed
+    over agents this bounds the Frank-Wolfe duality gap by ``tol`` times
+    the summed span ranks of the arms, and F is concave, so the gap bounds
+    how far the objective is below the optimum.  If ``max_iters`` sweeps
+    elapse first, the last iterate is returned with ``converged=False``;
+    it is still a feasible allocation.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be at least 1")
@@ -289,14 +312,13 @@ def solve_design(
         raise ValidationError("tol must be positive")
 
     solver = _Solver(prob, warm_start)
-    allowed = tol * float(solver.ranks.sum())
     trace = [solver.objective]
     converged = False
     for sweeps in range(1, max_iters + 1):
         solver.sweep()
         trace.append(solver.objective)
-        gap = solver.gap()
-        if gap <= allowed:
+        certificate, gap = solver.certify()
+        if certificate <= 1.0 + tol:
             converged = True
             break
 
@@ -312,6 +334,7 @@ def solve_design(
         sweeps=sweeps,
         objective_trace=trace,
         gap=gap,
+        certificate=certificate,
     )
 
 

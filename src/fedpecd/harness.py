@@ -364,8 +364,8 @@ def _scenario_for_trial(source, trial: int, base_seed: int, m_max: int) -> Scena
 
 
 def _run_cell(task):
-    (source, variant, m, trial, base_seed, c, n, horizon, delta, extras, m_max) = task
-    scenario = _scenario_for_trial(source, trial, base_seed, m_max).restrict(m)
+    (scenario, variant, m, trial, base_seed, c, n, horizon, delta, extras) = task
+    scenario = scenario.restrict(m)
     schedule = build_schedule(c, n, scenario.K, horizon)
     trace = run_protocol(
         scenario,
@@ -395,10 +395,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run trials per (variant, M) cell and aggregate regret curves.
 
-    All cells of a trial share one generated scenario (restricted to the
-    first M agents) and one run seed, so variant and M comparisons are
-    paired.  Aggregation is a keyed merge: worker count and completion
-    order cannot change the result.
+    All cells of a trial share one scenario, generated once per trial and
+    restricted to the first M agents in each cell, and one run seed, so
+    variant and M comparisons are paired.  Aggregation is a keyed merge:
+    worker count and completion order cannot change the result.
     """
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
@@ -410,8 +410,9 @@ def run_sweep(
     m_max = max(agent_counts)
     extras = tuple(sorted(set(int(r) for r in extra_checkpoints)))
 
+    scenarios = {t: _scenario_for_trial(source, t, base_seed, m_max) for t in range(trials)}
     tasks = [
-        (source, variant, m, trial, base_seed, c, n, horizon, delta, extras, m_max)
+        (scenarios[trial], variant, m, trial, base_seed, c, n, horizon, delta, extras)
         for variant in variants
         for m in agent_counts
         for trial in range(trials)

@@ -27,7 +27,7 @@ from .messages import (
 from .model import Scenario, build_psi_set
 from .server import CentralServer
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 VARIANTS = ("exact", "hidden")
 
@@ -173,7 +173,7 @@ class PhaseTrace:
     allocations: list[dict[int, int]]
     round_end: int
     regret_per_agent: list[float]
-    design: dict  # the design solve's sweeps, converged, objective and gap
+    design: dict  # the design solve's sweeps, converged, objective, gap and certificate
 
 
 @dataclass
@@ -399,6 +399,7 @@ def run_protocol(
                     "converged": server.design.converged,
                     "objective": server.design.objective,
                     "gap": server.design.gap,
+                    "certificate": server.design.certificate,
                 },
             )
         )

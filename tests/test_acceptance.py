@@ -123,7 +123,7 @@ def test_c04_collaboration_gain(desk_sweep):
 
 
 # sha256 of the desk sweep's CSV lines, one newline after each.
-DESK_SWEEP_CSV_SHA256 = "c3bf9802f251432f1957a6043d8a516c22b6e943cf884dfdd013071229a8518d"
+DESK_SWEEP_CSV_SHA256 = "11514052b8ce4a9ecb1913509301a9cffeeaa1292cff6feb936b46080ab9a994"
 
 
 def test_desk_sweep_csv_is_pinned(desk_sweep):

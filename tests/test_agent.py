@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -307,4 +309,14 @@ class TestBeginPhase:
         models = {0: (np.zeros(3), np.eye(3))}
         with pytest.raises(ProtocolError, match=r"^agent 0, arm \[1\], phase 1: "):
             agent.begin_phase(broadcast(models, 2, phase=1))
+        assert agent.phase == 0 and agent.active == [0, 1]
+
+    @pytest.mark.parametrize("v_shape", [(2, 2, 2), (2, 4, 4), (2, 3, 4), (3, 3, 3), (2, 9)])
+    def test_broadcast_with_mis_shaped_v_rejected(self, v_shape):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        models = {a: (np.zeros(3), np.eye(3)) for a in range(2)}
+        bad = replace(broadcast(models, 2, phase=1), v=np.zeros(v_shape))
+        with pytest.raises(ProtocolError, match=r"^agent 0, arm \[0, 1\], phase 1: broadcast V"):
+            agent.begin_phase(bad)
         assert agent.phase == 0 and agent.active == [0, 1]

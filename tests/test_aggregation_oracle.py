@@ -10,8 +10,8 @@ carried-over models, and the same error where the loop raises one.
 A perturbed phase upload set must either raise a ``ProtocolError`` that
 names the offending agent, arm and phase, or aggregate bit for bit as the
 clean set does.  The same holds for the initial uploads and for the
-active sets a phase is planned from: a missing, repeated or out-of-range
-agent is named too.
+active sets a phase is planned from: a missing, repeated, out-of-range or
+float agent id is named too.
 """
 
 from dataclasses import replace
@@ -186,8 +186,17 @@ def named(got, offender, must_raise, kind):
 
 PERTURBATIONS = (
     "duplicate", "drop", "rescale", "wrong phase", "wrong shape", "non-finite",
-    "pulls", "agent id", "arm id", "reorder",
+    "pulls", "agent id", "arm id", "float id", "reorder",
 )
+
+
+def float_ids(u, draw):
+    """``u`` with its agent id, or its arm ids, as floats of the same values;
+    an upload without arms gets a float agent id."""
+    if not len(u.arms) or draw(st.booleans()):
+        return replace(u, agent=float(u.agent))
+    arms = np.asarray(u.arms, dtype=float)
+    return replace(u, arms=arms.tolist() if isinstance(u, ActiveSetUpload) else arms)
 
 
 def perturb(kind, uploads, m, k, d, draw):
@@ -200,19 +209,22 @@ def perturb(kind, uploads, m, k, d, draw):
     take in place of its own issued count.  "wrong shape" reshapes an
     upload's whole theta_hat, so the error names its arm list.  Agent and
     arm ids move out of range by whole multiples of M or K, negative ones
-    included, where they would wrap onto a valid pair.
+    included, where they would wrap onto a valid pair.  "float id" keeps
+    an upload's ids in range but makes them floats.
     """
     out = list(uploads)
     if kind == "reorder":
         return shuffled(out, draw), None, False
-    if kind in ("wrong phase", "agent id"):
+    if kind in ("wrong phase", "agent id", "float id"):
         j = draw(st.integers(0, len(out) - 1))
         u = out[j]
         if kind == "wrong phase":
             out[j] = replace(u, phase=draw(st.sampled_from([0, 2, -1])))
-        else:
+        elif kind == "agent id":
             out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
-        return out, (out[j].agent, u.arms.tolist(), out[j].phase), True
+        else:
+            out[j] = float_ids(u, draw)
+        return out, (out[j].agent, out[j].arms.tolist(), out[j].phase), True
     pairs = [(j, n) for j, u in enumerate(out) for n in range(len(u.arms))]
     if not pairs:
         return out, None, False
@@ -268,7 +280,7 @@ def test_perturbed_uploads_are_named_or_change_nothing(case, kind, data):
         assert_same_outcome(got, clean)
 
 
-ROSTER = ("duplicate", "drop", "agent id", "wrong phase", "reorder")
+ROSTER = ("duplicate", "drop", "agent id", "float id", "wrong phase", "reorder")
 
 
 def perturb_roster(kind, uploads, m, draw, stamps):
@@ -292,9 +304,11 @@ def perturb_roster(kind, uploads, m, draw, stamps):
         return out, None, True
     if kind == "wrong phase":
         out[j] = replace(u, phase=draw(st.sampled_from(stamps)))
-    else:  # "agent id"
+    elif kind == "agent id":
         out[j] = replace(u, agent=u.agent + m * draw(st.sampled_from([-2, -1, 1, 2])))
-    return out, (out[j].agent, arms, out[j].phase), True
+    else:  # "float id"
+        out[j] = float_ids(u, draw)
+    return out, (out[j].agent, np.asarray(out[j].arms).tolist(), out[j].phase), True
 
 
 @PROFILE

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedpecd.harness as harness
 from fedpecd.errors import ConfigurationError, ValidationError
 from fedpecd.harness import (
     SyntheticSpec,
@@ -162,6 +163,27 @@ class TestRunSweep:
         write_sweep_csv(tiny_sweep(workers=1), p1)
         write_sweep_csv(tiny_sweep(workers=2), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_scenario_generated_once_per_trial(self, monkeypatch):
+        """Every (variant, M) cell of a trial runs on the one scenario the
+        sweep generated for it, whether cells run serially or in workers."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return generate_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counted)
+        results = []
+        for workers in (1, 2):
+            calls.clear()
+            results.append(tiny_sweep(trials=3, workers=workers))
+            assert calls == [(7, 1, t) for t in range(3)]
+        serial, pooled = results
+        assert serial.cells.keys() == pooled.cells.keys()
+        for key, cell in serial.cells.items():
+            assert cell.rounds == pooled.cells[key].rounds
+            np.testing.assert_array_equal(cell.curves, pooled.cells[key].curves)
 
     def test_json_summary_shape(self, tmp_path):
         path = tmp_path / "summary.json"

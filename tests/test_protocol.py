@@ -248,7 +248,7 @@ class TestRunProtocol:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "8492458d5d3f2d343d5c253ffbdde8de5d5a936b9f480fb0b38775572251ebf4"
+        "df6995146731a7dc0b9dd65ff2226752d47542f5f9b620a9537ad38276ad88f9"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):
@@ -280,22 +280,32 @@ def tiny_run_records(tmp_path):
 
 
 class TestDesignDiagnostics:
-    """Trace v2: each phase's design solve is reported, not used silently."""
+    """Trace v3: each phase's design solve is reported, not used silently."""
 
     def test_plain_run_reports_converged_solves(self, tmp_path):
         trace, records = tiny_run_records(tmp_path)
-        assert all(rec["v"] == 2 for rec in records)
+        assert all(rec["v"] == 3 for rec in records)
         assert records[0]["design_tol"] == DESIGN_TOL
         servers = [rec for rec in records if rec["type"] == "server"]
         assert len(servers) == len(trace.phases)
         for rec in servers:
             design = rec["design"]
-            assert sorted(design) == ["converged", "gap", "objective", "sweeps"]
+            assert sorted(design) == ["certificate", "converged", "gap", "objective", "sweeps"]
             assert design["converged"] is True
             assert design["sweeps"] >= 1
             assert design["gap"] >= 0.0
             assert math.isfinite(design["objective"])
         assert records[-1]["design_unconverged"] == 0
+
+    def test_converged_phases_meet_the_certificate(self, tmp_path):
+        _, records = tiny_run_records(tmp_path)
+        tol = records[0]["design_tol"]
+        certified = [
+            rec["design"] for rec in records if rec["type"] == "server" and rec["design"]["converged"]
+        ]
+        assert certified
+        for design in certified:
+            assert 1.0 - 1e-9 <= design["certificate"] <= 1.0 + tol
 
     def test_unconverged_solve_is_traced_and_counted(self, tmp_path, monkeypatch):
         solve = server_module.solve_design
