@@ -2,7 +2,7 @@
 whose agents observe a context distribution instead of the exact context."""
 
 from .design import DesignAllocation, DesignProblem, design_score, solve_design
-from .environment import Environment, NoiseModel
+from .environment import Environment
 from .harness import (
     SyntheticSpec,
     desk_spec,
@@ -11,7 +11,7 @@ from .harness import (
     movielens_like_spec,
     run_sweep,
 )
-from .model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
+from .model import Bounds, ContextDistribution, Scenario
 from .protocol import build_schedule, compute_alpha, run_protocol
 
 __version__ = "0.1.0"
@@ -22,9 +22,6 @@ __all__ = [
     "DesignAllocation",
     "DesignProblem",
     "Environment",
-    "FeatureMap",
-    "NoiseModel",
-    "RewardParams",
     "Scenario",
     "SyntheticSpec",
     "build_schedule",

@@ -6,6 +6,11 @@ independent per-agent streams, keyed by agent index, so results do not
 depend on scheduling order and a run over the first m agents of a scenario
 sees the same draws as a larger run would.
 
+The true expected rewards r(a, c_i) = theta_a' phi(a, c_i) of all
+(agent, arm) pairs come from one stacked product at construction.  A pull
+adds N(0, sigma^2) noise with the scenario's sigma, which the scenario
+keeps in [0, 1] so the noise is 1-subgaussian.
+
 A batch of ``count`` pulls of one arm returns the average reward, drawn
 once as ``mean + N(0, sigma^2 / count)``: the mean of ``count`` iid
 N(0, sigma^2) draws has exactly that law, so a batch costs one draw
@@ -22,36 +27,18 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .model import ContextDistribution, Scenario
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive Gaussian reward noise; sigma <= 1 keeps it 1-subgaussian."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ConfigurationError("sigma must be nonnegative")
-        if self.sigma > 1.0:
-            raise ConfigurationError(
-                f"sigma = {self.sigma} > 1 is outside the supported noise range"
-            )
 
 
 class Environment:
     """Reward oracle plus the regret ledger agents can never compute."""
 
-    def __init__(self, scenario: Scenario, master_seed, noise: NoiseModel | None = None):
+    def __init__(self, scenario: Scenario, master_seed):
         self.scenario = scenario
-        self.noise = noise if noise is not None else NoiseModel(sigma=scenario.sigma)
-        m, k = scenario.M, scenario.K
+        m = scenario.M
 
         root = np.random.SeedSequence(master_seed)
         ctx_root, agent_root = root.spawn(2)
@@ -64,14 +51,11 @@ class Environment:
             rng = np.random.Generator(np.random.PCG64(ctx_streams[i]))
             self._contexts.append(mu.sample(rng))
 
-        # True expected rewards r(a, c_i) and per-agent gaps, fixed for the run.
-        self._rewards = np.zeros((m, k))
-        for i in range(m):
-            c = self._contexts[i]
-            for a in range(k):
-                self._rewards[i, a] = float(
-                    scenario.rewards[a] @ scenario.features.vector(a, c)
-                )
+        # True expected rewards and per-agent gaps, fixed for the run.  numpy
+        # evaluates stacked (1, d) @ (d, 1) products as one dot per (agent,
+        # arm), so each carries the bits of ``theta_a @ phi(a, c_i)``.
+        phi = scenario.features[:, self._contexts, None, :]  # (K, M, 1, d)
+        self._rewards = (phi @ scenario.rewards[:, None, :, None])[:, :, 0, 0].T.copy()
         self._optimal = np.argmax(self._rewards, axis=1).astype(int)
         self._gaps = self._rewards[np.arange(m), self._optimal][:, None] - self._rewards
 
@@ -128,9 +112,10 @@ class Environment:
             return 0.0
         mean = self._rewards[agent, arm]
         avg = mean
-        if self.noise.sigma > 0.0:
+        sigma = self.scenario.sigma
+        if sigma > 0.0:
             # One draw: the batch average's law (see the module docstring).
-            avg = mean + self._rngs[agent].normal(0.0, self.noise.sigma / math.sqrt(count))
+            avg = mean + self._rngs[agent].normal(0.0, sigma / math.sqrt(count))
         gap = float(self._gaps[agent, arm])
         ends, cum = self._ends[agent], self._cum[agent]
         ends.append(ends[-1] + count)

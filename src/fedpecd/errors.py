@@ -17,10 +17,6 @@ class NotPSDError(FedPecdError, ValueError):
     """A matrix that must be positive semidefinite is not."""
 
 
-class FeatureLookupError(FedPecdError, KeyError):
-    """No feature vector stored for the requested (arm, context) pair."""
-
-
 class ConfigurationError(FedPecdError, ValueError):
     """Scenario or run parameters violate a documented precondition."""
 

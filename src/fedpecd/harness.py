@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ProtocolError, ValidationError
-from .model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
+from .model import Bounds, ContextDistribution, Scenario
 from .protocol import build_schedule, run_protocol
 
 MAX_REJECTIONS = 10**5
@@ -237,10 +237,9 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
 
     gap_lo, gap_hi = spec.gap_range
 
-    table: dict[int, dict[int, np.ndarray]] = {a: {} for a in range(spec.K)}
+    rows: list[np.ndarray] = []  # rows[c]: the (K, d) features of context id c
     contexts: dict[int, np.ndarray] = {}
     mus = []
-    next_ctx = 0
     for i in range(spec.M):
         rng = np.random.Generator(np.random.PCG64(agent_streams[i]))
         best = int(rng.integers(spec.K))
@@ -261,10 +260,9 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
                 rival += 1
             rewards[rival] = r_best - float(rng.uniform(*spec.contested_gap_range))
 
-        base_id = next_ctx
-        next_ctx += 1
+        base_id = len(rows)
         contexts[base_id] = rng.normal(size=spec.d)
-        base_feats = {}
+        base_feats = np.empty((spec.K, spec.d))
         for a in range(spec.K):
             reach = 0.0
             if rival >= 0 and a in (best, rival):
@@ -272,7 +270,7 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
             base_feats[a] = _feature_for_reward(
                 rng, thetas[a], rewards[a], base_lo, base_hi, reach=reach
             )
-            table[a][base_id] = base_feats[a]
+        rows.append(base_feats)
 
         if variant == "exact":
             mus.append(ContextDistribution.point_mass(base_id))
@@ -280,31 +278,29 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
 
         copy_ids = []
         for _ in range(spec.copies):
-            cid = next_ctx
-            next_ctx += 1
+            cid = len(rows)
             contexts[cid] = contexts[base_id] + 0.1 * rng.normal(size=spec.d)
+            row = np.empty((spec.K, spec.d))
             for a in range(spec.K):
                 if rival >= 0 and a in (best, rival):
                     swapped = rewards[rival] if a == best else rewards[best]
-                    table[a][cid] = _retarget_reward(
-                        rng, thetas[a], base_feats[a], swapped
-                    )
+                    row[a] = _retarget_reward(rng, thetas[a], base_feats[a], swapped)
                 else:
                     mag = spec.perturbation * float(rng.uniform(0.5, 1.0))
-                    table[a][cid] = base_feats[a] + _sphere_offset(rng, spec.d, mag)
+                    row[a] = base_feats[a] + _sphere_offset(rng, spec.d, mag)
+            rows.append(row)
             copy_ids.append(cid)
         support = [(base_id, 1.0 - spec.rho)]
         support += [(cid, spec.rho / spec.copies) for cid in copy_ids]
         mus.append(ContextDistribution(support))
 
-    bounds = Bounds(ell=lo, big_l=hi, s=s)
     return Scenario(
         d=spec.d,
         K=spec.K,
         M=spec.M,
-        bounds=bounds,
-        rewards=RewardParams(thetas, s=s),
-        features=FeatureMap(table, dim=spec.d, bounds=bounds),
+        bounds=Bounds(ell=lo, big_l=hi, s=s),
+        rewards=thetas,
+        features=np.stack(rows, axis=1),
         mus=mus,
         sigma=spec.sigma,
         contexts=contexts,

@@ -1,20 +1,24 @@
 """Domain types for the bandit problem.
 
-A scenario bundles everything the simulator needs: the feature map
-phi(arm, context), per-agent context distributions, the reward parameters,
-and the norm bounds they were generated under.  Context ids are opaque
-integers; the environment (not the agent) knows which context each agent
-actually has.
+A scenario bundles everything the simulator needs: the features as one
+read-only ``(K, C, d)`` array, ``features[a, c] = phi(a, c)`` over the dense
+context ids ``0..C-1``, the reward parameters as a read-only ``(K, d)``
+array, per-agent context distributions, and the norm bounds.  An agent
+works with psi_i(a) = sum_c mu_i(c) phi(a, c), one contraction of the
+feature array with its context distribution (``build_psi_set``); the
+environment (not the agent) knows which context each agent actually has.
+Scenario files keep the schema-v1 table {arm: {context: phi}}, which must
+hold every arm at exactly the context ids ``0..C-1``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, FeatureLookupError, ValidationError
+from .errors import ConfigurationError, ValidationError
 
 PROB_SUM_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -84,112 +88,70 @@ class ContextDistribution:
         return f"ContextDistribution({{{pairs}}})"
 
 
-class FeatureMap:
-    """Table of feature vectors phi(arm, context id) -> R^d."""
-
-    def __init__(self, table: dict, dim: int, bounds: Bounds | None = None):
-        self.dim = int(dim)
-        self._table: dict[int, dict[int, np.ndarray]] = {}
-        for arm, per_ctx in table.items():
-            arm = int(arm)
-            row = {}
-            for ctx, vec in per_ctx.items():
-                v = np.asarray(vec, dtype=float)
-                if v.shape != (self.dim,):
-                    raise ValidationError(
-                        f"feature phi({arm},{ctx}) has shape {v.shape}, expected ({self.dim},)"
-                    )
-                if not np.all(np.isfinite(v)):
-                    raise ValidationError(f"feature phi({arm},{ctx}) is not finite")
-                if bounds is not None:
-                    nrm = float(np.linalg.norm(v))
-                    if not (bounds.ell - NORM_TOL <= nrm <= bounds.big_l + NORM_TOL):
-                        raise ValidationError(
-                            f"||phi({arm},{ctx})|| = {nrm} outside "
-                            f"[{bounds.ell}, {bounds.big_l}]"
-                        )
-                v = v.copy()
-                v.setflags(write=False)
-                row[int(ctx)] = v
-            self._table[arm] = row
-
-    @property
-    def arms(self) -> list[int]:
-        return sorted(self._table)
-
-    def contexts(self, arm: int) -> list[int]:
-        return sorted(self._table[arm])
-
-    def vector(self, arm: int, context_id: int) -> np.ndarray:
-        try:
-            return self._table[arm][context_id]
-        except KeyError:
-            raise FeatureLookupError(
-                f"no feature stored for arm {arm}, context {context_id}"
-            ) from None
-
-
-class RewardParams:
-    """Per-arm reward parameters theta_a, ||theta_a|| <= s."""
-
-    def __init__(self, thetas, s: float | None = None):
-        vecs = []
-        for a, th in enumerate(thetas):
-            v = np.asarray(th, dtype=float)
-            if v.ndim != 1 or not np.all(np.isfinite(v)):
-                raise ValidationError(f"theta_{a} must be a finite vector")
-            if s is not None and np.linalg.norm(v) > s + NORM_TOL:
-                raise ValidationError(
-                    f"||theta_{a}|| = {np.linalg.norm(v)} exceeds s = {s}"
-                )
-            v = v.copy()
-            v.setflags(write=False)
-            vecs.append(v)
-        if not vecs:
-            raise ValidationError("need at least one arm")
-        dims = {v.shape[0] for v in vecs}
-        if len(dims) != 1:
-            raise ValidationError("theta vectors have inconsistent dimensions")
-        self.thetas: tuple[np.ndarray, ...] = tuple(vecs)
-
-    def __getitem__(self, arm: int) -> np.ndarray:
-        return self.thetas[arm]
-
-    def __len__(self):
-        return len(self.thetas)
-
-
-def expected_feature(phi: FeatureMap, mu: ContextDistribution, arm: int) -> np.ndarray:
-    """psi = sum_c mu(c) phi(arm, c), exact over the finite support."""
-    out = np.zeros(phi.dim)
-    for ctx, p in zip(mu.ids, mu.probs):
-        out += p * phi.vector(arm, ctx)
-    return out
-
-
 def build_psi_set(
-    phi: FeatureMap,
+    features: np.ndarray,
     mus: list[ContextDistribution],
     bounds: Bounds,
 ) -> np.ndarray:
-    """Compute psi for every (agent, arm) as one read-only ``(M, K, d)``
-    array, arms in ``phi.arms`` order; reject norms below the ell floor.
+    """psi_i(a) = sum_c mu_i(c) phi(a, c) for every (agent, arm), as one
+    read-only ``(M, K, d)`` array; reject norms below the ell floor.
 
-    The estimators divide by ||psi||^2, so scenarios whose mixing drives a
-    psi below ell are rejected outright instead of silently producing
-    near-singular updates.
+    Each agent's support terms are added in context-id order, for all arms
+    at once.  The estimators divide by ||psi||^2, so scenarios whose mixing
+    drives a psi below ell are rejected outright instead of silently
+    producing near-singular updates.
     """
-    psi = np.array([[expected_feature(phi, mu, a) for a in phi.arms] for mu in mus])
-    for i, row in enumerate(psi):
-        for a, v in zip(phi.arms, row):
-            nrm = float(np.linalg.norm(v))
-            if nrm < bounds.ell - NORM_TOL:
-                raise ConfigurationError(
-                    f"||psi|| = {nrm} below floor ell = {bounds.ell} "
-                    f"for agent {i}, arm {a}"
-                )
+    k, _, d = features.shape
+    psi = np.zeros((len(mus), k, d))
+    for out, mu in zip(psi, mus):
+        for c, p in zip(mu.ids, mu.probs):
+            out += p * features[:, c]
+    norms = np.linalg.norm(psi, axis=2)
+    below = np.argwhere(norms < bounds.ell - NORM_TOL)
+    if below.size:
+        i, a = below[0]
+        raise ConfigurationError(
+            f"||psi|| = {norms[i, a]} below floor ell = {bounds.ell} "
+            f"for agent {i}, arm {a}"
+        )
     psi.setflags(write=False)
     return psi
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _check_norms(vecs: np.ndarray, name: str, lo: float, hi: float):
+    """Reject the first vector, in index order, whose norm is not finite or
+    lies outside [lo, hi]."""
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf: rejected
+        norms = np.linalg.norm(vecs, axis=-1)
+    bad = np.argwhere(~((lo - NORM_TOL <= norms) & (norms <= hi + NORM_TOL)))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise ValidationError(
+            f"||{name}{list(at)}|| = {norms[at]} outside [{lo}, {hi}]"
+        )
+
+
+def _dense_table(table: dict, k: int) -> list:
+    """A schema-v1 feature table {arm: {context: phi}} as nested ``(K, C, d)``
+    lists; every arm 0..K-1 must hold exactly the context ids 0..C-1."""
+    rows = {int(a): {int(c): v for c, v in per_ctx.items()} for a, per_ctx in table.items()}
+    if sorted(rows) != list(range(k)):
+        raise ValidationError(f"features cover arms {sorted(rows)}, expected 0..{k - 1}")
+    n_ctx = 1 + max((c for row in rows.values() for c in row), default=-1)
+    for a in range(k):
+        odd = set(range(n_ctx)) ^ set(rows[a])
+        if odd:
+            c = min(odd)  # an id outside 0..C-1 can only be negative
+            raise ValidationError(f"arm {a}: " + (
+                f"context id {c} outside 0..{n_ctx - 1}" if c < 0
+                else f"no feature for context {c}"))
+    return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
 
 
 @dataclass
@@ -200,73 +162,54 @@ class Scenario:
     K: int
     M: int
     bounds: Bounds
-    rewards: RewardParams
-    features: FeatureMap
+    rewards: np.ndarray  # (K, d) theta_a rows, read-only
+    features: np.ndarray  # (K, C, d) phi(a, c) over context ids 0..C-1, read-only
     mus: list[ContextDistribution]
     sigma: float = 0.0
     contexts: dict[int, np.ndarray] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
+        self.rewards, self.features = _frozen(self.rewards), _frozen(self.features)
         self.validate()
 
     def validate(self):
+        """Check shapes, finiteness, the norm bounds, sigma and the support
+        ids in one place."""
         if self.d < 1 or self.K < 1 or self.M < 1:
             raise ValidationError("d, K, M must all be positive")
-        if len(self.rewards) != self.K:
+        if self.rewards.shape != (self.K, self.d):
             raise ValidationError(
-                f"expected {self.K} theta vectors, got {len(self.rewards)}"
+                f"thetas have shape {self.rewards.shape}, expected ({self.K}, {self.d})"
             )
-        if self.rewards[0].shape[0] != self.d:
-            raise ValidationError("theta dimension does not match d")
+        if self.features.ndim != 3 or self.features.shape[::2] != (self.K, self.d):
+            raise ValidationError(
+                f"features have shape {self.features.shape}, expected ({self.K}, C, {self.d})"
+            )
         if len(self.mus) != self.M:
             raise ValidationError(f"expected {self.M} agents, got {len(self.mus)}")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be nonnegative")
-        for a in range(self.K):
-            nrm = float(np.linalg.norm(self.rewards[a]))
-            if nrm > self.bounds.s + NORM_TOL:
-                raise ValidationError(
-                    f"||theta_{a}|| = {nrm} exceeds s = {self.bounds.s}"
-                )
-        # Every context an agent can see must have features for every arm.
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ValidationError(
+                f"sigma = {self.sigma} is outside the supported noise range [0, 1]"
+            )
+        _check_norms(self.features, "phi", self.bounds.ell, self.bounds.big_l)
+        _check_norms(self.rewards, "theta", 0.0, self.bounds.s)
+        n_ctx = self.features.shape[1]
         for i, mu in enumerate(self.mus):
-            for ctx in mu.ids:
-                for a in range(self.K):
-                    try:
-                        self.features.vector(a, ctx)
-                    except FeatureLookupError:
-                        raise ValidationError(
-                            f"agent {i}: no feature for arm {a}, context {ctx}"
-                        ) from None
+            # ids are sorted, so the ends are the only candidates.
+            bad = [c for c in (mu.ids[0], mu.ids[-1]) if not 0 <= c < n_ctx]
+            if bad:
+                raise ValidationError(
+                    f"agent {i}: context id {bad[0]} outside 0..{n_ctx - 1}"
+                )
 
     def restrict(self, m: int) -> "Scenario":
-        """Scenario with only the first m agents (shared feature table)."""
+        """Scenario with only the first m agents (same features and thetas)."""
         if not (1 <= m <= self.M):
             raise ValidationError(f"cannot restrict to {m} of {self.M} agents")
-        if m == self.M:
-            return self
-        return Scenario(
-            d=self.d,
-            K=self.K,
-            M=m,
-            bounds=self.bounds,
-            rewards=self.rewards,
-            features=self.features,
-            mus=self.mus[:m],
-            sigma=self.sigma,
-            contexts=self.contexts,
-            name=self.name,
-        )
+        return self if m == self.M else replace(self, M=m, mus=self.mus[:m])
 
     def to_json_dict(self) -> dict:
-        feats = {
-            str(a): {
-                str(c): [float(x) for x in self.features.vector(a, c)]
-                for c in self.features.contexts(a)
-            }
-            for a in self.features.arms
-        }
         return {
             "v": SCENARIO_SCHEMA_VERSION,
             "name": self.name,
@@ -279,11 +222,14 @@ class Scenario:
                 "L": self.bounds.big_l,
                 "s": self.bounds.s,
             },
-            "thetas": [[float(x) for x in self.rewards[a]] for a in range(self.K)],
+            "thetas": self.rewards.tolist(),
             "contexts": {
                 str(c): [float(x) for x in vec] for c, vec in sorted(self.contexts.items())
             },
-            "features": feats,
+            "features": {
+                str(a): {str(c): vec for c, vec in enumerate(row)}
+                for a, row in enumerate(self.features.tolist())
+            },
             "agents": [
                 {"mu": [[c, float(p)] for c, p in zip(mu.ids, mu.probs)]}
                 for mu in self.mus
@@ -298,24 +244,22 @@ class Scenario:
                 big_l=float(data["bounds"]["L"]),
                 s=float(data["bounds"]["s"]),
             )
-            d = int(data["d"])
-            table = {
-                int(a): {int(c): vec for c, vec in per_ctx.items()}
-                for a, per_ctx in data["features"].items()
-            }
-            features = FeatureMap(table, dim=d, bounds=bounds)
-            rewards = RewardParams(data["thetas"], s=bounds.s)
+            d, k, m = int(data["d"]), int(data["K"]), int(data["M"])
+            features = np.array(_dense_table(data["features"], k), dtype=float)
+            rewards = np.array(data["thetas"], dtype=float)
             mus = [ContextDistribution(agent["mu"]) for agent in data["agents"]]
             contexts = {
                 int(c): np.asarray(vec, dtype=float)
                 for c, vec in data.get("contexts", {}).items()
             }
-        except (KeyError, TypeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed scenario document: {exc}") from exc
         return cls(
             d=d,
-            K=int(data["K"]),
-            M=int(data["M"]),
+            K=k,
+            M=m,
             bounds=bounds,
             rewards=rewards,
             features=features,

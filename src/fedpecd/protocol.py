@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import Agent
-from .environment import Environment, NoiseModel
+from .environment import Environment
 from .errors import ConfigurationError, FedPecdError, ProtocolError
 from .messages import (
     ActiveSetUpload,
@@ -290,7 +290,6 @@ def run_protocol(
     delta: float = 0.1,
     master_seed: int = 0,
     variant: str = "hidden",
-    noise_sigma: float | None = None,
     extra_checkpoints=(),
     trace_path=None,
 ) -> RunTrace:
@@ -303,8 +302,7 @@ def run_protocol(
         )
     m, k_arms, d = scenario.M, scenario.K, scenario.d
 
-    noise = NoiseModel(sigma=scenario.sigma if noise_sigma is None else noise_sigma)
-    env = Environment(scenario, master_seed, noise=noise)
+    env = Environment(scenario, master_seed)
 
     # Exact variant: the agent knows its realized context, so psi collapses
     # to the true feature vector.  Hidden variant: psi averages over mu.
@@ -324,7 +322,7 @@ def run_protocol(
         k=k_conf,
         schedule=schedule,
         m=m,
-        sigma=noise.sigma,
+        sigma=scenario.sigma,
         realized_contexts=[env.realized_context(i) for i in range(m)],
         optimal_arms=[env.optimal_arm(i) for i in range(m)],
         true_rewards=env.expected_rewards(),

@@ -3,7 +3,7 @@ import pytest
 
 from fedpecd.design import DesignProblem
 from fedpecd.messages import GlobalBroadcast, LocalEstimateUpload
-from fedpecd.model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
+from fedpecd.model import Bounds, ContextDistribution, Scenario
 
 
 def design_problem(active_sets, directions, dim):
@@ -66,14 +66,13 @@ def identical_agents_scenario(m=5, sigma=0.0):
     rewards = [10.0, 2.0, 2.0]
     thetas = [r * u for r, u in zip(rewards, dirs)]
     bounds = Bounds(ell=1.0, big_l=1.0, s=10.0)
-    features = FeatureMap({a: {0: dirs[a]} for a in range(3)}, dim=3, bounds=bounds)
     return Scenario(
         d=3,
         K=3,
         M=m,
         bounds=bounds,
-        rewards=RewardParams(thetas, s=10.0),
-        features=features,
+        rewards=thetas,
+        features=[[u] for u in dirs],
         mus=[ContextDistribution.point_mass(0) for _ in range(m)],
         sigma=sigma,
         name="identical-agents",

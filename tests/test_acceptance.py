@@ -291,7 +291,6 @@ def test_c09_noiseless_exactness():
     schedule = build_schedule(1, 2, scenario.K, 2**10)
     trace = run_protocol(
         scenario, schedule, master_seed=(BASE_SEED, 9), variant="exact",
-        noise_sigma=0.0,
     )
     worst = 0.0
     for rec in trace.phases:

@@ -137,9 +137,7 @@ class TestEliminate:
 
 def make_agent(env, alpha=1.0):
     scenario = env.scenario
-    psi = np.array([
-        scenario.features.vector(a, env.realized_context(0)) for a in range(scenario.K)
-    ])
+    psi = scenario.features[:, env.realized_context(0)]
     return Agent(0, psi, alpha=alpha, ell=scenario.bounds.ell)
 
 

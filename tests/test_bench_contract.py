@@ -43,3 +43,14 @@ def test_tracer_counts_match_the_run():
     assert tr.counts["environment.pulls"] == scenario.M * trace.total_rounds
     # One batched pseudo-inverse per aggregation, not one per arm.
     assert tr.counts["linalg.pinv_calls"] == tr.counts["server.aggregate_calls"]
+    # psi is built once per run, inside build_psi_set.
+    assert [s[0] for s in tr.spans].count("model.psi") == 1
+
+
+def test_tracer_counts_one_document_load():
+    """``model.load_calls`` counts ``Scenario.from_json_dict``; a loader that
+    parses the document some other way, or twice, breaks it."""
+    tr = tracer.Tracer()
+    with tracer.instrument(tr):
+        harness.load_features(Path(__file__).resolve().parents[1] / "data" / "movielens_like.json")
+    assert tr.counts["model.load_calls"] == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from fedpecd.cli import main
@@ -45,6 +46,14 @@ def test_sweep_writes_outputs(tmp_path):
     assert all(line.startswith("hidden,") for line in lines[1:])
     doc = json.loads(json_path.read_text())
     assert doc["trials"] == 2
+
+
+def test_generated_movielens_like_file_is_pinned(tmp_path):
+    out = tmp_path / "ml.json"
+    assert main(["generate", "--preset", "movielens-like", "--agents", "100",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b5c793ed27007c35132d6bfdb4dcaabe9862deecf8e738c581b6ff29dcf039d9")
 
 
 def test_validation_failure_exit_code(tmp_path):

@@ -1,5 +1,7 @@
 """Error-path and small-contract checks that cut across modules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from fedpecd.design import DesignAllocation
 from fedpecd.environment import Environment
 from fedpecd.errors import (
     ConfigurationError,
-    FeatureLookupError,
     InfeasibleSpecError,
     NotPSDError,
     ProtocolError,
@@ -16,7 +17,7 @@ from fedpecd.errors import (
 )
 from fedpecd.harness import SyntheticSpec, generate_synthetic
 from fedpecd.messages import AllocationMessage
-from fedpecd.model import ContextDistribution, FeatureMap, expected_feature
+from fedpecd.model import Bounds, ContextDistribution, Scenario
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import CentralServer, allocate
 
@@ -27,10 +28,13 @@ from test_harness import tiny_sweep
 
 
 def test_expected_feature_missing_pair():
-    phi = FeatureMap({0: {0: [1.0, 0.0]}}, dim=2)
-    mu = ContextDistribution([(0, 0.5), (7, 0.5)])
-    with pytest.raises(FeatureLookupError):
-        expected_feature(phi, mu, 0)
+    """A support id past the feature array's contexts has no phi to average."""
+    with pytest.raises(ValidationError, match="agent 0: context id 7 outside 0..0"):
+        Scenario(
+            d=2, K=1, M=1, bounds=Bounds(ell=0.5, big_l=1.0, s=1.0),
+            rewards=[[1.0, 0.0]], features=[[[1.0, 0.0]]],
+            mus=[ContextDistribution([(0, 0.5), (7, 0.5)])],
+        )
 
 
 def test_duplicate_context_id_rejected():
@@ -87,7 +91,7 @@ def test_invalid_variant_rejected():
 def test_noise_sigma_override():
     sc = identical_agents_scenario(m=2, sigma=0.5)
     sched = build_schedule(1, 2, sc.K, 64)
-    trace = run_protocol(sc, sched, master_seed=0, noise_sigma=0.0)
+    trace = run_protocol(replace(sc, sigma=0.0), sched, master_seed=0)
     assert trace.sigma == 0.0
 
 

@@ -1,21 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fedpecd.environment import Environment, NoiseModel
-from fedpecd.errors import ConfigurationError
+from fedpecd.environment import Environment
+from fedpecd.errors import ValidationError
 from fedpecd.harness import SyntheticSpec, generate_synthetic
-from fedpecd.model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
+from fedpecd.model import Bounds, ContextDistribution, Scenario
 
 
 def one_agent_scenario(sigma=0.0):
-    bounds = Bounds(ell=0.5, big_l=1.0, s=1.0)
-    phi = FeatureMap(
-        {0: {0: [0.5, 0.2, 0.1]}, 1: {0: [0.1, 0.5, 0.3]}}, dim=3, bounds=bounds
-    )
     return Scenario(
-        d=3, K=2, M=1, bounds=bounds,
-        rewards=RewardParams([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], s=1.0),
-        features=phi,
+        d=3, K=2, M=1, bounds=Bounds(ell=0.5, big_l=1.0, s=1.0),
+        rewards=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        features=[[[0.5, 0.2, 0.1]], [[0.1, 0.5, 0.3]]],
         mus=[ContextDistribution.point_mass(0)],
         sigma=sigma,
     )
@@ -59,8 +57,8 @@ class TestPull:
         assert env.cumulative_regret() == env.cumulative_regret(upto=3)
 
     def test_sigma_above_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseModel(sigma=1.5)
+        with pytest.raises(ValidationError, match="sigma = 1.5"):
+            one_agent_scenario(sigma=1.5)
 
 
 class TestNoise:
@@ -91,8 +89,7 @@ class TestNoise:
         assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / calls)
 
     def test_zero_sigma_returns_mean_without_drawing(self):
-        env = Environment(one_agent_scenario(sigma=0.3), master_seed=0,
-                          noise=NoiseModel(sigma=0.0))
+        env = Environment(replace(one_agent_scenario(sigma=0.3), sigma=0.0), master_seed=0)
         state = env._rngs[0].bit_generator.state
         assert env.pull(0, 1) == env.expected_reward(0, 1)
         assert env.pull_many(0, 0, 9) == env.expected_reward(0, 0)
@@ -106,15 +103,20 @@ class TestOptimalArm:
         assert env.optimal_arm(0) == 0
 
     def test_matches_brute_force(self):
-        spec = SyntheticSpec(K=10, d=3, M=6, perturbation=0.04)
-        sc = generate_synthetic(spec, seed=11)
-        env = Environment(sc, master_seed=4)
-        for i in range(sc.M):
-            c = env.realized_context(i)
-            rewards = [
-                float(sc.rewards[a] @ sc.features.vector(a, c)) for a in range(sc.K)
-            ]
-            assert env.optimal_arm(i) == int(np.argmax(rewards))
+        """The stacked true rewards carry the bits of one dot per pair; per-arm
+        thetas make the summation order visible (theta = e_1 would not)."""
+        for theta_mode in ("shared", "per_arm"):
+            spec = SyntheticSpec(K=10, d=3, M=6, perturbation=0.04, theta_mode=theta_mode)
+            sc = generate_synthetic(spec, seed=11)
+            env = Environment(sc, master_seed=4)
+            rewards = np.array([
+                [float(sc.rewards[a] @ sc.features[a, env.realized_context(i)])
+                 for a in range(sc.K)]
+                for i in range(sc.M)
+            ])
+            assert np.array_equal(env.expected_rewards(), rewards)
+            for i in range(sc.M):
+                assert env.optimal_arm(i) == int(np.argmax(rewards[i]))
 
 
 class TestRegretLedger:

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedpecd.harness as harness
+from fedpecd.cli import main
 from fedpecd.errors import ConfigurationError, ValidationError
 from fedpecd.harness import (
     SyntheticSpec,
@@ -19,11 +22,13 @@ from fedpecd.harness import (
 )
 from fedpecd.model import build_psi_set
 
+SAMPLE = Path(__file__).resolve().parents[1] / "data" / "movielens_like.json"
+
 
 def base_rewards(scenario, agent):
     base = scenario.mus[agent].ids[0]
     return np.array([
-        float(scenario.rewards[a] @ scenario.features.vector(a, base))
+        float(scenario.rewards[a] @ scenario.features[a, base])
         for a in range(scenario.K)
     ])
 
@@ -48,10 +53,8 @@ class TestGenerateSynthetic:
     def test_feature_norms_inside_declared_range(self):
         spec = SyntheticSpec(M=4, norm_range=(0.5, 1.0))
         sc = generate_synthetic(spec, seed=2)
-        for a in sc.features.arms:
-            for c in sc.features.contexts(a):
-                nrm = np.linalg.norm(sc.features.vector(a, c))
-                assert 0.5 - 1e-9 <= nrm <= 1.0 + 1e-9
+        nrm = np.linalg.norm(sc.features, axis=2)
+        assert np.all((0.5 - 1e-9 <= nrm) & (nrm <= 1.0 + 1e-9))
 
     def test_zero_perturbation_collapses_variants(self):
         spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.0)
@@ -119,9 +122,30 @@ class TestLoadFeatures:
             load_features(path)
 
     def test_shipped_sample_loads(self):
-        path = Path(__file__).resolve().parents[1] / "data" / "movielens_like.json"
-        sc = load_features(path)
+        sc = load_features(SAMPLE)
         assert (sc.K, sc.d, sc.M) == (30, 3, 100)
+
+    def test_load_then_save_reproduces_the_file(self, tmp_path):
+        path = tmp_path / "copy.json"
+        load_features(SAMPLE).save(path)
+        assert path.read_bytes() == SAMPLE.read_bytes()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "11d69740a0ad2a1e4b67570ab763f43c5ab9b2440cc17b87cb85a19de6abb0d7")
+
+    def test_missing_feature_is_named(self, tmp_path, capsys):
+        """Every arm must hold every context id 0..C-1, including contexts no
+        agent's support reaches; the file, arm and context are named."""
+        sc = generate_synthetic(desk_spec(m=3), seed=9)
+        ctx = sc.mus[2].ids[0]
+        doc = sc.restrict(2).to_json_dict()
+        del doc["features"]["3"][str(ctx)]
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        message = f"{path}: arm 3: no feature for context {ctx}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_features(path)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def tiny_sweep(**overrides):

@@ -120,13 +120,12 @@ def small_spec(**overrides):
 
 class TestRunProtocol:
     def test_single_arm_has_zero_regret(self):
-        from fedpecd.model import Bounds, ContextDistribution, FeatureMap, RewardParams, Scenario
+        from fedpecd.model import Bounds, ContextDistribution, Scenario
 
-        bounds = Bounds(ell=0.9, big_l=1.0, s=1.0)
         sc = Scenario(
-            d=2, K=1, M=3, bounds=bounds,
-            rewards=RewardParams([[1.0, 0.0]], s=1.0),
-            features=FeatureMap({0: {0: [0.95, 0.0]}}, dim=2, bounds=bounds),
+            d=2, K=1, M=3, bounds=Bounds(ell=0.9, big_l=1.0, s=1.0),
+            rewards=[[1.0, 0.0]],
+            features=[[[0.95, 0.0]]],
             mus=[ContextDistribution.point_mass(0)] * 3,
             sigma=0.1,
         )
