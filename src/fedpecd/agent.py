@@ -128,9 +128,9 @@ class Agent:
 
         The whole message is checked before the first pull: it must be
         addressed to this agent and its current phase, and its arms must be
-        distinct, ascending and active, each with one nonnegative count.
-        Arms with a zero count produce no estimate.  Returns the upload and
-        the number of rounds consumed.
+        distinct, ascending, active integer ids, each with one nonnegative
+        integer count.  Arms with a zero count produce no estimate.  Returns
+        the upload and the number of rounds consumed.
         """
         if assignment.agent != self.index or assignment.phase != self.phase:
             raise ProtocolError(
@@ -143,6 +143,8 @@ class Agent:
             raise self._rejected(
                 listed, "allocation arms must be distinct and ascending, one count each"
             )
+        if arms.size and (arms.dtype.kind not in "iu" or counts.dtype.kind not in "iu"):
+            raise self._rejected(listed, "allocation arm ids and counts must be integers")
         for a, count in zip(listed, counts.tolist()):
             if a not in self.active:
                 raise self._rejected(a, "allocation for inactive arm")

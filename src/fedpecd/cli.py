@@ -33,6 +33,11 @@ def _add_protocol_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
+def agent_counts(text: str) -> tuple[int, ...]:
+    """The sweep's ``--agents``: comma-separated counts such as ``10,25,50``."""
+    return tuple(int(x) for x in text.split(","))
+
+
 def _preset_spec(preset: str, m: int) -> SyntheticSpec:
     if preset == "movielens-like":
         return movielens_like_spec(m=m)
@@ -111,11 +116,7 @@ def cmd_sweep(args) -> int:
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
     horizon = args.horizon if args.horizon is not None else scale["horizon"]
     trials = args.trials if args.trials is not None else scale["trials"]
-    agents = (
-        tuple(int(x) for x in args.agents.split(","))
-        if args.agents
-        else scale["agents"]
-    )
+    agents = args.agents or scale["agents"]
     variants = tuple(args.variants.split(","))
     if args.scenario:
         source = load_features(args.scenario)
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--preset", choices=["synthetic", "desk", "movielens-like"],
                    default="synthetic")
     s.add_argument("--variants", default="exact,hidden")
-    s.add_argument("--agents", default=None, help="comma-separated agent counts")
+    s.add_argument("--agents", type=agent_counts, default=None, help="comma-separated agent counts")
     s.add_argument("--trials", type=int, default=None)
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out-csv", default=None)

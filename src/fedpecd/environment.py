@@ -30,11 +30,16 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .model import ContextDistribution, Scenario
+from .model import Scenario
 
 
 class Environment:
-    """Reward oracle plus the regret ledger agents can never compute."""
+    """Reward oracle plus the regret ledger agents can never compute.
+
+    Its truths are read-only arrays: the ``(M,)`` realized ``contexts``, the
+    ``(M, K)`` ``true_rewards`` r(a, c_i) and the ``(M,)`` ``optimal_arms``,
+    each row's argmax with ties broken by the lowest arm index.
+    """
 
     def __init__(self, scenario: Scenario, master_seed):
         self.scenario = scenario
@@ -46,18 +51,18 @@ class Environment:
         agent_streams = agent_root.spawn(m)
         self._rngs = [np.random.Generator(np.random.PCG64(s)) for s in agent_streams]
 
-        self._contexts = []
-        for i, mu in enumerate(scenario.mus):
-            rng = np.random.Generator(np.random.PCG64(ctx_streams[i]))
-            self._contexts.append(mu.sample(rng))
+        self.contexts = np.array([mu.sample(np.random.Generator(np.random.PCG64(s)))
+                                  for mu, s in zip(scenario.mus, ctx_streams)])
 
         # True expected rewards and per-agent gaps, fixed for the run.  numpy
         # evaluates stacked (1, d) @ (d, 1) products as one dot per (agent,
         # arm), so each carries the bits of ``theta_a @ phi(a, c_i)``.
-        phi = scenario.features[:, self._contexts, None, :]  # (K, M, 1, d)
-        self._rewards = (phi @ scenario.rewards[:, None, :, None])[:, :, 0, 0].T.copy()
-        self._optimal = np.argmax(self._rewards, axis=1).astype(int)
-        self._gaps = self._rewards[np.arange(m), self._optimal][:, None] - self._rewards
+        phi = scenario.features[:, self.contexts, None, :]  # (K, M, 1, d)
+        self.true_rewards = (phi @ scenario.rewards[:, None, :, None])[:, :, 0, 0].T.copy()
+        self.optimal_arms = np.argmax(self.true_rewards, axis=1)
+        self._gaps = self.true_rewards[np.arange(m), self.optimal_arms][:, None] - self.true_rewards
+        for truth in (self.contexts, self.true_rewards, self.optimal_arms):
+            truth.setflags(write=False)
 
         # Ledger: per agent, one entry per pull batch (segment) in prefix form:
         # the round the segment ends at, the regret booked through it, and
@@ -65,25 +70,6 @@ class Environment:
         self._ends: list[list[int]] = [[0] for _ in range(m)]
         self._cum: list[list[float]] = [[0.0] for _ in range(m)]
         self._seg_gap: list[list[float]] = [[0.0] for _ in range(m)]
-
-    # -- truth accessors (for tests, traces, and the exact variant) --------
-
-    def realized_context(self, agent: int) -> int:
-        return self._contexts[agent]
-
-    def exact_mus(self) -> list[ContextDistribution]:
-        """Point-mass distributions at the realized contexts."""
-        return [ContextDistribution.point_mass(c) for c in self._contexts]
-
-    def expected_reward(self, agent: int, arm: int) -> float:
-        return float(self._rewards[agent, arm])
-
-    def expected_rewards(self) -> np.ndarray:
-        return self._rewards.copy()
-
-    def optimal_arm(self, agent: int) -> int:
-        """argmax_a r(a, c_i), ties broken by lowest arm index."""
-        return int(self._optimal[agent])
 
     # -- pulling ------------------------------------------------------------
 
@@ -110,7 +96,7 @@ class Environment:
             raise ValueError("count must be nonnegative")
         if count == 0:
             return 0.0
-        mean = self._rewards[agent, arm]
+        mean = self.true_rewards[agent, arm]
         avg = mean
         sigma = self.scenario.sigma
         if sigma > 0.0:

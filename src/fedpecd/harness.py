@@ -315,6 +315,8 @@ def load_features(path) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from exc
     try:
         return Scenario.from_json_dict(data)
     except ValidationError as exc:

@@ -55,10 +55,11 @@ class ContextDistribution:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate context id in support")
         probs = np.array([p for _, p in entries], dtype=float)
-        if np.any(probs < 0.0):
-            raise ValidationError("negative probability in support")
+        # Negated comparisons, so a NaN fails them.
+        if not (probs >= 0.0).all():
+            raise ValidationError("negative or NaN probability in support")
         total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValidationError(f"probabilities sum to {total}, expected 1")
         self.ids: tuple[int, ...] = tuple(ids)
         self.probs: np.ndarray = probs
@@ -154,9 +155,10 @@ def _dense_table(table: dict, k: int) -> list:
     return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Complete problem instance consumed by the environment and protocol."""
+    """Complete problem instance consumed by the environment and protocol;
+    immutable (read-only arrays, ``mus`` a tuple), so validation holds."""
 
     d: int
     K: int
@@ -164,13 +166,15 @@ class Scenario:
     bounds: Bounds
     rewards: np.ndarray  # (K, d) theta_a rows, read-only
     features: np.ndarray  # (K, C, d) phi(a, c) over context ids 0..C-1, read-only
-    mus: list[ContextDistribution]
+    mus: tuple[ContextDistribution, ...]
     sigma: float = 0.0
     contexts: dict[int, np.ndarray] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        self.rewards, self.features = _frozen(self.rewards), _frozen(self.features)
+        object.__setattr__(self, "rewards", _frozen(self.rewards))
+        object.__setattr__(self, "features", _frozen(self.features))
+        object.__setattr__(self, "mus", tuple(self.mus))
         self.validate()
 
     def validate(self):

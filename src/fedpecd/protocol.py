@@ -24,8 +24,8 @@ from .messages import (
     GlobalBroadcast,
     LocalEstimateUpload,
 )
-from .model import Scenario, build_psi_set
-from .server import CentralServer
+from .model import ContextDistribution, Scenario, build_psi_set
+from .server import DESIGN_TOL, CentralServer
 
 TRACE_VERSION = 3
 
@@ -164,15 +164,15 @@ class CommMeter:
 
 @dataclass
 class PhaseTrace:
+    """One phase's record: the arrays the run's owners hold, by reference."""
+
     phase: int
     f_p: int
-    union: list[int]
-    active_before: list[list[int]]
-    active_after: list[list[int]]
+    active: np.ndarray  # the server's (M, K) mask of active sets after elimination
     stats: list[list[tuple[int, float, float]]]  # per agent: (arm, r_hat, u)
-    allocations: list[dict[int, int]]
+    issued: np.ndarray  # the server's (M, K) issued pull counts
     round_end: int
-    regret_per_agent: list[float]
+    regret: np.ndarray  # the ledger's (M,) per-agent regret at round_end
     design: dict  # the design solve's sweeps, converged, objective, gap and certificate
 
 
@@ -188,20 +188,15 @@ class RunTrace:
     schedule: PhaseSchedule
     m: int
     sigma: float
-    realized_contexts: list[int]
-    optimal_arms: list[int]
-    true_rewards: np.ndarray  # (M, K)
-    design_tol: float  # the tol of the server's design solves
+    optimal_arms: np.ndarray  # (M,), the environment's read-only array
+    true_rewards: np.ndarray  # (M, K), the environment's read-only array
     phases: list[PhaseTrace] = field(default_factory=list)
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     meter: CommMeter = field(default_factory=CommMeter)
     total_rounds: int = 0
 
     def regret_at(self, round_index: int) -> float:
-        for r, value in self.checkpoints:
-            if r == round_index:
-                return value
-        raise KeyError(f"round {round_index} is not a recorded checkpoint")
+        return dict(self.checkpoints)[round_index]
 
     @property
     def final_avg_regret(self) -> float:
@@ -217,11 +212,8 @@ class RunTrace:
         return False
 
     def any_optimal_arm_eliminated(self) -> bool:
-        for rec in self.phases:
-            for i, active in enumerate(rec.active_after):
-                if self.optimal_arms[i] not in active:
-                    return True
-        return False
+        rows = np.arange(self.m)
+        return any(not rec.active[rows, self.optimal_arms].all() for rec in self.phases)
 
     def records(self):
         """JSON-serializable trace records, one per line when written."""
@@ -240,15 +232,19 @@ class RunTrace:
             "n": self.schedule.n,
             "horizon": self.schedule.horizon,
             "H": self.schedule.H,
-            "design_tol": self.design_tol,
+            "design_tol": DESIGN_TOL,
         }
+        before = [list(range(self.schedule.K))] * self.m
         for rec in self.phases:
+            # One tolist() per array: per-row numpy calls cost more here.
+            after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
+            issued, regret = rec.issued.tolist(), rec.regret.tolist()
             yield {
                 "v": TRACE_VERSION,
                 "type": "server",
                 "phase": rec.phase,
                 "f_p": rec.f_p,
-                "union": rec.union,
+                "union": [a for a, on in enumerate(rec.active.any(axis=0).tolist()) if on],
                 "round_end": rec.round_end,
                 "design": rec.design,
             }
@@ -258,14 +254,15 @@ class RunTrace:
                     "type": "agent",
                     "phase": rec.phase,
                     "agent": i,
-                    "active_before": rec.active_before[i],
-                    "active_after": rec.active_after[i],
+                    "active_before": before[i],
+                    "active_after": after[i],
                     "stats": [
                         {"arm": a, "r_hat": r, "u": u} for a, r, u in rec.stats[i]
                     ],
-                    "allocation": [[a, c] for a, c in sorted(rec.allocations[i].items())],
-                    "regret": rec.regret_per_agent[i],
+                    "allocation": [[a, issued[i][a]] for a in after[i]],
+                    "regret": regret[i],
                 }
+            before = after
         yield {
             "v": TRACE_VERSION,
             "type": "summary",
@@ -306,7 +303,8 @@ def run_protocol(
 
     # Exact variant: the agent knows its realized context, so psi collapses
     # to the true feature vector.  Hidden variant: psi averages over mu.
-    mus = env.exact_mus() if variant == "exact" else scenario.mus
+    mus = ([ContextDistribution.point_mass(c) for c in env.contexts.tolist()]
+           if variant == "exact" else scenario.mus)
     psi = build_psi_set(scenario.features, mus, scenario.bounds)
 
     alpha, k_conf = compute_alpha(m, k_arms, schedule.H, d, delta)
@@ -323,10 +321,8 @@ def run_protocol(
         schedule=schedule,
         m=m,
         sigma=scenario.sigma,
-        realized_contexts=[env.realized_context(i) for i in range(m)],
-        optimal_arms=[env.optimal_arm(i) for i in range(m)],
-        true_rewards=env.expected_rewards(),
-        design_tol=server.design_tol,
+        optimal_arms=env.optimal_arms,
+        true_rewards=env.true_rewards,
         meter=meter,
     )
 
@@ -344,8 +340,6 @@ def run_protocol(
     for p in range(1, schedule.H + 1):
         try:
             f_p = schedule.f_p(p)
-            active_before = [list(a.active) for a in agents]
-
             set_uploads = []
             stats_per_agent = []
             for agent in agents:
@@ -385,13 +379,11 @@ def run_protocol(
             PhaseTrace(
                 phase=p,
                 f_p=f_p,
-                union=sorted({a for u in set_uploads for a in u.arms}),
-                active_before=active_before,
-                active_after=[list(a.active) for a in agents],
+                active=server.active,
                 stats=stats_per_agent,
-                allocations=[dict(zip(x.arms.tolist(), x.counts.tolist())) for x in alloc_msgs],
+                issued=server.issued,
                 round_end=round_cursor,
-                regret_per_agent=[float(x) for x in per_agent],
+                regret=per_agent,
                 design={
                     "sweeps": server.design.sweeps,
                     "converged": server.design.converged,
@@ -404,10 +396,8 @@ def run_protocol(
 
     trace.total_rounds = round_cursor
 
-    marks = {k_arms}
+    marks = {k_arms, schedule.horizon, *map(int, extra_checkpoints)}
     marks.update(rec.round_end for rec in trace.phases)
-    marks.add(schedule.horizon)
-    marks.update(int(r) for r in extra_checkpoints)
     for r in sorted(marks):
         if 0 <= r <= round_cursor:
             _, total = env.cumulative_regret(upto=r)

@@ -244,10 +244,11 @@ class CentralServer:
     the dense ``(M, K, d)`` ``directions`` with the ``(M, K)`` mask
     ``has_direction``; the ``(M, K)`` mask ``active`` of the last active
     sets it planned for (every arm before the first phase); and the
-    ``(M, K)`` pull counts ``issued`` for them.  ``design`` is the last
-    phase's design solve, run at ``design_tol``; it also warm-starts the
-    next one.  The server proceeds on an unconverged solve: its allocation
-    is feasible, and ``design.converged`` reports it.
+    ``(M, K)`` pull counts ``issued`` for them, both fresh arrays each phase
+    that it never writes into later.  ``design`` is the last phase's design
+    solve, run at ``DESIGN_TOL``; it also warm-starts the next one.  The
+    server proceeds on an unconverged solve: its allocation is feasible,
+    and ``design.converged`` reports it.
     """
 
     def __init__(self, m: int, k: int, d: int):
@@ -257,7 +258,6 @@ class CentralServer:
         self.model: GlobalBroadcast | None = None
         self.directions = np.zeros((m, k, d))
         self.has_direction = np.zeros((m, k), dtype=bool)
-        self.design_tol = DESIGN_TOL
         self.design: DesignAllocation | None = None
         self.active = np.ones((m, k), dtype=bool)
         self.issued: np.ndarray | None = None
@@ -294,7 +294,7 @@ class CentralServer:
         if empty.size:
             raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
         prob = DesignProblem(active, self.directions, self.has_direction & active)
-        self.design = solve_design(prob, tol=self.design_tol, warm_start=self.design)
+        self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
         self.active = active
         self.issued = allocate(self.design, f_p)
         return [

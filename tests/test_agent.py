@@ -137,7 +137,7 @@ class TestEliminate:
 
 def make_agent(env, alpha=1.0):
     scenario = env.scenario
-    psi = scenario.features[:, env.realized_context(0)]
+    psi = scenario.features[:, env.contexts[0]]
     return Agent(0, psi, alpha=alpha, ell=scenario.bounds.ell)
 
 
@@ -208,6 +208,8 @@ class TestExplorePhase:
         ([0, 1], [1, 0], [2, 3], r"\[1, 0\]"),  # not ascending
         ([0, 1], [0, 1], [3, -1], "1"),  # negative count after a valid one
         ([0, 1], [0], [3, 2], r"\[0\]"),  # two counts for one arm
+        ([0, 1], [0.0, 1.0], [3, 2], r"\[0\.0, 1\.0\]"),  # float arm ids
+        ([0, 1], [0, 1], [3.0, 2.0], r"\[0, 1\]"),  # float counts
     ])
     def test_whole_allocation_checked_before_the_first_pull(self, active, arms, counts, named):
         env = Environment(one_agent_scenario(), master_seed=0)
@@ -232,7 +234,7 @@ class TestExploitRemainder:
     def test_optimal_arm_accrues_nothing(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
-        agent.a_hat = env.optimal_arm(0)
+        agent.a_hat = env.optimal_arms[0]
         agent.exploit_remainder(10, lambda a, c: env.pull_many(0, a, c))
         assert env.cumulative_regret()[1] == 0.0
 
@@ -240,7 +242,7 @@ class TestExploitRemainder:
         env = Environment(one_agent_scenario(), master_seed=0)
         agent = make_agent(env)
         agent.a_hat = 1
-        gap = env.expected_reward(0, 0) - env.expected_reward(0, 1)
+        gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
         agent.exploit_remainder(5, lambda a, c: env.pull_many(0, a, c))
         assert env.cumulative_regret()[1] == pytest.approx(5 * gap)
 

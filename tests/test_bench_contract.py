@@ -4,9 +4,11 @@
 protocol resolves (``fedpecd.server.aggregate_init``, ``Environment.pull``,
 ``RunTrace.write_jsonl`` and the rest).  Removing or renaming one of them
 breaks ``perfbench/run.py --trace 1``; this test makes that a tier-1
-failure instead.
+failure instead.  The same goes for the ``RunTrace`` fields the benchmark's
+output checks and ``RunObserver`` read.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import fedpecd.server as server
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_wraps_and_restores_every_name():
@@ -45,6 +48,11 @@ def test_tracer_counts_match_the_run():
     assert tr.counts["linalg.pinv_calls"] == tr.counts["server.aggregate_calls"]
     # psi is built once per run, inside build_psi_set.
     assert [s[0] for s in tr.spans].count("model.psi") == 1
+    # The benchmark's own output checks pass, and the fields
+    # RunObserver.drain reads are present and finite.
+    assert workloads.check_run(trace) == []
+    for value in (trace.m, trace.total_rounds, trace.final_avg_regret, trace.meter.total):
+        assert math.isfinite(value)
 
 
 def test_tracer_counts_one_document_load():

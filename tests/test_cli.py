@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from fedpecd.cli import main
 
 
@@ -60,3 +62,16 @@ def test_validation_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["validate", "--scenario", str(bad)]) == 2
+
+
+def test_missing_scenario_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["validate", "--scenario", str(missing)]) == 2
+    assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
+
+
+def test_malformed_agent_counts_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--agents", "3,x"])
+    assert exc.value.code == 2
+    assert "invalid agent_counts value: '3,x'" in capsys.readouterr().err

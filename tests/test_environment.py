@@ -26,7 +26,7 @@ class TestPull:
 
     def test_optimal_pull_has_zero_regret(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull(0, env.optimal_arm(0))
+        env.pull(0, env.optimal_arms[0])
         per_agent, total = env.cumulative_regret()
         assert total == 0.0
 
@@ -73,14 +73,14 @@ class TestNoise:
         for _ in range(3):
             for a in range(spec.K):
                 for i in range(spec.M):
-                    expected = env.expected_reward(i, a) + rngs[i].normal(0.0, sigma)
+                    expected = env.true_rewards[i, a] + rngs[i].normal(0.0, sigma)
                     assert env.pull(i, a) == expected
 
     @pytest.mark.parametrize("count", [2, 7, 1000])
     def test_batch_average_has_variance_sigma_squared_over_count(self, count):
         sigma, calls = 0.5, 20_000
         env = Environment(one_agent_scenario(sigma=sigma), master_seed=23)
-        mean = env.expected_reward(0, 0)
+        mean = env.true_rewards[0, 0]
         z = np.array(
             [(env.pull_many(0, 0, count) - mean) * np.sqrt(count) / sigma
              for _ in range(calls)]
@@ -91,8 +91,8 @@ class TestNoise:
     def test_zero_sigma_returns_mean_without_drawing(self):
         env = Environment(replace(one_agent_scenario(sigma=0.3), sigma=0.0), master_seed=0)
         state = env._rngs[0].bit_generator.state
-        assert env.pull(0, 1) == env.expected_reward(0, 1)
-        assert env.pull_many(0, 0, 9) == env.expected_reward(0, 0)
+        assert env.pull(0, 1) == env.true_rewards[0, 1]
+        assert env.pull_many(0, 0, 9) == env.true_rewards[0, 0]
         assert env._rngs[0].bit_generator.state == state
 
 
@@ -100,7 +100,7 @@ class TestOptimalArm:
     def test_single_arm(self):
         sc = one_agent_scenario()
         env = Environment(sc, master_seed=0)
-        assert env.optimal_arm(0) == 0
+        assert env.optimal_arms[0] == 0
 
     def test_matches_brute_force(self):
         """The stacked true rewards carry the bits of one dot per pair; per-arm
@@ -110,13 +110,20 @@ class TestOptimalArm:
             sc = generate_synthetic(spec, seed=11)
             env = Environment(sc, master_seed=4)
             rewards = np.array([
-                [float(sc.rewards[a] @ sc.features[a, env.realized_context(i)])
+                [float(sc.rewards[a] @ sc.features[a, env.contexts[i]])
                  for a in range(sc.K)]
                 for i in range(sc.M)
             ])
-            assert np.array_equal(env.expected_rewards(), rewards)
+            assert np.array_equal(env.true_rewards, rewards)
             for i in range(sc.M):
-                assert env.optimal_arm(i) == int(np.argmax(rewards[i]))
+                assert env.optimal_arms[i] == int(np.argmax(rewards[i]))
+
+
+    def test_truths_are_read_only(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        for truth in (env.contexts, env.true_rewards, env.optimal_arms):
+            with pytest.raises(ValueError):
+                truth[0] = 1
 
 
 class TestRegretLedger:
@@ -127,7 +134,7 @@ class TestRegretLedger:
 
     def test_three_pulls_of_gap_arm(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        gap = env.expected_reward(0, 0) - env.expected_reward(0, 1)
+        gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
         for _ in range(3):
             env.pull(0, 1)
         _, total = env.cumulative_regret()
@@ -135,7 +142,7 @@ class TestRegretLedger:
 
     def test_prefix_query(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        gap = env.expected_reward(0, 0) - env.expected_reward(0, 1)
+        gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
         env.pull_many(0, 1, 4)
         env.pull_many(0, 0, 4)
         per_agent, _ = env.cumulative_regret(upto=2)
@@ -196,7 +203,7 @@ class TestRegretLedger:
                     env.pull(i, arm)
                 else:
                     env.pull_many(i, arm, count)
-                gap = env.expected_reward(i, env.optimal_arm(i)) - env.expected_reward(i, arm)
+                gap = env.true_rewards[i, env.optimal_arms[i]] - env.true_rewards[i, arm]
                 segments[i].append((count, gap))
                 if done + count == rounds:
                     pending.remove(i)
@@ -228,7 +235,7 @@ class TestRegretLedger:
         prev = 0.0
         max_gap = 0.0
         for i in range(sc.M):
-            gaps = [env.expected_reward(i, env.optimal_arm(i)) - env.expected_reward(i, a)
+            gaps = [env.true_rewards[i, env.optimal_arms[i]] - env.true_rewards[i, a]
                     for a in range(sc.K)]
             max_gap = max(max_gap, max(gaps))
         for t in range(1, 40):
@@ -256,4 +263,4 @@ class TestDeterminism:
         big = Environment(sc, master_seed=3)
         small = Environment(sc.restrict(2), master_seed=3)
         for i in range(2):
-            assert big.realized_context(i) == small.realized_context(i)
+            assert big.contexts[i] == small.contexts[i]

@@ -115,6 +115,18 @@ class TestLoadFeatures:
         with pytest.raises(ValidationError):
             load_features(path)
 
+    def test_nan_probability_rejected(self, tmp_path, capsys):
+        """A NaN passes both `p < 0` and `|sum - 1| > tol`; the file must
+        not validate and then fail to sample."""
+        doc = generate_synthetic(desk_spec(m=3), seed=9).to_json_dict()
+        doc["agents"][1]["mu"] = [[0, float("nan")]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="NaN probability"):
+            load_features(path)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "NaN probability" in capsys.readouterr().err
+
     def test_json_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"d": 3,\n "K": }')

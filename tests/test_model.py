@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ class TestContextDistribution:
         with pytest.raises(ValidationError):
             ContextDistribution([(0, 1.2), (1, -0.2)])
 
+    @pytest.mark.parametrize("support", [[(0, np.nan)], [(0, np.nan), (1, 1.0)]])
+    def test_nan_probability_rejected(self, support):
+        with pytest.raises(ValidationError, match="NaN probability"):
+            ContextDistribution(support)
+
     def test_empty_support_rejected(self):
         with pytest.raises(ValidationError):
             ContextDistribution([])
@@ -124,6 +131,16 @@ class TestFeatureMap:
             sc.features[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             sc.rewards[0, 0] = 0.5
+
+    def test_scenario_is_immutable(self):
+        """Validation holds for the scenario's life: a support id cannot be
+        swapped in after construction, nor a field reassigned."""
+        sc = generate_synthetic(desk_spec(m=3), seed=9)
+        with pytest.raises(TypeError):
+            sc.mus[0] = ContextDistribution.point_mass(-1)
+        with pytest.raises(FrozenInstanceError):
+            sc.sigma = 0.5
+        assert sc.restrict(2).mus == sc.mus[:2]
 
 
 class TestExpectedFeature:

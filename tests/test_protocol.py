@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,17 +134,25 @@ class TestRunProtocol:
         trace = run_protocol(sc, sched, master_seed=1, variant="hidden")
         assert trace.final_avg_regret == 0.0
         for rec in trace.phases:
-            assert rec.active_after == [[0]] * 3
+            assert rec.active.tolist() == [[True]] * 3
 
     def test_noiseless_separated_gaps_eliminate_at_first_phase(self):
         sc = identical_agents_scenario(m=5, sigma=0.0)
         sched = build_schedule(1, 2, sc.K, 2**10)
         trace = run_protocol(sc, sched, master_seed=0, variant="exact")
-        assert trace.phases[0].active_after == [[0]] * 5
+        assert [np.flatnonzero(row).tolist() for row in trace.phases[0].active] == [[0]] * 5
         # afterwards the only pulls are the optimal arm: regret freezes
-        final = trace.phases[-1].regret_per_agent
-        first = trace.phases[0].regret_per_agent
+        final = trace.phases[-1].regret.tolist()
+        first = trace.phases[0].regret.tolist()
         assert final == first
+
+    def test_optimal_arm_elimination_reads_the_masks(self):
+        sc = identical_agents_scenario(m=5, sigma=0.0)
+        sched = build_schedule(1, 2, sc.K, 2**10)
+        trace = run_protocol(sc, sched, master_seed=0, variant="exact")
+        assert not trace.any_optimal_arm_eliminated()
+        # Arm 1 is eliminated in phase 1 for every agent.
+        assert replace(trace, optimal_arms=np.ones(sc.M, dtype=int)).any_optimal_arm_eliminated()
 
     def test_same_seed_bit_identical_trace(self):
         sc = generate_synthetic(small_spec(), seed=5)
@@ -164,13 +173,13 @@ class TestRunProtocol:
         sc = generate_synthetic(small_spec(), seed=6)
         sched = build_schedule(1, 2, sc.K, 2**10)
         trace = run_protocol(sc, sched, master_seed=2, variant="hidden")
-        for rec in trace.phases:
-            for before, after in zip(rec.active_before, rec.active_after):
-                assert set(after) <= set(before)
+        agents = [rec for rec in trace.records() if rec["type"] == "agent"]
+        for rec in agents:
+            assert set(rec["active_after"]) <= set(rec["active_before"])
         # the empirical best of each round survives by construction:
         # active sets never become empty
-        for rec in trace.phases:
-            assert all(len(a) >= 1 for a in rec.active_after)
+        for rec in agents:
+            assert len(rec["active_after"]) >= 1
 
     def test_checkpoint_curve_nondecreasing(self):
         sc = generate_synthetic(small_spec(), seed=7)
@@ -213,8 +222,8 @@ class TestRunProtocol:
             init_total = trace.regret_at(sc.K) * sc.M
             prev = init_total
             for rec in trace.phases:
-                phase_regret = sum(rec.regret_per_agent) - prev
-                prev = sum(rec.regret_per_agent)
+                phase_regret = sum(rec.regret) - prev
+                prev = sum(rec.regret)
                 f_prev = 1 if rec.phase == 1 else sched.f_p(rec.phase - 1)
                 bound = (
                     4 * math.sqrt(10) * trace.alpha * sc.bounds.big_l / sc.bounds.ell
