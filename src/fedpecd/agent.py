@@ -1,11 +1,13 @@
-"""Agent-side protocol: local estimates, batched scoring, elimination.
+"""Agent-side protocol for the whole population: scoring, elimination,
+exploration.
 
-An agent sees its own psi table (expected features under its context
-distribution), the confidence multiplier alpha, and the norm floor ell.
-Everything it learns about other agents arrives through the server's
-broadcast models.  At the start of a phase it scores all of its active
-arms in one stacked pass (``score_arms``) and eliminates them in one
-vector comparison (``eliminate``).
+Each agent sees its own psi table (expected features under its context
+distribution), the confidence multiplier alpha, and the norm floor ell;
+what it learns about other agents arrives through the broadcast models.
+All M agents act in the same synchronous round, so their state is held
+with one row per agent and stepped together: each phase scores every
+active pair in one stacked pass (``score_arms``) and eliminates in one
+vector comparison (``eliminate``).  Row i is computed from agent i's rows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError, NotPSDError, ProtocolError
 from .linalg import sq_norms
-from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload
+from .messages import (ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload,
+                       check_pairs, check_round)
 
 # Quadratic forms down to this value are treated as zero (round-off).
 NEG_QUADFORM_TOL = -1e-12
@@ -40,127 +43,130 @@ def score_arms(psi, theta_hat, v, alpha: float, ell: float) -> tuple[np.ndarray,
     return (row @ theta_hat[:, :, None])[:, 0, 0], alpha * np.sqrt(np.maximum(q, 0.0)) / ell
 
 
-def eliminate(active: list[int], r_hat, u) -> list[int]:
-    """Keep arms whose upper bound reaches the empirical best's lower bound.
+def eliminate(active, r_hat, u) -> tuple[np.ndarray, np.ndarray]:
+    """Per agent, keep the arms whose upper bound reaches the empirical
+    best's lower bound; return the kept mask and the ``(M,)`` best arms.
 
-    ``r_hat[j]`` and ``u[j]`` score ``active[j]``.  The empirical best (the
-    first maximum of r_hat) always survives.
+    ``r_hat`` and ``u`` are finite ``(M, K)`` scores, read only where the
+    mask ``active`` is set, and no row of it is empty.  A row's empirical
+    best is its first maximum of r_hat over active arms; it survives.
     """
-    if not active or len(r_hat) != len(active) or len(u) != len(active):
+    if r_hat.shape != active.shape or u.shape != active.shape or not active.any(axis=1).all():
         raise ProtocolError(
-            f"cannot eliminate from active set {active} with {len(r_hat)} r_hat, {len(u)} u"
+            f"cannot eliminate from active sets {active.shape} with r_hat {r_hat.shape}, "
+            f"u {u.shape}, or from an empty one"
         )
-    best = int(np.argmax(r_hat))
-    keep = np.add(r_hat, u) >= r_hat[best] - u[best]
-    return [a for a, k in zip(active, keep.tolist()) if k]
+    best = np.argmax(np.where(active, r_hat, -np.inf), axis=1)
+    rows = np.arange(len(best))
+    floor = r_hat[rows, best] - u[rows, best]
+    return active & (np.add(r_hat, u) >= floor[:, None]), best
 
 
 class Agent:
-    """One agent's state across phases; ``psi`` is its ``(K, d)`` table."""
+    """The population of all M agents, stepped one phase at a time.
 
-    def __init__(self, index: int, psi: np.ndarray, alpha: float, ell: float):
-        self.index = index
+    ``psi`` is the ``(M, K, d)`` array of every agent's table, ``active``
+    the ``(M, K)`` mask of their active sets (a fresh array each phase,
+    never written into) and ``a_hat`` the ``(M,)`` empirical best arms of
+    the last phase (None before the first).  All agents share one phase
+    counter.  The class keeps the name ``Agent`` because the benchmark's
+    tracer (``perfbench/tracer.py``) wraps its methods by that name.
+    """
+
+    def __init__(self, psi: np.ndarray, alpha: float, ell: float):
         self.psi = psi
         self.alpha = alpha
         self.ell = ell
-        self.active: list[int] = list(range(len(psi)))
+        self.active = np.ones(psi.shape[:2], dtype=bool)
         self.phase = 0
-        self.a_hat: int | None = None
+        self.a_hat: np.ndarray | None = None
         self._norm_sq = sq_norms(psi)
-        zero = np.flatnonzero(~(self._norm_sq > 0.0))
+        zero = np.argwhere(~(self._norm_sq > 0.0))
         if zero.size:
-            raise ProtocolError(f"agent {index}, arm {zero[0]}: psi has zero norm")
+            i, a = zero[0]
+            raise ProtocolError(f"agent {i}, arm {a}: psi has zero norm")
 
-    def _upload(self, arms: np.ndarray, y: np.ndarray, pulls: np.ndarray) -> LocalEstimateUpload:
-        """The estimates y * psi / ||psi||^2 from the average rewards y of ``arms``."""
-        theta_hat = (y / self._norm_sq[arms])[:, None] * self.psi[arms]
+    def _upload(self, pulled: np.ndarray, y: np.ndarray, pulls: np.ndarray) -> LocalEstimateUpload:
+        """The estimates y * psi / ||psi||^2 of the ``pulled`` pairs from their
+        average rewards y, given in ``np.nonzero(pulled)`` order."""
+        theta_hat = np.zeros(self.psi.shape)
+        theta_hat[pulled] = (y / self._norm_sq[pulled])[:, None] * self.psi[pulled]
         return LocalEstimateUpload(
-            agent=self.index, phase=self.phase, arms=arms, theta_hat=theta_hat, pulls=pulls
+            phase=np.full(len(pulled), self.phase), arms=pulled, theta_hat=theta_hat, pulls=pulls
         )
-
-    def _rejected(self, arm, problem: str) -> ProtocolError:
-        return ProtocolError(f"agent {self.index}, arm {arm}, phase {self.phase}: {problem}")
 
     def initialize(self, pull) -> LocalEstimateUpload:
-        """Pull each arm once and upload the single-pull estimates."""
-        k = len(self.psi)
-        y = np.array([pull(a) for a in range(k)])
-        return self._upload(np.arange(k), y, np.ones(k, dtype=int))
+        """Each agent pulls each arm once, ``pull(i, a)``, and uploads the
+        single-pull estimates."""
+        m, k = self.active.shape
+        y = np.array([pull(i, a) for i in range(m) for a in range(k)])
+        return self._upload(np.ones((m, k), dtype=bool), y, np.ones((m, k), dtype=int))
 
-    def begin_phase(
-        self, broadcast: GlobalBroadcast
-    ) -> tuple[ActiveSetUpload, list[tuple[int, float, float]]]:
-        """Score the active arms against the broadcast model and eliminate.
+    def begin_phase(self, broadcast: GlobalBroadcast) -> tuple[ActiveSetUpload, np.ndarray]:
+        """Score every active pair against the broadcast model and eliminate.
 
-        The broadcast must be stamped with the phase this call begins, have
-        one ``(d,)`` theta row and one ``(d, d)`` V per arm and carry a
-        model for every active arm.  The stats hold one ``(arm, r_hat, u)``
-        per scored arm.
+        The broadcast must be stamped with the phase this call begins, be
+        shaped ``(K, d)`` / ``(K, d, d)`` and carry a finite model for every
+        active arm; agent 0 names a defect of the whole message.  Returns the
+        active-set round and the ``(n, 2)`` scores (r_hat, u) of the scored
+        pairs in ``np.nonzero`` order of the active sets before elimination.
         """
         phase = self.phase + 1
-        arms = self.active
-        prefix = f"agent {self.index}, arm {arms}, phase {phase}: broadcast"
+        k, d = self.psi.shape[1:]
+        prefix = f"agent 0, arm {np.flatnonzero(self.active[0]).tolist()}, phase {phase}: broadcast"
         if broadcast.phase != phase:
             raise ProtocolError(f"{prefix} stamped with phase {broadcast.phase}")
-        if broadcast.theta.shape != self.psi.shape or len(broadcast.has_model) != len(self.psi):
-            raise ProtocolError(f"{prefix} shaped {broadcast.theta.shape}, not {self.psi.shape}")
-        v_shape = self.psi.shape + self.psi.shape[-1:]
-        if broadcast.v.shape != v_shape:
-            raise ProtocolError(f"{prefix} V shaped {broadcast.v.shape}, not {v_shape}")
-        missing = [a for a in arms if not broadcast.has_model[a]]
-        if missing:
-            raise ProtocolError(
-                f"agent {self.index}, arm {missing}, phase {phase}: broadcast has no model"
-            )
-        self.phase = phase
+        if broadcast.theta.shape != (k, d) or broadcast.has_model.shape != (k,):
+            raise ProtocolError(f"{prefix} shaped {broadcast.theta.shape}, not {(k, d)}")
+        if broadcast.v.shape != (k, d, d):
+            raise ProtocolError(f"{prefix} V shaped {broadcast.v.shape}, not {(k, d, d)}")
+        usable = broadcast.has_model & np.isfinite(broadcast.theta).all(axis=1)
+        check_pairs(phase, [(self.active & ~usable, "broadcast has no finite model")])
+        rows, arms = np.nonzero(self.active)
         r_hat, u = score_arms(
-            self.psi[arms], broadcast.theta[arms], broadcast.v[arms], self.alpha, self.ell
+            self.psi[rows, arms], broadcast.theta[arms], broadcast.v[arms], self.alpha, self.ell
         )
-        self.a_hat = arms[int(np.argmax(r_hat))]
-        self.active = eliminate(arms, r_hat, u)
-        upload = ActiveSetUpload(agent=self.index, phase=self.phase, arms=list(self.active))
-        return upload, list(zip(arms, r_hat.tolist(), u.tolist()))
+        dense = np.zeros((2,) + self.active.shape)
+        dense[:, rows, arms] = r_hat, u
+        kept, self.a_hat = eliminate(self.active, *dense)
+        self.phase, self.active = phase, kept
+        upload = ActiveSetUpload(phase=np.full(len(kept), phase), arms=kept.copy())
+        return upload, np.stack((r_hat, u), axis=1)
 
     def explore_phase(
         self, assignment: AllocationMessage, pull_many
-    ) -> tuple[LocalEstimateUpload, int]:
-        """Pull each assigned arm its allotted number of times.
+    ) -> tuple[LocalEstimateUpload, np.ndarray]:
+        """Pull each allocated pair its count of times, ``pull_many(i, a, count)``,
+        agent by agent and arms ascending; zero counts give no estimate.
 
-        The whole message is checked before the first pull: it must be
-        addressed to this agent and its current phase, and its arms must be
-        distinct, ascending, active integer ids, each with one nonnegative
-        integer count.  Arms with a zero count produce no estimate.  Returns
-        the upload and the number of rounds consumed.
+        The whole round is checked before the first pull (``check_round``;
+        only active arms allocated, counts nonnegative and zero outside the
+        allocation).  Returns the upload and each agent's rounds used.
         """
-        if assignment.agent != self.index or assignment.phase != self.phase:
-            raise ProtocolError(
-                f"agent {self.index}, phase {self.phase}: allocation addressed to "
-                f"agent {assignment.agent}, phase {assignment.phase}"
-            )
-        arms, counts = np.asarray(assignment.arms), np.asarray(assignment.counts)
-        listed = arms.tolist()
-        if arms.ndim != 1 or counts.shape != arms.shape or listed != sorted(set(listed)):
-            raise self._rejected(
-                listed, "allocation arms must be distinct and ascending, one count each"
-            )
-        if arms.size and (arms.dtype.kind not in "iu" or counts.dtype.kind not in "iu"):
-            raise self._rejected(listed, "allocation arm ids and counts must be integers")
-        for a, count in zip(listed, counts.tolist()):
-            if a not in self.active:
-                raise self._rejected(a, "allocation for inactive arm")
-            if count < 0:
-                raise self._rejected(a, f"negative pull count {count}")
+        m, k = self.active.shape
+        check_round(assignment, self.phase, m, k)
+        counts = assignment.counts
+        check_pairs(self.phase, [
+            (assignment.arms & ~self.active, "allocation for inactive arm"),
+            ((counts != 0) & ~assignment.arms, "pull count for an arm not allocated"),
+            (counts < 0, lambda i, a: f"negative pull count {counts[i, a]}"),
+        ])
         pulled = counts > 0
-        arms, counts = arms[pulled], counts[pulled]
-        y = np.array([pull_many(a, c) for a, c in zip(arms.tolist(), counts.tolist())])
-        return self._upload(arms, y, counts), int(counts.sum())
+        rows, arms = np.nonzero(pulled)
+        y = np.array([pull_many(i, a, c) for i, a, c in
+                      zip(rows.tolist(), arms.tolist(), counts[pulled].tolist())])
+        return self._upload(pulled, y, counts.copy()), counts.sum(axis=1)
 
-    def exploit_remainder(self, rounds: int, pull_many) -> None:
-        """Pull the current empirical best; rewards are not used for estimation."""
-        if rounds < 0:
-            raise ProtocolError("exploitation rounds must be nonnegative")
-        if rounds == 0:
+    def exploit_remainder(self, rounds: np.ndarray, pull_many) -> None:
+        """Each agent pulls its empirical best ``rounds[i]`` times; the rewards
+        are not used for estimation."""
+        negative = np.flatnonzero(rounds < 0)
+        if negative.size:
+            raise ProtocolError(f"agent {negative[0]}: exploitation rounds must be nonnegative")
+        due = np.flatnonzero(rounds > 0)
+        if not due.size:
             return
         if self.a_hat is None:
             raise ProtocolError("no empirical best arm has been computed yet")
-        pull_many(self.a_hat, rounds)
+        for i, a, r in zip(due.tolist(), self.a_hat[due].tolist(), rounds[due].tolist()):
+            pull_many(i, a, r)

@@ -116,17 +116,20 @@ def meter_message(msg) -> int:
     """Number of real scalars a message carries.
 
     Arm ids and pull counts cost one scalar each; a theta vector costs d
-    and a V matrix costs d^2.  A broadcast carries one arm id per model.
+    and a V matrix costs d^2.  A round costs what its rows would as
+    separate messages: an arm id per pair in its ``arms`` mask, plus that
+    pair's count, or its estimate and pull count.  A broadcast carries one
+    arm id per model.
     """
     if isinstance(msg, LocalEstimateUpload):
-        return msg.arms.size + msg.theta_hat.size + msg.pulls.size
+        return int(msg.arms.sum()) * (2 + msg.theta_hat.shape[-1])
     if isinstance(msg, ActiveSetUpload):
-        return len(msg.arms)
+        return int(msg.arms.sum())
     if isinstance(msg, GlobalBroadcast):
         d = msg.theta.shape[1]
         return int(msg.has_model.sum()) * (1 + d + d * d)
     if isinstance(msg, AllocationMessage):
-        return msg.arms.size + msg.counts.size
+        return 2 * int(msg.arms.sum())
     raise ProtocolError(f"cannot meter message of type {type(msg).__name__}")
 
 
@@ -168,12 +171,22 @@ class PhaseTrace:
 
     phase: int
     f_p: int
+    scored: np.ndarray  # the agents' (M, K) mask of active sets before elimination
+    scores: np.ndarray  # (n, 2): r_hat and u of each scored pair, in np.nonzero order
     active: np.ndarray  # the server's (M, K) mask of active sets after elimination
-    stats: list[list[tuple[int, float, float]]]  # per agent: (arm, r_hat, u)
     issued: np.ndarray  # the server's (M, K) issued pull counts
     round_end: int
     regret: np.ndarray  # the ledger's (M,) per-agent regret at round_end
     design: dict  # the design solve's sweeps, converged, objective, gap and certificate
+
+    @property
+    def stats(self) -> list[list[tuple[int, float, float]]]:
+        """Per agent, the (arm, r_hat, u) of each arm it scored, in arm order."""
+        out = [[] for _ in range(len(self.scored))]
+        rows, arms = np.nonzero(self.scored)
+        for i, a, (r_hat, u) in zip(rows.tolist(), arms.tolist(), self.scores.tolist()):
+            out[i].append((a, r_hat, u))
+        return out
 
 
 @dataclass
@@ -205,10 +218,9 @@ class RunTrace:
     def any_confidence_violation(self) -> bool:
         """True if any recorded (phase, agent, arm) had |r_hat - r| >= u."""
         for rec in self.phases:
-            for i, stats in enumerate(rec.stats):
-                for arm, r_hat, u in stats:
-                    if abs(r_hat - self.true_rewards[i, arm]) >= u:
-                        return True
+            r_hat, u = rec.scores.T
+            if (np.abs(r_hat - self.true_rewards[np.nonzero(rec.scored)]) >= u).any():
+                return True
         return False
 
     def any_optimal_arm_eliminated(self) -> bool:
@@ -234,11 +246,13 @@ class RunTrace:
             "H": self.schedule.H,
             "design_tol": DESIGN_TOL,
         }
-        before = [list(range(self.schedule.K))] * self.m
         for rec in self.phases:
             # One tolist() per array: per-row numpy calls cost more here.
-            after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
-            issued, regret = rec.issued.tolist(), rec.regret.tolist()
+            before, after = (
+                [[a for a, on in enumerate(row) if on] for row in mask.tolist()]
+                for mask in (rec.scored, rec.active)
+            )
+            issued, regret, stats = rec.issued.tolist(), rec.regret.tolist(), rec.stats
             yield {
                 "v": TRACE_VERSION,
                 "type": "server",
@@ -256,13 +270,10 @@ class RunTrace:
                     "agent": i,
                     "active_before": before[i],
                     "active_after": after[i],
-                    "stats": [
-                        {"arm": a, "r_hat": r, "u": u} for a, r, u in rec.stats[i]
-                    ],
+                    "stats": [{"arm": a, "r_hat": r, "u": u} for a, r, u in stats[i]],
                     "allocation": [[a, issued[i][a]] for a in after[i]],
                     "regret": regret[i],
                 }
-            before = after
         yield {
             "v": TRACE_VERSION,
             "type": "summary",
@@ -308,7 +319,7 @@ def run_protocol(
     psi = build_psi_set(scenario.features, mus, scenario.bounds)
 
     alpha, k_conf = compute_alpha(m, k_arms, schedule.H, d, delta)
-    agents = [Agent(i, psi[i], alpha, scenario.bounds.ell) for i in range(m)]
+    agents = Agent(psi, alpha, scenario.bounds.ell)
     server = CentralServer(m, k_arms, d)
     meter = CommMeter()
 
@@ -327,12 +338,9 @@ def run_protocol(
     )
 
     # Initialization: every agent pulls every arm once (phase 0).
-    init_uploads = []
-    for i, agent in enumerate(agents):
-        upload = agent.initialize(lambda a, i=i: env.pull(i, a))
-        meter.record_up(upload, 0)
-        init_uploads.append(upload)
-    broadcast = server.ingest_init(init_uploads)
+    upload = agents.initialize(env.pull)
+    meter.record_up(upload, 0)
+    broadcast = server.ingest_init(upload)
     meter.record_down(broadcast, 0, copies=m)
 
     round_cursor = k_arms  # rounds elapsed per agent so far
@@ -340,36 +348,18 @@ def run_protocol(
     for p in range(1, schedule.H + 1):
         try:
             f_p = schedule.f_p(p)
-            set_uploads = []
-            stats_per_agent = []
-            for agent in agents:
-                upload, stats = agent.begin_phase(broadcast)
-                meter.record_up(upload, p)
-                set_uploads.append(upload)
-                stats_per_agent.append(stats)
-
-            alloc_msgs = server.plan_phase(set_uploads, f_p)
-            for msg in alloc_msgs:
-                meter.record_down(msg, p)
-
-            est_uploads = []
-            rounds_used = []
-            for i, agent in enumerate(agents):
-                upload, used = agent.explore_phase(
-                    alloc_msgs[i], lambda a, count, i=i: env.pull_many(i, a, count)
-                )
-                meter.record_up(upload, p)
-                est_uploads.append(upload)
-                rounds_used.append(used)
-
-            broadcast = server.ingest_phase(est_uploads)
+            scored = agents.active
+            active_sets, scores = agents.begin_phase(broadcast)
+            meter.record_up(active_sets, p)
+            allocation = server.plan_phase(active_sets, f_p)
+            meter.record_down(allocation, p)
+            estimates, used = agents.explore_phase(allocation, env.pull_many)
+            meter.record_up(estimates, p)
+            broadcast = server.ingest_phase(estimates)
             meter.record_down(broadcast, p, copies=m)
-
-            for i, agent in enumerate(agents):
-                remainder = max(schedule.phase_length(p) - rounds_used[i], 0)
-                agent.exploit_remainder(
-                    remainder, lambda a, count, i=i: env.pull_many(i, a, count)
-                )
+            agents.exploit_remainder(
+                np.maximum(schedule.phase_length(p) - used, 0), env.pull_many
+            )
         except FedPecdError as exc:
             raise type(exc)(f"phase {p}: {exc}") from exc
 
@@ -379,8 +369,9 @@ def run_protocol(
             PhaseTrace(
                 phase=p,
                 f_p=f_p,
+                scored=scored,
+                scores=scores,
                 active=server.active,
-                stats=stats_per_agent,
                 issued=server.issued,
                 round_end=round_cursor,
                 regret=per_agent,

@@ -1,18 +1,18 @@
 """Server-side protocol: round checks, aggregation, design solving, allocation.
 
-The server keeps everything dense over arm ids 0..K-1: a phase's active
-sets are an ``(M, K)`` bool mask, its issued pull counts an ``(M, K)`` int
-array and a round's estimates an ``(M, K, d)`` array.  Every round of
-uploads passes one roster check (``_check_roster``): one upload per agent,
-stamped with the expected phase, naming distinct arms it may report.
+The server keeps everything dense over agents 0..M-1 and arm ids 0..K-1,
+the format of the rounds it receives and sends (see ``messages``): a
+phase's active sets are an ``(M, K)`` bool mask, its issued pull counts an
+``(M, K)`` int array and a round's estimates an ``(M, K, d)`` array.  Every
+round is checked whole before any of it is used: shape, dtypes and phase
+stamps (``check_round``), then mask checks on its pairs (``check_pairs``).
 
 Initialization and every phase share one aggregation formula; they differ
-only in which uploads they accept (init: every agent, every arm, f = 1;
-phase: each (agent, arm) pair the server issued pulls for, with the
-issued count f), and every pair issued a pull must report.  All arms
-are aggregated in one stacked pass with one batched pseudo-inverse; each
-arm's terms are added in agent order, so the order of the uploads cannot
-change a bit of the result.
+only in which pairs they accept (init: every agent, every arm, f = 1;
+phase: each (agent, arm) pair of the active sets the server planned for,
+with the issued count f), and every pair issued a pull must report.  All
+arms are aggregated in one stacked pass with one batched pseudo-inverse;
+each arm's terms are added in agent order.
 
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
@@ -34,7 +34,8 @@ import numpy as np
 from .design import DesignAllocation, DesignProblem, solve_design
 from .errors import DegenerateArmError, NotPSDError, ProtocolError
 from .linalg import eigen_cutoff, pinv, sq_norms
-from .messages import ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload
+from .messages import (ActiveSetUpload, AllocationMessage, GlobalBroadcast, LocalEstimateUpload,
+                       check_pairs, check_round)
 
 # Relief subtracted before ceil() so float dust cannot inflate a count.
 _CEIL_RELIEF = 1e-9
@@ -115,118 +116,57 @@ def _aggregate(
     return out
 
 
-def _rejected(u: LocalEstimateUpload | ActiveSetUpload, arm, problem: str) -> ProtocolError:
-    """The error naming an upload's agent, arm (or arm list) and phase."""
-    return ProtocolError(f"agent {u.agent}, arm {arm}, phase {u.phase}: {problem}")
-
-
-def _check_roster(uploads, phase: int, allowed: np.ndarray) -> np.ndarray:
-    """The ``(M, K)`` mask of the (agent, arm) pairs a round of uploads reports.
-
-    Each agent 0..M-1 must send exactly one upload, stamped ``phase``,
-    with an integer agent id and distinct integer arm ids ``allowed`` for
-    it.  Uploads are checked in the order they arrive; an agent that sent
-    none is named after them.
-    """
-    m, k = allowed.shape
-    reported = np.zeros((m, k), dtype=bool)
-    sent = np.zeros(m, dtype=bool)
-    for u in uploads:
-        ids = np.asarray(u.arms)
-        arms = ids.tolist()
-        if u.phase != phase:
-            raise _rejected(u, arms, f"expected phase {phase}")
-        # Integers first: a float id passes the range check, then fails to index.
-        if np.asarray(u.agent).dtype.kind not in "iu" or (ids.size and ids.dtype.kind not in "iu"):
-            raise _rejected(u, arms, "agent and arm ids must be integers")
-        # Range next: a negative id would wrap around the masks.
-        if not 0 <= u.agent < m:
-            raise _rejected(u, arms, f"agent id outside 0..{m - 1}")
-        if sent[u.agent]:
-            raise _rejected(u, arms, "second upload from this agent")
-        sent[u.agent] = True
-        for a in arms:
-            if not (0 <= a < k and allowed[u.agent, a]):
-                raise _rejected(u, a, "arm outside the agent's roster")
-            if reported[u.agent, a]:
-                raise _rejected(u, a, "arm reported twice")
-            reported[u.agent, a] = True
-    missing = np.flatnonzero(~sent)
-    if missing.size:
-        i = missing[0]
-        arms = np.flatnonzero(allowed[i]).tolist()
-        raise ProtocolError(f"agent {i}, arm {arms}, phase {phase}: no upload")
-    return reported
-
-
-def _stack(uploads: list[LocalEstimateUpload], m: int, k: int, d: int):
-    """The uploaded estimates and pull counts as ``(M, K, d)`` and ``(M, K)``
-    arrays by agent and arm, zero where none was uploaded."""
-    th = np.zeros((m, k, d))
-    pulls = np.zeros((m, k))
-    for u in uploads:
-        n = len(u.arms)
-        if np.shape(u.theta_hat) != (n, d) or np.shape(u.pulls) != (n,):
-            arms = np.asarray(u.arms).tolist()
-            raise _rejected(u, arms, f"theta_hat must be ({n}, {d}) and pulls ({n},)")
-        th[u.agent, u.arms] = u.theta_hat
-        pulls[u.agent, u.arms] = u.pulls
-    return th, pulls
-
-
 def _aggregate_round(
-    uploads: list[LocalEstimateUpload],
+    upload: LocalEstimateUpload,
     issued: np.ndarray,
     active: np.ndarray,
     phase: int,
     d: int,
     prev: GlobalBroadcast | None,
 ) -> GlobalBroadcast:
-    """Check one round of estimate uploads and aggregate it (see ``aggregate_phase``)."""
+    """Check one round of estimates and aggregate it (see ``aggregate_phase``)."""
     m, k = issued.shape
-    reported = _check_roster(uploads, phase, active)
-    th, pulls = _stack(uploads, m, k, d)
-    for bad, problem in (
-        (~np.isfinite(th).all(axis=-1), "theta_hat is not finite"),
-        (reported & (pulls != issued), "uploaded {p:g} pulls, server issued {f}"),
-        ((issued >= 1) & ~reported, "no upload for {f} issued pulls"),
-    ):
-        if bad.any():
-            i, a = np.argwhere(bad)[0]
-            problem = problem.format(p=pulls[i, a], f=issued[i, a])
-            raise ProtocolError(f"agent {i}, arm {a}, phase {phase}: {problem}")
+    check_round(upload, phase, m, k, d)
+    reported, pulls = upload.arms, upload.pulls
+    check_pairs(phase, [
+        (reported & ~active, "arm outside the agent's roster"),
+        (reported & ~np.isfinite(upload.theta_hat).all(axis=-1), "theta_hat is not finite"),
+        (reported & (pulls != issued),
+         lambda i, a: f"uploaded {pulls[i, a]} pulls, server issued {issued[i, a]}"),
+        ((issued >= 1) & ~reported, lambda i, a: f"no upload for {issued[i, a]} issued pulls"),
+    ])
+    th = np.where(reported[..., None], upload.theta_hat, 0.0)
     union = np.flatnonzero(active.any(axis=0))
     return _aggregate(phase + 1, issued, th, union, prev)
 
 
-def aggregate_init(uploads: list[LocalEstimateUpload], m: int, k: int, d: int) -> GlobalBroadcast:
+def aggregate_init(upload: LocalEstimateUpload, m: int, k: int, d: int) -> GlobalBroadcast:
     """Aggregate the single-pull estimates into the first global model.
 
-    Needs one phase-0 upload per agent covering every arm with one pull and
-    a finite ``(d,)`` estimate each; each enters the aggregation with f = 1.
+    Needs a phase-0 round in which every agent reports every arm with one
+    pull and a finite ``(d,)`` estimate; each enters with f = 1.
     """
     return _aggregate_round(
-        uploads, np.ones((m, k), dtype=int), np.ones((m, k), dtype=bool), 0, d, None
+        upload, np.ones((m, k), dtype=int), np.ones((m, k), dtype=bool), 0, d, None
     )
 
 
 def aggregate_phase(
-    uploads: list[LocalEstimateUpload],
+    upload: LocalEstimateUpload,
     issued: np.ndarray,
     active: np.ndarray,
     prev: GlobalBroadcast,
 ) -> GlobalBroadcast:
-    """Aggregate phase-p uploads into the next global model.
+    """Aggregate a phase-p round of estimates into the next global model.
 
     ``issued`` holds the ``(M, K)`` pull counts the server issued and
     ``active`` the ``(M, K)`` mask of the active sets they were issued for;
-    the model covers the union of those sets.  Each agent sends one upload
-    stamped with the phase of ``prev``; each of its estimates must be
-    finite, shaped like ``prev``'s models and come from an active pair, at
-    most once, with the issued pull count; every pair issued at least one
-    pull must report.
+    the model covers the union of those sets.  Every row is stamped with
+    the phase of ``prev``; each reported estimate must be finite, shaped
+    like ``prev``'s models and come from an active pair with the issued
+    pull count; every pair issued at least one pull must report.
     """
-    return _aggregate_round(uploads, issued, active, prev.phase, prev.theta.shape[1], prev)
+    return _aggregate_round(upload, issued, active, prev.phase, prev.theta.shape[1], prev)
 
 
 def allocate(alloc: DesignAllocation, f_p: int) -> np.ndarray:
@@ -262,9 +202,15 @@ class CentralServer:
         self.active = np.ones((m, k), dtype=bool)
         self.issued: np.ndarray | None = None
 
-    def ingest_init(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
-        self.model = aggregate_init(uploads, self.m, self.k, self.d)
-        th, _ = _stack(uploads, self.m, self.k, self.d)
+    def ingest_init(self, upload: LocalEstimateUpload) -> GlobalBroadcast:
+        """Aggregate the init round and learn each pair's direction from it.
+
+        A second init round is stale: the model has moved past phase 0.
+        """
+        if self.model is not None:
+            raise ProtocolError(f"phase {self.model.phase}: stale initialization round")
+        self.model = aggregate_init(upload, self.m, self.k, self.d)
+        th = np.asarray(upload.theta_hat, dtype=float)
         # np.linalg.norm of one vector is sqrt(th @ th): the same bits.
         norm = np.sqrt(sq_norms(th))
         self.has_direction = norm > 0.0
@@ -273,23 +219,20 @@ class CentralServer:
         )
         return self.model
 
-    def plan_phase(
-        self, active_uploads: list[ActiveSetUpload], f_p: int
-    ) -> list[AllocationMessage]:
+    def plan_phase(self, upload: ActiveSetUpload, f_p: int) -> AllocationMessage:
         """Check the active sets, solve the design, and issue pull counts.
 
-        Each agent 0..M-1 must send exactly one upload, stamped with the
-        phase of the current model, and its arms must be distinct, nonempty
-        and within its previous active set.  Uploads are checked in the
-        order they arrive; an agent that sent none is named after them.
+        The round must be stamped with the phase of the current model, and
+        each agent's set must be nonempty and within its previous active
+        set.  The allocation names each agent's active arms with their
+        counts, zero counts included.
         """
         if self.model is None:
-            if active_uploads:
-                u = active_uploads[0]
-                raise _rejected(u, u.arms, "active set before initialization")
             raise ProtocolError("planning before initialization")
         phase = self.model.phase
-        active = _check_roster(active_uploads, phase, self.active)
+        check_round(upload, phase, self.m, self.k)
+        active = upload.arms.copy()
+        check_pairs(phase, [(active & ~self.active, "arm outside the agent's roster")])
         empty = np.flatnonzero(~active.any(axis=1))
         if empty.size:
             raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
@@ -297,15 +240,12 @@ class CentralServer:
         self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
         self.active = active
         self.issued = allocate(self.design, f_p)
-        return [
-            AllocationMessage(
-                agent=i, phase=phase, arms=np.flatnonzero(row), counts=self.issued[i, row]
-            )
-            for i, row in enumerate(active)
-        ]
+        return AllocationMessage(
+            phase=np.full(self.m, phase), arms=active.copy(), counts=self.issued.copy()
+        )
 
-    def ingest_phase(self, uploads: list[LocalEstimateUpload]) -> GlobalBroadcast:
+    def ingest_phase(self, upload: LocalEstimateUpload) -> GlobalBroadcast:
         if self.issued is None or self.model is None:
             raise ProtocolError("phase uploads arrived before planning")
-        self.model = aggregate_phase(uploads, self.issued, self.active, self.model)
+        self.model = aggregate_phase(upload, self.issued, self.active, self.model)
         return self.model

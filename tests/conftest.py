@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedpecd.design import DesignProblem
-from fedpecd.messages import GlobalBroadcast, LocalEstimateUpload
+from fedpecd.messages import ActiveSetUpload, GlobalBroadcast, LocalEstimateUpload
 from fedpecd.model import Bounds, ContextDistribution, Scenario
 
 
@@ -31,14 +31,25 @@ def broadcast(models, k, phase=1):
     return out
 
 
-def upload(agent, phase, rows, d=2):
-    """The estimate upload of ``rows``, (arm, theta_hat, pulls) triples; ``d``
-    shapes an upload without rows."""
-    theta = np.array([th for _, th, _ in rows], dtype=float) if rows else np.zeros((0, d))
-    return LocalEstimateUpload(
-        agent=agent, phase=phase, arms=np.array([a for a, _, _ in rows], dtype=int),
-        theta_hat=theta, pulls=np.array([f for _, _, f in rows], dtype=int),
-    )
+def estimates(phase, rows, k, d=2):
+    """The estimate round of ``rows``: per agent, its (arm, theta_hat, pulls)
+    triples; every other pair is unreported and zero."""
+    m = len(rows)
+    arms = np.zeros((m, k), dtype=bool)
+    theta = np.zeros((m, k, d))
+    pulls = np.zeros((m, k), dtype=int)
+    for i, agent_rows in enumerate(rows):
+        for a, th, f in agent_rows:
+            arms[i, a], theta[i, a], pulls[i, a] = True, th, f
+    return LocalEstimateUpload(phase=np.full(m, phase), arms=arms, theta_hat=theta, pulls=pulls)
+
+
+def active_sets(sets, k, phase=1):
+    """The active-set round of ``sets``, one list of arm ids per agent."""
+    arms = np.zeros((len(sets), k), dtype=bool)
+    for i, ids in enumerate(sets):
+        arms[i, ids] = True
+    return ActiveSetUpload(phase=np.full(len(sets), phase), arms=arms)
 
 
 def random_design_problem(m, k, d, seed=0, active_sets=None):

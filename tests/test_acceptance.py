@@ -217,24 +217,26 @@ def test_c08_aggregation_oracle():
             psi = psis[(i, a)]
             return (y / float(psi @ psi)) * psi
 
-        def upload(i, phase, arms, pulls):
-            """Agent i's estimates of ``arms`` from fresh average rewards."""
-            theta_hat = np.zeros((len(arms), d))
-            for row, a in enumerate(arms):
+        def upload(phase, reported, pulls):
+            """The round of estimates of the ``reported`` pairs from fresh
+            average rewards, drawn agent by agent, arms ascending."""
+            theta_hat = np.zeros((m, k, d))
+            for i, a in np.argwhere(reported):
                 y = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
-                theta_hat[row] = estimate(i, a, y)
-            return LocalEstimateUpload(agent=i, phase=phase, arms=np.array(arms, dtype=int),
-                                       theta_hat=theta_hat, pulls=np.array(pulls, dtype=int))
+                theta_hat[i, a] = estimate(i, a, y)
+            return LocalEstimateUpload(phase=np.full(m, phase), arms=reported,
+                                       theta_hat=theta_hat, pulls=pulls)
 
-        init_uploads = [upload(i, 0, list(range(k)), [1] * k) for i in range(m)]
-        model = aggregate_init(init_uploads, m=m, k=k, d=d)
+        every = np.ones((m, k), dtype=bool)
+        init_upload = upload(0, every, np.ones((m, k), dtype=int))
+        model = aggregate_init(init_upload, m=m, k=k, d=d)
 
         # independent recomputation from the printed formulas
         for a in range(k):
             gram = np.zeros((d, d))
             linear = np.zeros(d)
             for i in range(m):
-                th = init_uploads[i].theta_hat[a]
+                th = init_upload.theta_hat[i, a]
                 linear += th
                 nsq = float(th @ th)
                 if nsq > 0.0:
@@ -254,11 +256,8 @@ def test_c08_aggregation_oracle():
         issued = np.zeros((m, k), dtype=int)
         for i, a in np.argwhere(active):
             issued[i, a] = rng.integers(0, 4)
-        uploads = []
-        for i in range(m):
-            arms = np.flatnonzero(active[i] & (issued[i] >= 1)).tolist()
-            uploads.append(upload(i, 1, arms, issued[i, arms]))
-        phase_model = aggregate_phase(uploads, issued, active, model)
+        phase_upload = upload(1, active & (issued >= 1), issued)
+        phase_model = aggregate_phase(phase_upload, issued, active, model)
 
         for a in np.flatnonzero(active.any(axis=0)).tolist():
             gram = np.zeros((d, d))
@@ -268,7 +267,7 @@ def test_c08_aggregation_oracle():
                 f = int(issued[i, a])
                 if f < 1:
                     continue
-                th = uploads[i].theta_hat[uploads[i].arms.tolist().index(a)]
+                th = phase_upload.theta_hat[i, a]
                 linear += f * th
                 nsq = float(th @ th)
                 if nsq > 0.0:

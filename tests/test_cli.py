@@ -75,3 +75,11 @@ def test_malformed_agent_counts_exit_code(capsys):
         main(["sweep", "--agents", "3,x"])
     assert exc.value.code == 2
     assert "invalid agent_counts value: '3,x'" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text") and len(err.splitlines()) == 1

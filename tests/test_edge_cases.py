@@ -16,13 +16,12 @@ from fedpecd.errors import (
     ValidationError,
 )
 from fedpecd.harness import SyntheticSpec, generate_synthetic
-from fedpecd.messages import AllocationMessage
 from fedpecd.model import Bounds, ContextDistribution, Scenario
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import CentralServer, allocate
 
-from conftest import identical_agents_scenario, upload
-from test_agent import make_agent
+from conftest import active_sets, estimates, identical_agents_scenario
+from test_agent import allocation, make_agent
 from test_environment import one_agent_scenario
 from test_harness import tiny_sweep
 
@@ -44,7 +43,7 @@ def test_duplicate_context_id_rejected():
 
 def test_init_estimate_rejects_zero_psi():
     with pytest.raises(ProtocolError, match="agent 0, arm 1: psi has zero norm"):
-        Agent(0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), alpha=1.0, ell=0.5)
+        Agent(np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]), alpha=1.0, ell=0.5)
 
 
 def test_arm_stats_propagate_not_psd():
@@ -57,9 +56,8 @@ def test_explore_negative_count_rejected():
     env = Environment(one_agent_scenario(), master_seed=0)
     agent = make_agent(env)
     agent.phase = 1
-    msg = AllocationMessage(agent=0, phase=1, arms=np.array([0]), counts=np.array([-1]))
     with pytest.raises(ProtocolError):
-        agent.explore_phase(msg, lambda a, c: env.pull_many(0, a, c))
+        agent.explore_phase(allocation({0: -1}), env.pull_many)
 
 
 def test_allocate_requires_positive_budget():
@@ -68,17 +66,20 @@ def test_allocate_requires_positive_budget():
 
 
 def test_plan_phase_requires_all_agents():
-    from fedpecd.messages import ActiveSetUpload
-
+    """Before initialization any round is refused; after it, a round
+    without agent 1's row is mis-shaped."""
     server = CentralServer(m=2, k=2, d=2)
     with pytest.raises(ProtocolError):
-        server.plan_phase([ActiveSetUpload(agent=0, phase=1, arms=[0])], f_p=2)
+        server.plan_phase(active_sets([[0]], 2), f_p=2)
+    server.ingest_init(estimates(0, [[(0, [1.0, 0.0], 1), (1, [0.0, 1.0], 1)]] * 2, 2))
+    with pytest.raises(ProtocolError, match=r"^phase 1: ActiveSetUpload phase shaped \(1,\)"):
+        server.plan_phase(active_sets([[0]], 2), f_p=2)
 
 
 def test_phase_uploads_before_planning_rejected():
     server = CentralServer(m=1, k=1, d=2)
     with pytest.raises(ProtocolError):
-        server.ingest_phase([upload(0, 1, [])])
+        server.ingest_phase(estimates(1, [[]], 1))
 
 
 def test_invalid_variant_rejected():

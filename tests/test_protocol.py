@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fedpecd.server as server_module
+from fedpecd.agent import Agent
+from fedpecd.environment import Environment
 from fedpecd.errors import ConfigurationError, ProtocolError
 from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic
 from fedpecd.messages import (
@@ -15,8 +18,9 @@ from fedpecd.messages import (
     GlobalBroadcast,
     LocalEstimateUpload,
 )
+from fedpecd.model import build_psi_set
 from fedpecd.protocol import build_schedule, compute_alpha, meter_message, run_protocol
-from fedpecd.server import DESIGN_TOL
+from fedpecd.server import DESIGN_TOL, CentralServer
 
 from conftest import identical_agents_scenario
 
@@ -90,12 +94,15 @@ class TestComputeAlpha:
 class TestMeterMessage:
     def test_estimate_upload(self):
         msg = LocalEstimateUpload(
-            agent=0, phase=1, arms=np.arange(3), theta_hat=np.zeros((3, 3)), pulls=np.ones(3)
+            phase=np.ones(2, dtype=int), arms=np.array([[True] * 3, [False] * 3]),
+            theta_hat=np.zeros((2, 3, 3)), pulls=np.array([[1] * 3, [0] * 3]),
         )
         assert meter_message(msg) == 15  # 3 * (1 + 3 + 1)
 
     def test_active_set_upload(self):
-        assert meter_message(ActiveSetUpload(agent=0, phase=1, arms=[4])) == 1
+        arms = np.zeros((1, 5), dtype=bool)
+        arms[0, 4] = True
+        assert meter_message(ActiveSetUpload(phase=np.ones(1, dtype=int), arms=arms)) == 1
 
     def test_broadcast(self):
         msg = GlobalBroadcast(phase=1, theta=np.zeros((3, 2)), v=np.zeros((3, 2, 2)),
@@ -103,7 +110,8 @@ class TestMeterMessage:
         assert meter_message(msg) == 14  # 2 models * (1 + 2 + 4)
 
     def test_allocation(self):
-        msg = AllocationMessage(agent=0, phase=1, arms=np.array([0, 2]), counts=np.array([3, 1]))
+        msg = AllocationMessage(phase=np.ones(1, dtype=int), arms=np.array([[True, False, True]]),
+                                counts=np.array([[3, 0, 1]]))
         assert meter_message(msg) == 4
 
     def test_unknown_type(self):
@@ -188,6 +196,24 @@ class TestRunProtocol:
         values = [v for _, v in trace.checkpoints]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_meter_matches_a_hand_count_from_the_masks(self):
+        """Per phase: one scalar per active arm uploaded, two per allocated
+        arm, 2 + d per reported estimate, and each model (one per arm of
+        the union) at 1 + d + d^2 to each of the M agents."""
+        sc = generate_synthetic(small_spec(), seed=6)
+        sched = build_schedule(1, 2, sc.K, 2**10)
+        trace = run_protocol(sc, sched, master_seed=2, variant="hidden")
+        m, k, d = sc.M, sc.K, sc.d
+        model = 1 + d + d * d
+        buckets = trace.meter.per_phase
+        assert buckets[0] == {"phase": 0, "up": m * k * (2 + d), "down": k * model * m}
+        assert len(buckets) == 1 + len(trace.phases)
+        for rec in trace.phases:
+            sets = int(rec.active.sum())
+            up = sets + int((rec.issued > 0).sum()) * (2 + d)
+            down = 2 * sets + int(rec.active.any(axis=0).sum()) * model * m
+            assert buckets[rec.phase] == {"phase": rec.phase, "up": up, "down": down}
+
     def test_schedule_scenario_mismatch(self):
         sc = generate_synthetic(small_spec(), seed=5)
         sched = build_schedule(1, 2, sc.K + 1, 2**9)
@@ -251,6 +277,76 @@ class TestRunProtocol:
                     psi_v = u * ell / trace.alpha
                     ratios.append(psi_v / math.sqrt(big_l))
         assert min(ratios) >= 1.0
+
+
+def planned_first_phase():
+    """Five desk agents, their server and environment with phase 1 planned.
+    alpha = 0 keeps each agent's empirical best alone, so every agent has
+    inactive arms."""
+    sc = generate_synthetic(desk_spec(m=5), seed=3, variant="hidden")
+    env = Environment(sc, master_seed=0)
+    agents = Agent(build_psi_set(sc.features, sc.mus, sc.bounds), 0.0, sc.bounds.ell)
+    server = CentralServer(sc.M, sc.K, sc.d)
+    sets, _ = agents.begin_phase(server.ingest_init(agents.initialize(env.pull)))
+    return env, agents, server, server.plan_phase(sets, 16)
+
+
+def with_bad_row(r, j, defect, active):
+    """A copy of the round ``r`` with one defect in agent j's row; returns it
+    and the arm the error names."""
+    r = replace(r, **{f: v.copy() for f, v in vars(r).items()})
+    count = "counts" if hasattr(r, "counts") else "pulls"
+    a = int(np.flatnonzero(active[j])[0])
+    if defect == "stale phase":
+        r.phase[j] = 0
+        return r, f"[{a}]"
+    if defect == "inactive arm":
+        # A zero count: only the roster check can refuse it.
+        a = int(np.flatnonzero(~active[j])[0])
+        r.arms[j, a] = True
+    elif defect == "negative count":
+        getattr(r, count)[j, a] = -1
+    elif defect == "float count":
+        values = getattr(r, count).astype(float)
+        values[j, a] = 2.5
+        setattr(r, count, values)
+    else:  # "non-finite estimate"
+        r.theta_hat[j, a, 0] = np.nan
+    return r, str(a)
+
+
+class TestRoundAtomicity:
+    """A round with one bad row is refused whole: the error names that row's
+    agent, and nothing was pulled and no state changed."""
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "defect", ["inactive arm", "negative count", "float count", "stale phase"]
+    )
+    def test_bad_allocation_row_pulls_nothing(self, defect, j):
+        env, agents, _, alloc = planned_first_phase()
+        active, regret = agents.active, env.cumulative_regret()[0]
+        bad, arm = with_bad_row(alloc, j, defect, active)
+        pulls = []
+        with pytest.raises(ProtocolError, match=rf"^agent {j}, arm {re.escape(arm)}, phase "):
+            agents.explore_phase(bad, lambda *args: pulls.append(args))
+        assert pulls == [] and agents.phase == 1
+        assert agents.active is active and active.sum() == len(active)
+        assert (env.cumulative_regret()[0] == regret).all()
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    @pytest.mark.parametrize("defect", [
+        "inactive arm", "negative count", "float count", "stale phase", "non-finite estimate",
+    ])
+    def test_bad_estimate_row_changes_nothing(self, defect, j):
+        env, agents, server, alloc = planned_first_phase()
+        upload, _ = agents.explore_phase(alloc, env.pull_many)
+        state = (server.model, server.active, server.issued, server.design)
+        bad, arm = with_bad_row(upload, j, defect, server.active)
+        with pytest.raises(ProtocolError, match=rf"^agent {j}, arm {re.escape(arm)}, phase "):
+            server.ingest_phase(bad)
+        now = (server.model, server.active, server.issued, server.design)
+        assert all(x is y for x, y in zip(now, state))
 
 
 class TestOutputTripwire:

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedpecd.design import DesignAllocation
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import pinv
-from fedpecd.messages import ActiveSetUpload
 from fedpecd.server import (
     CentralServer,
     aggregate_init,
@@ -13,24 +14,40 @@ from fedpecd.server import (
     allocate,
 )
 
-from conftest import broadcast, upload
+from conftest import active_sets, broadcast, estimates
 
 # A one-row theta_hat the d = 2 aggregation must reject, by what is wrong,
-# and the arm its error names: a mis-shaped array names the upload's arm
-# list, a non-finite row its own arm.
+# and whether the error names its pair: a row shaped unlike (d,) makes the
+# whole round's theta_hat mis-shaped, which names only the phase; a
+# non-finite row names its agent and arm.
 MALFORMED_THETAS = {
-    "length-1": (np.array([0.5]), r"\[0\]"),
-    "length-3": (np.array([0.5, 0.1, 0.2]), r"\[0\]"),
-    "2-D": (np.array([[0.5, 0.1]]), r"\[0\]"),
-    "nan": (np.array([np.nan, 0.1]), "0"),
-    "inf": (np.array([0.5, np.inf]), "0"),
+    "length-1": (np.array([0.5]), False),
+    "length-3": (np.array([0.5, 0.1, 0.2]), False),
+    "2-D": (np.array([[0.5, 0.1]]), False),
+    "nan": (np.array([np.nan, 0.1]), True),
+    "inf": (np.array([0.5, np.inf]), True),
 }
+
+
+def with_row(phase, rows, agent, theta, d=2):
+    """The one-arm estimate round of ``rows`` with ``agent``'s estimate
+    replaced by ``theta``, whatever its shape."""
+    clean = estimates(phase, rows, 1, d)
+    th = np.zeros(clean.theta_hat.shape[:2] + theta.shape)
+    th[agent, 0] = theta
+    return replace(clean, theta_hat=th)
+
+
+def malformed_match(case, agent, phase):
+    if MALFORMED_THETAS[case][1]:
+        return rf"^agent {agent}, arm 0, phase {phase}: theta_hat is not finite"
+    return rf"^phase {phase}: LocalEstimateUpload theta_hat shaped"
 
 
 class TestAggregateInit:
     def test_single_agent_unit_psi_fixed_point(self):
         psi = np.array([0.6, 0.8])  # unit norm
-        model = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
+        model = aggregate_init(estimates(0, [[(0, psi, 1)]], 1), m=1, k=1, d=2)
         theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(psi, psi), atol=1e-12)
         np.testing.assert_allclose(theta, psi, atol=1e-12)
@@ -38,9 +55,7 @@ class TestAggregateInit:
     def test_two_orthogonal_unit_uploads(self):
         u = np.array([1.0, 0.0])
         w = np.array([0.0, 1.0])
-        model = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1, d=2
-        )
+        model = aggregate_init(estimates(0, [[(0, u, 1)], [(0, w, 1)]], 1), m=2, k=1, d=2)
         theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(u, u) + np.outer(w, w), atol=1e-12)
         np.testing.assert_allclose(theta, u + w, atol=1e-12)
@@ -50,20 +65,15 @@ class TestAggregateInit:
         V unchanged while the aggregated theta moves."""
         u = np.array([1.0, 0.0])
         w = np.array([0.6, 0.8])
-        base = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)])], m=2, k=1, d=2
-        )
-        scaled = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, 3 * w, 1)])], m=2, k=1, d=2
-        )
+        base = aggregate_init(estimates(0, [[(0, u, 1)], [(0, w, 1)]], 1), m=2, k=1, d=2)
+        scaled = aggregate_init(estimates(0, [[(0, u, 1)], [(0, 3 * w, 1)]], 1), m=2, k=1, d=2)
         np.testing.assert_allclose(scaled.v[0], base.v[0], atol=1e-12)
         assert not np.allclose(scaled.theta[0], base.theta[0])
 
     def test_zero_upload_skipped_in_gram(self):
         u = np.array([1.0, 0.0])
         model = aggregate_init(
-            [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, np.zeros(2), 1)])],
-            m=2, k=1, d=2,
+            estimates(0, [[(0, u, 1)], [(0, np.zeros(2), 1)]], 1), m=2, k=1, d=2
         )
         theta, v = model.theta[0], model.v[0]
         np.testing.assert_allclose(v, np.outer(u, u), atol=1e-12)
@@ -71,42 +81,44 @@ class TestAggregateInit:
 
     def test_all_zero_arm_is_degenerate(self):
         with pytest.raises(DegenerateArmError):
-            aggregate_init([upload(0, 0, [(0, np.zeros(2), 1)])], m=1, k=1, d=2)
+            aggregate_init(estimates(0, [[(0, np.zeros(2), 1)]], 1), m=1, k=1, d=2)
 
     def test_missing_agent_rejected(self):
-        with pytest.raises(ProtocolError):
-            aggregate_init([upload(0, 0, [(0, np.array([1.0, 0.0]), 1)])], m=2, k=1, d=2)
+        """A round without agent 1's row is mis-shaped; with the row but no
+        report in it, agent 1 is named."""
+        u = np.array([1.0, 0.0])
+        with pytest.raises(ProtocolError, match=r"^phase 0: .* shaped \(1,\), not \(2,\)"):
+            aggregate_init(estimates(0, [[(0, u, 1)]], 1), m=2, k=1, d=2)
+        with pytest.raises(ProtocolError, match="^agent 1, arm 0, phase 0: no upload"):
+            aggregate_init(estimates(0, [[(0, u, 1)], []], 1), m=2, k=1, d=2)
 
     def test_repeated_agent_rejected(self):
+        """A round has one row per agent, so a repeated upload can only be a
+        second delivery of the init round, which is stale."""
         u = np.array([1.0, 0.0])
         w = np.array([0.0, 1.0])
-        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 0"):
-            aggregate_init(
-                [upload(0, 0, [(0, u, 1)]), upload(1, 0, [(0, w, 1)]),
-                 upload(0, 0, [(0, u, 1)])],
-                m=2, k=1, d=2,
-            )
+        server = CentralServer(m=2, k=1, d=2)
+        server.ingest_init(estimates(0, [[(0, u, 1)], [(0, w, 1)]], 1))
+        with pytest.raises(ProtocolError, match="^phase 1: stale initialization round"):
+            server.ingest_init(estimates(0, [[(0, u, 1)], [(0, w, 1)]], 1))
 
     def test_wrong_phase_stamp_rejected(self):
         with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1"):
-            aggregate_init([upload(0, 1, [(0, np.array([1.0, 0.0]), 1)])], m=1, k=1, d=2)
+            aggregate_init(estimates(1, [[(0, np.array([1.0, 0.0]), 1)]], 1), m=1, k=1, d=2)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
-        theta, arm = MALFORMED_THETAS[case]
-        uploads = [
-            upload(0, 0, [(0, np.array([1.0, 0.0]), 1)]),
-            upload(1, 0, [(0, theta, 1)]),
-        ]
-        with pytest.raises(ProtocolError, match=rf"agent 1, arm {arm}, phase 0"):
-            aggregate_init(uploads, m=2, k=1, d=2)
+        rows = [[(0, np.array([1.0, 0.0]), 1)], [(0, np.zeros(2), 1)]]
+        bad = with_row(0, rows, 1, MALFORMED_THETAS[case][0])
+        with pytest.raises(ProtocolError, match=malformed_match(case, 1, 0)):
+            aggregate_init(bad, m=2, k=1, d=2)
 
 
 class TestAggregatePhase:
     def setup_method(self):
         psi = np.array([1.0, 0.0])
         self.psi = psi
-        init = aggregate_init([upload(0, 0, [(0, psi, 1)])], m=1, k=1, d=2)
+        init = aggregate_init(estimates(0, [[(0, psi, 1)]], 1), m=1, k=1, d=2)
         self.prev = init
         # One pull issued to agent 0 for its one active arm.
         self.issued = np.array([[1]])
@@ -115,7 +127,7 @@ class TestAggregatePhase:
     def test_single_collinear_upload(self):
         c = 0.4
         model = aggregate_phase(
-            [upload(0, 1, [(0, c * self.psi, 1)])],
+            estimates(1, [[(0, c * self.psi, 1)]], 1),
             self.issued,
             self.active,
             self.prev,
@@ -126,7 +138,7 @@ class TestAggregatePhase:
 
     def test_carry_over_when_no_uploads(self):
         model = aggregate_phase(
-            [upload(0, 1, [])], np.array([[0]]), self.active, self.prev
+            estimates(1, [[]], 1), np.array([[0]]), self.active, self.prev
         )
         assert model.has_model[0]
         assert np.array_equal(model.theta[0], self.prev.theta[0])
@@ -136,7 +148,7 @@ class TestAggregatePhase:
         e = np.array([0.0, 1.0])
         c1, c2 = 0.5, 0.9
         model = aggregate_phase(
-            [upload(0, 1, [(0, c1 * e, 2)]), upload(1, 1, [(0, c2 * e, 2)])],
+            estimates(1, [[(0, c1 * e, 2)], [(0, c2 * e, 2)]], 1),
             np.array([[2], [2]]),
             np.array([[True], [True]]),
             broadcast({0: (e, np.outer(e, e))}, 1),
@@ -147,9 +159,10 @@ class TestAggregatePhase:
         np.testing.assert_allclose(theta, ((2 * c1 + 2 * c2) / 4.0) * e, atol=1e-12)
 
     def test_upload_outside_roster_rejected(self):
-        with pytest.raises(ProtocolError):
+        """Arm 1 is outside the one-arm server: the round is mis-shaped."""
+        with pytest.raises(ProtocolError, match=r"^phase 1: .* shaped \(1, 2\), not \(1, 1\)"):
             aggregate_phase(
-                [upload(0, 1, [(1, self.psi, 1)])],
+                estimates(1, [[(1, self.psi, 1)]], 2),
                 self.issued,
                 self.active,
                 self.prev,
@@ -158,7 +171,7 @@ class TestAggregatePhase:
     def test_pull_count_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             aggregate_phase(
-                [upload(0, 1, [(0, self.psi, 3)])],
+                estimates(1, [[(0, self.psi, 3)]], 1),
                 self.issued,
                 self.active,
                 self.prev,
@@ -166,20 +179,22 @@ class TestAggregatePhase:
 
     def test_duplicate_estimate_rejected(self):
         """A second estimate for the same (agent, arm) would be counted twice.
-        A second upload is named by its arm list, a repeated row by its arm."""
-        for uploads, arm in (
-            ([upload(0, 1, [(0, self.psi, 1)]), upload(0, 1, [(0, self.psi, 1)])], r"\[0\]"),
-            ([upload(0, 1, [(0, self.psi, 1), (0, self.psi, 1)])], "0"),
-        ):
-            with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
-                aggregate_phase(uploads, self.issued, self.active, self.prev)
+        A round has one slot per pair, so a duplicate can only come as a
+        second delivery of the round, which is stale once it is aggregated."""
+        server = CentralServer(m=1, k=1, d=2)
+        server.ingest_init(estimates(0, [[(0, self.psi, 1)]], 1))
+        alloc = server.plan_phase(active_sets([[0]], 1), f_p=1)
+        round_ = estimates(1, [[(0, self.psi, int(alloc.counts[0, 0]))]], 1)
+        server.ingest_phase(round_)
+        with pytest.raises(ProtocolError, match=r"^agent 0, arm \[0\], phase 1: expected phase 2"):
+            server.ingest_phase(round_)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_THETAS))
     def test_malformed_theta_rejected(self, case):
-        theta, arm = MALFORMED_THETAS[case]
-        with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
+        bad = with_row(1, [[(0, self.psi, 1)]], 0, MALFORMED_THETAS[case][0])
+        with pytest.raises(ProtocolError, match=malformed_match(case, 0, 1)):
             aggregate_phase(
-                [upload(0, 1, [(0, theta, 1)])],
+                bad,
                 self.issued,
                 self.active,
                 self.prev,
@@ -189,31 +204,36 @@ class TestAggregatePhase:
         """An issued pair that does not report would silently keep prev's model."""
         with pytest.raises(ProtocolError, match="agent 1, arm 0, phase 1"):
             aggregate_phase(
-                [upload(0, 1, [(0, self.psi, 2)]), upload(1, 1, [])],
+                estimates(1, [[(0, self.psi, 2)], []], 1),
                 np.array([[2], [3]]),
                 np.array([[True], [True]]),
                 self.prev,
             )
 
     def test_empty_upload_list_rejected(self):
-        """The missing agent is named with the arms it may report."""
-        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1: no upload"):
-            aggregate_phase([], self.issued, self.active, self.prev)
+        """A round without rows is mis-shaped; a row that reports nothing
+        names the agent and its first issued arm."""
+        with pytest.raises(ProtocolError, match=r"^phase 1: .* shaped \(0,\), not \(1,\)"):
+            aggregate_phase(estimates(1, [], 1), self.issued, self.active, self.prev)
+        with pytest.raises(ProtocolError, match=r"^agent 0, arm 0, phase 1: no upload"):
+            aggregate_phase(estimates(1, [[]], 1), self.issued, self.active, self.prev)
 
     def test_upload_order_does_not_change_a_bit(self, rng):
-        """Each arm's terms add in agent order, whatever order the uploads
-        arrive in."""
+        """Each arm's terms add in agent order, whatever order the rows are
+        written into the round in."""
         m, k, d = 8, 3, 3
         prev = broadcast({a: (np.zeros(d), np.eye(d)) for a in range(k)}, k)
         issued = np.array([[int(rng.integers(1, 5)) for a in range(k)] for i in range(m)])
         active = np.ones((m, k), dtype=bool)
-        uploads = [
-            upload(i, 1, [(a, rng.normal(size=d), f) for a, f in enumerate(counts.tolist())])
-            for i, counts in enumerate(issued)
-        ]
-        ordered = aggregate_phase(uploads, issued, active, prev)
+        rows = [[(a, rng.normal(size=d), f) for a, f in enumerate(counts.tolist())]
+                for counts in issued]
+        ordered = aggregate_phase(estimates(1, rows, k, d), issued, active, prev)
         for _ in range(10):
-            shuffled = [uploads[j] for j in rng.permutation(m)]
+            shuffled = estimates(1, [[] for _ in range(m)], k, d)
+            for i in rng.permutation(m):
+                row = estimates(1, [rows[i]], k, d)
+                for name in ("arms", "theta_hat", "pulls"):
+                    getattr(shuffled, name)[i] = getattr(row, name)[0]
             model = aggregate_phase(shuffled, issued, active, prev)
             assert np.array_equal(model.theta, ordered.theta)
             assert np.array_equal(model.v, ordered.v)
@@ -222,7 +242,7 @@ class TestAggregatePhase:
     def test_stale_or_future_phase_rejected(self, stamp):
         with pytest.raises(ProtocolError, match=rf"agent 0, arm \[0\], phase {stamp}"):
             aggregate_phase(
-                [upload(0, stamp, [(0, self.psi, 1)])],
+                estimates(stamp, [[(0, self.psi, 1)]], 1),
                 self.issued,
                 self.active,
                 self.prev,
@@ -238,30 +258,29 @@ INIT_ESTIMATES = {
 
 def initialized_server():
     server = CentralServer(m=2, k=2, d=2)
-    server.ingest_init([
-        upload(i, 0, [(a, th, 1) for a, th in ests.items()])
-        for i, ests in INIT_ESTIMATES.items()
-    ])
+    server.ingest_init(estimates(
+        0, [[(a, th, 1) for a, th in ests.items()] for _, ests in sorted(INIT_ESTIMATES.items())], 2
+    ))
     return server
 
 
 def active(sets, phase):
-    return [ActiveSetUpload(agent=i, phase=phase, arms=arms) for i, arms in enumerate(sets)]
+    return active_sets(sets, 2, phase)
 
 
-def explore(server, msgs, theta):
-    """Upload ``theta`` for every pair the messages issued pulls for."""
-    return server.ingest_phase([
-        upload(m.agent, m.phase,
-               [(a, theta, f) for a, f in zip(m.arms.tolist(), m.counts.tolist()) if f >= 1])
-        for m in msgs
-    ])
+def explore(server, msg, theta):
+    """Upload ``theta`` for every pair the allocation issued pulls for."""
+    return server.ingest_phase(estimates(
+        int(msg.phase[0]),
+        [[(a, theta, f) for a, f in enumerate(counts) if f >= 1] for counts in msg.counts.tolist()],
+        msg.counts.shape[1],
+    ))
 
 
 class TestPlanPhase:
     def test_issued_counts_cover_the_active_sets(self):
-        msgs = initialized_server().plan_phase(active([[0], [0, 1]], 1), f_p=4)
-        assert [m.arms.tolist() for m in msgs] == [[0], [0, 1]]
+        msg = initialized_server().plan_phase(active([[0], [0, 1]], 1), f_p=4)
+        assert [np.flatnonzero(row).tolist() for row in msg.arms] == [[0], [0, 1]]
 
     def test_empty_set_rejected(self):
         server = initialized_server()
@@ -270,14 +289,22 @@ class TestPlanPhase:
 
     @pytest.mark.parametrize("arm", [5, -1])
     def test_arm_outside_range_rejected(self, arm):
+        """An arm id outside 0..K-1 has no column in the dense round: a mask
+        wide enough for arm 5, or one column short (arm -1 would wrap onto
+        the last), is mis-shaped."""
         server = initialized_server()
-        with pytest.raises(ProtocolError, match=rf"agent 0, arm {arm}, phase 1"):
-            server.plan_phase(active([[0, arm], [0]], 1), f_p=4)
+        width = arm + 1 if arm >= 0 else 1
+        upload = active_sets([[0], [0]], width)
+        with pytest.raises(ProtocolError, match=rf"^phase 1: .* shaped \(2, {width}\), not \(2, 2\)"):
+            server.plan_phase(upload, f_p=4)
 
     def test_repeated_arm_rejected(self):
+        """A mask cannot repeat an arm; an int array counting arm 1 twice is
+        not a bool mask and is rejected at its first pair."""
         server = initialized_server()
-        with pytest.raises(ProtocolError, match="agent 0, arm 1, phase 1"):
-            server.plan_phase(active([[1, 1], [0]], 1), f_p=4)
+        upload = replace(active([[1], [0]], 1), arms=np.array([[0, 2], [1, 0]]))
+        with pytest.raises(ProtocolError, match="^agent 0, arm 0, phase 1: arms must be a bool"):
+            server.plan_phase(upload, f_p=4)
 
     def test_eliminated_arm_rejected(self):
         server = initialized_server()
@@ -287,10 +314,10 @@ class TestPlanPhase:
 
     def test_edited_message_leaves_issued_counts(self):
         server = initialized_server()
-        msgs = server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4)
-        msgs[0].counts[0] += 1
+        msg = server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4)
+        msg.counts[0, 0] += 1
         with pytest.raises(ProtocolError, match="agent 0, arm 0, phase 1"):
-            explore(server, msgs, [0.5, 0.0])
+            explore(server, msg, [0.5, 0.0])
 
     @pytest.mark.parametrize("stamp", [0, 2])
     def test_stale_or_future_phase_rejected(self, stamp):
@@ -300,14 +327,14 @@ class TestPlanPhase:
 
     def test_planning_before_initialization_rejected(self):
         server = CentralServer(m=2, k=2, d=2)
-        with pytest.raises(ProtocolError, match=r"agent 0, arm \[0\], phase 1"):
+        with pytest.raises(ProtocolError, match="^planning before initialization$"):
             server.plan_phase(active([[0], [0, 1]], 1), f_p=4)
 
     def test_shrinking_active_sets_accepted(self):
         server = initialized_server()
         explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.5, 0.0])
-        msgs = server.plan_phase(active([[1], [0]], 2), f_p=8)
-        assert [m.arms.tolist() for m in msgs] == [[1], [0]]
+        msg = server.plan_phase(active([[1], [0]], 2), f_p=8)
+        assert [np.flatnonzero(row).tolist() for row in msg.arms] == [[1], [0]]
 
 
 class TestDirections:
@@ -327,10 +354,10 @@ class TestDirections:
 
     def test_zero_init_estimate_has_no_direction(self):
         server = CentralServer(m=2, k=2, d=2)
-        server.ingest_init([
-            upload(0, 0, [(0, [0.5, 0.0], 1), (1, [0.0, 0.0], 1)]),
-            upload(1, 0, [(0, [0.0, -0.5], 1), (1, [-0.4, 0.3], 1)]),
-        ])
+        server.ingest_init(estimates(0, [
+            [(0, [0.5, 0.0], 1), (1, [0.0, 0.0], 1)],
+            [(0, [0.0, -0.5], 1), (1, [-0.4, 0.3], 1)],
+        ], 2))
         np.testing.assert_array_equal(server.has_direction, [[True, False], [True, True]])
         np.testing.assert_array_equal(server.directions[0, 1], [0.0, 0.0])
 
@@ -339,7 +366,7 @@ class TestAggregationInvariants:
     def test_psd_and_range_consistency(self, rng):
         for _ in range(20):
             m, d = 3, 3
-            uploads = []
+            rows = []
             for i in range(m):
                 entries = []
                 for a in range(2):
@@ -347,8 +374,8 @@ class TestAggregationInvariants:
                     psi /= np.linalg.norm(psi)
                     y = float(rng.normal())
                     entries.append((a, y * psi, 1))
-                uploads.append(upload(i, 0, entries))
-            model = aggregate_init(uploads, m=m, k=2, d=d)
+                rows.append(entries)
+            model = aggregate_init(estimates(0, rows, 2, d), m=m, k=2, d=d)
             for theta, v in zip(model.theta, model.v):
                 w = np.linalg.eigvalsh(v)
                 assert w.min() >= -1e-10
@@ -364,9 +391,7 @@ class TestAggregationInvariants:
         coeffs = [0.7, -0.3, 1.1]
         fs = [2, 3, 4]
         prev = broadcast({0: (e, np.outer(e, e))}, 1)
-        uploads = [
-            upload(i, 1, [(0, c * e, f)]) for i, (c, f) in enumerate(zip(coeffs, fs))
-        ]
+        uploads = estimates(1, [[(0, c * e, f)] for c, f in zip(coeffs, fs)], 1, 3)
         model = aggregate_phase(
             uploads, np.array(fs)[:, None], np.ones((len(fs), 1), dtype=bool), prev
         )
@@ -386,7 +411,7 @@ class TestCheckPsd:
             q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
             dirs = [q[:, 0], np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 1]]
             model = aggregate_init(
-                [upload(i, 0, [(0, 0.8 * e, 1)]) for i, e in enumerate(dirs)], m=2, k=1, d=3
+                estimates(0, [[(0, 0.8 * e, 1)] for e in dirs], 1, 3), m=2, k=1, d=3
             )
             theta, v = model.theta[0], model.v[0]
             assert np.all(np.isfinite(v)) and np.all(np.isfinite(theta))
