@@ -120,7 +120,8 @@ class Agent:
             raise ProtocolError(f"{prefix} shaped {broadcast.theta.shape}, not {(k, d)}")
         if broadcast.v.shape != (k, d, d):
             raise ProtocolError(f"{prefix} V shaped {broadcast.v.shape}, not {(k, d, d)}")
-        usable = broadcast.has_model & np.isfinite(broadcast.theta).all(axis=1)
+        finite = np.isfinite(broadcast.theta).all(axis=1) & np.isfinite(broadcast.v).all(axis=(1, 2))
+        usable = broadcast.has_model & finite
         check_pairs(phase, [(self.active & ~usable, "broadcast has no finite model")])
         rows, arms = np.nonzero(self.active)
         r_hat, u = score_arms(
@@ -164,9 +165,7 @@ class Agent:
         if negative.size:
             raise ProtocolError(f"agent {negative[0]}: exploitation rounds must be nonnegative")
         due = np.flatnonzero(rounds > 0)
-        if not due.size:
-            return
-        if self.a_hat is None:
+        if due.size and self.a_hat is None:
             raise ProtocolError("no empirical best arm has been computed yet")
         for i, a, r in zip(due.tolist(), self.a_hat[due].tolist(), rounds[due].tolist()):
             pull_many(i, a, r)

@@ -185,7 +185,8 @@ class CentralServer:
     ``has_direction``; the ``(M, K)`` mask ``active`` of the last active
     sets it planned for (every arm before the first phase); and the
     ``(M, K)`` pull counts ``issued`` for them, both fresh arrays each phase
-    that it never writes into later.  ``design`` is the last phase's design
+    that it never writes into later, and the phase ``planned`` they were
+    issued for (0 before the first).  ``design`` is the last phase's design
     solve, run at ``DESIGN_TOL``; it also warm-starts the next one.  The
     server proceeds on an unconverged solve: its allocation is feasible,
     and ``design.converged`` reports it.
@@ -201,12 +202,11 @@ class CentralServer:
         self.design: DesignAllocation | None = None
         self.active = np.ones((m, k), dtype=bool)
         self.issued: np.ndarray | None = None
+        self.planned = 0
 
     def ingest_init(self, upload: LocalEstimateUpload) -> GlobalBroadcast:
-        """Aggregate the init round and learn each pair's direction from it.
-
-        A second init round is stale: the model has moved past phase 0.
-        """
+        """Aggregate the init round and learn each pair's direction from it; a
+        second init round is stale, since the model has moved past phase 0."""
         if self.model is not None:
             raise ProtocolError(f"phase {self.model.phase}: stale initialization round")
         self.model = aggregate_init(upload, self.m, self.k, self.d)
@@ -224,12 +224,15 @@ class CentralServer:
 
         The round must be stamped with the phase of the current model, and
         each agent's set must be nonempty and within its previous active
-        set.  The allocation names each agent's active arms with their
-        counts, zero counts included.
+        set.  A second round for a phase already planned is stale.  The
+        allocation names each agent's active arms with their counts, zero
+        counts included.
         """
         if self.model is None:
             raise ProtocolError("planning before initialization")
         phase = self.model.phase
+        if self.planned == phase:
+            raise ProtocolError(f"phase {phase}: stale active-set round, phase already planned")
         check_round(upload, phase, self.m, self.k)
         active = upload.arms.copy()
         check_pairs(phase, [(active & ~self.active, "arm outside the agent's roster")])
@@ -238,7 +241,7 @@ class CentralServer:
             raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
         prob = DesignProblem(active, self.directions, self.has_direction & active)
         self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
-        self.active = active
+        self.active, self.planned = active, phase
         self.issued = allocate(self.design, f_p)
         return AllocationMessage(
             phase=np.full(self.m, phase), arms=active.copy(), counts=self.issued.copy()

@@ -341,6 +341,16 @@ class TestBeginPhase:
             agent.begin_phase(broadcast(models, 2, phase=1))
         assert agent.phase == 0 and agent.active.tolist() == [[True, True]]
 
+    @pytest.mark.parametrize("field", ["theta", "v"])
+    def test_broadcast_with_a_non_finite_model_rejected(self, field):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        agent = make_agent(env)
+        bad = broadcast({a: (np.zeros(3), np.eye(3)) for a in range(2)}, 2, phase=1)
+        getattr(bad, field)[1, 0] = np.nan
+        with pytest.raises(ProtocolError, match=r"^agent 0, arm 1, phase 1: broadcast has no finite"):
+            agent.begin_phase(bad)
+        assert agent.phase == 0 and agent.active.tolist() == [[True, True]]
+
     @pytest.mark.parametrize("v_shape", [(2, 2, 2), (2, 4, 4), (2, 3, 4), (3, 3, 3), (2, 9)])
     def test_broadcast_with_mis_shaped_v_rejected(self, v_shape):
         env = Environment(one_agent_scenario(), master_seed=0)

@@ -410,6 +410,11 @@ def test_second_delivery_of_a_round_is_stale(case):
     named(outcome(server.ingest_init, init_round(init)), "phase 1: ", True, "init again")
     sets_round = active_sets(sets, k, 1)
     alloc = server.plan_phase(sets_round, 8)
+    planned = (server.active, server.issued, server.design)
+    named(outcome(server.plan_phase, sets_round, 8), "phase 1: stale active-set round", True,
+          "active sets again")
+    assert all(now is then for now, then in zip((server.active, server.issued, server.design),
+                                                planned))
     rows = [[(a, np.ones(d), f) for a, f in enumerate(row) if f >= 1]
             for row in alloc.counts.tolist()]
     est_round = estimates(1, rows, k, d)
