@@ -23,14 +23,13 @@ The maximizer keeps positive weight on every arm whose Gram rests on this
 agent alone along its direction, so every roster direction stays inside
 the range of its arm Gram and the rank-1 formulas stay exact.
 
-The input, the state and the output are dense.  A problem takes the
-rosters and directions as the server keeps them, over arm ids 0..K-1: an
-(M, K) active mask and an (M, K, d) array with a has-direction mask.  The
-solver works on the K' arms some agent keeps active: it holds pi as
-(M, K'), the directions (M, K', d) with zero rows for pairs that have
-none, and each arm keeps its Gram's range pseudo-inverse W_a^+ in a
-(K', d, d) stack.  The returned allocation is (M, K) again, zero off each
-agent's active set.  A block reads all of its scores g = e' W^+ e with
+The input, the state and the output are dense over arm ids 0..K-1.  A
+problem takes the rosters and directions as the server keeps them: an
+(M, K) active mask and an (M, K, d) array whose zero rows mark the pairs
+without a direction.  The solver holds pi as (M, K), zero off each
+agent's active set, and each arm keeps its Gram's range pseudo-inverse
+W_a^+ in a (K, d, d) stack; an arm no agent keeps active has a zero Gram
+and scores 0.  A block reads all of its scores g = e' W^+ e with
 one einsum, water-fills, and then refreshes W_a^+ for each arm it moved
 by one Sherman-Morrison update, exact on the range because that range
 never shrinks.  Once per sweep W is rebuilt from pi with one einsum, and
@@ -54,7 +53,7 @@ The returned allocation carries both the worst ratio and the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,26 +72,19 @@ class DesignProblem:
     """Active sets and unit directions per (agent, arm) pair.
 
     The input is dense over arm ids 0..K-1: ``active`` is the ``(M, K)``
-    mask of each agent's active arms, ``directions`` is ``(M, K, d)``, and
-    the ``(M, K)`` mask ``has_direction`` marks the pairs that have one;
-    only active pairs may be marked.  A pair may lack a direction (the
-    server never learned one for it); such pairs contribute nothing to any
-    Gram matrix and attract no budget.  Validation also builds the view
-    the solver works on: ``arms`` (the ids of the arms some agent keeps
-    active, one column each) and the ``(M, K', d)`` ``dirs`` over those
-    columns, with a zero row for each pair without a direction.
+    mask of each agent's active arms and ``directions`` is ``(M, K, d)``,
+    with a zero row for each pair that has no direction.  Only active
+    pairs may have one.  A pair may lack a direction (the server never
+    learned one for it); such pairs contribute nothing to any Gram matrix
+    and attract no budget.
     """
 
     active: np.ndarray
     directions: np.ndarray
-    has_direction: np.ndarray
-    arms: list[int] = field(init=False, repr=False)
-    dirs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.active = np.asarray(self.active, dtype=bool)
         self.directions = np.asarray(self.directions, dtype=float)
-        self.has_direction = np.asarray(self.has_direction, dtype=bool)
         if self.active.ndim != 2 or not self.active.shape[0]:
             raise ValidationError(f"active has shape {self.active.shape}, expected (M, K), M >= 1")
         empty = np.flatnonzero(~self.active.any(axis=1))
@@ -102,26 +94,19 @@ class DesignProblem:
         shape = self.directions.shape
         if len(shape) != 3 or shape[:2] != (m, k):
             raise ValidationError(f"directions have shape {shape}, expected ({m}, {k}, d)")
-        if self.has_direction.shape != (m, k):
-            raise ValidationError(
-                f"has_direction has shape {self.has_direction.shape}, expected {(m, k)}"
-            )
-        stray = np.argwhere(self.has_direction & ~self.active)
+        given = self.directions.any(axis=-1)
+        stray = np.argwhere(given & ~self.active)
         if stray.size:
             i, a = stray[0]
             raise ValidationError(f"direction for inactive pair (agent {i}, arm {a})")
-        norms = np.linalg.norm(self.directions[self.has_direction], axis=-1)
+        norms = np.linalg.norm(self.directions[given], axis=-1)
         # Negated so that a NaN norm fails too.
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
         if bad.size:
-            i, a = np.argwhere(self.has_direction)[bad[0]]
+            i, a = np.argwhere(given)[bad[0]]
             raise ValidationError(
                 f"direction for (agent {i}, arm {a}) has norm {norms[bad[0]]}, expected 1"
             )
-        self.arms = np.flatnonzero(self.active.any(axis=0)).tolist()
-        self.dirs = np.where(
-            self.has_direction[:, self.arms, None], self.directions[:, self.arms], 0.0
-        )
 
 
 @dataclass
@@ -141,7 +126,6 @@ class DesignAllocation:
     converged: bool = True
     objective: float = 0.0
     sweeps: int = 0
-    objective_trace: list[float] = field(default_factory=list)
     gap: float = math.nan
     certificate: float = math.nan
 
@@ -170,20 +154,18 @@ def _logdet_span(w: np.ndarray, keep: np.ndarray, ranks: np.ndarray) -> float:
 
 def design_objective(prob: DesignProblem, pi: np.ndarray) -> float:
     """Span-restricted log-det objective at an arbitrary feasible ``(M, K)`` point."""
-    w, keep, _ = eigh_range(_grams(pi[:, prob.arms], prob.dirs))
-    return _logdet_span(w, keep, _span_ranks(prob.dirs))
+    w, keep, _ = eigh_range(_grams(pi, prob.directions))
+    return _logdet_span(w, keep, _span_ranks(prob.directions))
 
 
-def _start_pi(
-    active: np.ndarray, arms: list[int], warm: DesignAllocation | None
-) -> np.ndarray:
-    """Uniform over each row of the ``(M, K')`` mask ``active``, or the warm
+def _start_pi(active: np.ndarray, warm: DesignAllocation | None) -> np.ndarray:
+    """Uniform over each row of the ``(M, K)`` mask ``active``, or the warm
     allocation restricted to the active arms, renormalized and blended with
     uniform so restored rosters stay interior."""
     uniform = active / active.sum(axis=1, keepdims=True)
     if warm is None:
         return uniform
-    prev = np.where(active, np.maximum(warm.pi[:, arms], 0.0), 0.0)
+    prev = np.where(active, np.maximum(warm.pi, 0.0), 0.0)
     total = prev.sum(axis=1, keepdims=True)
     kept = total >= 1e-9
     share = np.divide(prev, total, out=np.zeros_like(prev), where=kept)
@@ -193,7 +175,7 @@ def _start_pi(
 class _Solver:
     """Dense solver state.
 
-    ``pi`` is (M, K), ``dirs`` (M, K, d), and ``pinv`` holds the range
+    ``pi`` is (M, K), ``directions`` (M, K, d), and ``pinv`` holds the range
     pseudo-inverse W_a^+ of every arm Gram as (K, d, d).  A block sets one
     agent's weights to their exact maximizer, which changes W_a only along
     the agent's own direction e_{a,i}, so each touched arm's W_a^+ is
@@ -203,19 +185,19 @@ class _Solver:
     """
 
     def __init__(self, prob: DesignProblem, warm: DesignAllocation | None):
-        # C order: column selection yields the transposed layout, along whose
-        # rows numpy adds one column at a time instead of pairwise, so the
-        # warm start's row sums would round differently.
-        self.active = np.ascontiguousarray(prob.active[:, prob.arms])
-        self.dirs = prob.dirs
-        self.ranks = _span_ranks(self.dirs)
-        self.pi = _start_pi(self.active, prob.arms, warm)
+        # C order: along the rows of a Fortran-ordered mask numpy adds one
+        # column at a time instead of pairwise, so the warm start's row sums
+        # would round differently.
+        self.active = np.ascontiguousarray(prob.active)
+        self.directions = prob.directions
+        self.ranks = _span_ranks(self.directions)
+        self.pi = _start_pi(self.active, warm)
         self.cols = [np.flatnonzero(row) for row in self.active]
-        self.agent_dirs = [d[c] for d, c in zip(self.dirs, self.cols)]
+        self.agent_dirs = [d[c] for d, c in zip(self.directions, self.cols)]
         self._rebuild()
 
     def _rebuild(self):
-        w, keep, self.pinv = eigh_range(_grams(self.pi, self.dirs))
+        w, keep, self.pinv = eigh_range(_grams(self.pi, self.directions))
         self.objective = _logdet_span(w, keep, self.ranks)
 
     def certify(self) -> tuple[float, float]:
@@ -225,7 +207,7 @@ class _Solver:
         An agent whose scores are all 0 has nothing to balance and counts
         as ratio 1; one with a positive score but a zero mean, as inf.
         """
-        g = _scores(self.dirs, self.pinv)
+        g = _scores(self.directions, self.pinv)
         best = np.max(g, axis=1, where=self.active, initial=-np.inf)
         mean = np.sum(self.pi * g, axis=1)
         ratio = np.divide(best, mean, out=np.where(best > 0.0, np.inf, 1.0), where=mean > 0.0)
@@ -312,11 +294,9 @@ def solve_design(
         raise ValidationError("tol must be positive")
 
     solver = _Solver(prob, warm_start)
-    trace = [solver.objective]
     converged = False
     for sweeps in range(1, max_iters + 1):
         solver.sweep()
-        trace.append(solver.objective)
         certificate, gap = solver.certify()
         if certificate <= 1.0 + tol:
             converged = True
@@ -325,14 +305,12 @@ def solve_design(
     total = solver.pi.sum(axis=1, keepdims=True)
     # Kill float drift so each agent's budget sums to one.
     drift = (np.abs(total - 1.0) > SIMPLEX_TOL) & (total > 0.0)
-    pi = np.zeros(prob.active.shape)
-    pi[:, prob.arms] = np.divide(solver.pi, total, out=solver.pi.copy(), where=drift)
+    pi = np.divide(solver.pi, total, out=solver.pi.copy(), where=drift)
     return DesignAllocation(
         pi=pi,
         converged=converged,
-        objective=trace[-1],
+        objective=solver.objective,
         sweeps=sweeps,
-        objective_trace=trace,
         gap=gap,
         certificate=certificate,
     )
@@ -347,7 +325,5 @@ def design_score(prob: DesignProblem, alloc: DesignAllocation) -> np.ndarray:
     bad = np.flatnonzero(np.abs(total - 1.0) > 1e-6)
     if bad.size:
         raise ValidationError(f"allocation for agent {bad[0]} sums to {total[bad[0]]}")
-    g = np.zeros(prob.active.shape)
-    pinvs = eigh_range(_grams(alloc.pi[:, prob.arms], prob.dirs))[2]
-    g[:, prob.arms] = _scores(prob.dirs, pinvs)
-    return g
+    pinvs = eigh_range(_grams(alloc.pi, prob.directions))[2]
+    return _scores(prob.directions, pinvs)

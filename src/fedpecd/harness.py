@@ -74,10 +74,12 @@ class SyntheticSpec:
         if not (0.0 <= self.rho <= 1.0) or self.copies < 1:
             raise ConfigurationError("need 0 <= rho <= 1 and copies >= 1")
         lo, hi = self.norm_range
-        if lo + self.perturbation > hi - self.perturbation:
+        # Negated so that a NaN perturbation fails too.
+        p = self.perturbation
+        if not (0.0 <= p and lo + p <= hi - p):
             raise ConfigurationError(
-                "perturbation too large for the norm range: need "
-                f"lo + p <= hi - p, got lo={lo}, hi={hi}, p={self.perturbation}"
+                "perturbation must fit the norm range: need "
+                f"0 <= p and lo + p <= hi - p, got lo={lo}, hi={hi}, p={p}"
             )
         if not (0.0 <= self.contested_frac <= 1.0):
             raise ConfigurationError("contested_frac must lie in [0, 1]")

@@ -10,16 +10,18 @@ stamps (``check_round``), then mask checks on its pairs (``check_pairs``).
 Initialization and every phase share one aggregation formula; they differ
 only in which pairs they accept (init: every agent, every arm, f = 1;
 phase: each (agent, arm) pair of the active sets the server planned for,
-with the issued count f), and every pair issued a pull must report.  All
+with the issued count f), and every pair issued a pull must report.  All K
 arms are aggregated in one stacked pass with one batched pseudo-inverse;
-each arm's terms are added in agent order.
+each arm's terms are added in agent order, and an arm outside the union
+of the active sets gets a zero row and no model.
 
 The server only ever sees uploaded estimates and active sets.  Direction
 vectors for the exploration design are recovered from the uploads
 themselves: an estimate y psi / ||psi||^2 is collinear with the uploading
 agent's psi, so each (agent, arm) direction is fixed by the init upload and
 learned once, there, into a dense ``(M, K, d)`` array that every phase's
-design reads as it is.  No later phase can add one: a pair lacks a
+design reads on that phase's active sets.  A pair without a direction
+keeps a zero row, and no later phase can add one: a pair lacks a
 direction only if its init estimate is exactly 0.0.  With sigma = 0 every later
 estimate of that pair is 0.0 as well; with sigma > 0 the init estimate is
 0.0 only through a reward draw of exactly 0.0.  The design reads a
@@ -52,7 +54,7 @@ _CEIL_RELIEF = 1e-9
 DESIGN_TOL = 2e-2
 
 
-def _check_psd(v: np.ndarray, arms: np.ndarray):
+def _check_psd(v: np.ndarray):
     """Reject a ``(K, d, d)`` stack of V naming the first non-PSD arm.
 
     The tolerance is relative per matrix: V = Gram^+ has norm ~1 /
@@ -62,22 +64,23 @@ def _check_psd(v: np.ndarray, arms: np.ndarray):
     low = np.min(w, axis=-1, initial=np.inf)
     bad = np.flatnonzero(low < -eigen_cutoff(w))
     if bad.size:
-        k = bad[0]
-        raise NotPSDError(f"aggregated V for arm {arms[k]} has eigenvalue {low[k]}")
+        a = bad[0]
+        raise NotPSDError(f"aggregated V for arm {a} has eigenvalue {low[a]}")
 
 
 def _aggregate(
     phase: int,
     f: np.ndarray,
     th: np.ndarray,
-    arms: np.ndarray,
+    has_model: np.ndarray,
     prev: GlobalBroadcast | None,
 ) -> GlobalBroadcast:
     """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
 
     ``f`` is ``(M, K)`` and ``th`` ``(M, K, d)``: agent i's pull count and
     estimate for each arm, with f = 0 where the agent sent none; the
-    broadcast carries a model for each of ``arms``.  Terms with f < 1 are
+    broadcast carries a model for each arm in the ``(K,)`` mask
+    ``has_model`` and zero rows for the others.  Terms with f < 1 are
     skipped.  Estimates that are exactly zero (zero observed reward) carry
     no direction and are skipped in the Gram sum; their contribution to the
     linear term is zero anyway.  An arm with no usable estimate keeps its
@@ -90,30 +93,25 @@ def _aggregate(
     adds along the agent axis in order (a ``reduceat`` sum does not give
     the same bits).  One ``pinv`` call inverts the ``(K, d, d)`` Gram stack.
     """
-    k, d = th.shape[1:]
-    f, th = f[:, arms], th[:, arms]
     usable = f >= 1
     norm_sq = sq_norms(th)
     in_gram = usable & (norm_sq != 0.0)
     has_gram = in_gram.any(axis=0)
     if prev is None and not has_gram.all():
-        a = arms[int(np.argmin(has_gram))]
-        raise DegenerateArmError(f"all initial estimates for arm {a} are zero")
+        raise DegenerateArmError(f"all initial estimates for arm {np.argmin(has_gram)} are zero")
     linear = np.cumsum(np.where(usable[..., None], f[..., None] * th, -0.0), axis=0)[-1]
     coef = np.divide(f, norm_sq, out=np.zeros_like(norm_sq), where=in_gram)
     outer = coef[..., None, None] * (th[..., :, None] * th[..., None, :])
     gram = np.cumsum(np.where(in_gram[..., None, None], outer, -0.0), axis=0)[-1]
     v = pinv(gram)
-    _check_psd(v, arms)
+    _check_psd(v)
     theta = (v @ linear[..., None])[..., 0]
     if prev is not None:
-        theta = np.where(has_gram[:, None], theta, prev.theta[arms])
-        v = np.where(has_gram[:, None, None], v, prev.v[arms])
-    out = GlobalBroadcast(phase, np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k, dtype=bool))
-    out.theta[arms] = theta
-    out.v[arms] = v
-    out.has_model[arms] = True
-    return out
+        theta = np.where(has_gram[:, None], theta, prev.theta)
+        v = np.where(has_gram[:, None, None], v, prev.v)
+    theta = np.where(has_model[:, None], theta, 0.0)
+    v = np.where(has_model[:, None, None], v, 0.0)
+    return GlobalBroadcast(phase, theta, v, has_model)
 
 
 def _aggregate_round(
@@ -136,8 +134,7 @@ def _aggregate_round(
         ((issued >= 1) & ~reported, lambda i, a: f"no upload for {issued[i, a]} issued pulls"),
     ])
     th = np.where(reported[..., None], upload.theta_hat, 0.0)
-    union = np.flatnonzero(active.any(axis=0))
-    return _aggregate(phase + 1, issued, th, union, prev)
+    return _aggregate(phase + 1, issued, th, active.any(axis=0), prev)
 
 
 def aggregate_init(upload: LocalEstimateUpload, m: int, k: int, d: int) -> GlobalBroadcast:
@@ -181,8 +178,8 @@ class CentralServer:
     """Synchronous-round server: one barrier per phase.
 
     Per (agent, arm) it keeps the direction learned at initialization, as
-    the dense ``(M, K, d)`` ``directions`` with the ``(M, K)`` mask
-    ``has_direction``; the ``(M, K)`` mask ``active`` of the last active
+    the dense ``(M, K, d)`` ``directions``, a zero row where it learned
+    none; the ``(M, K)`` mask ``active`` of the last active
     sets it planned for (every arm before the first phase); and the
     ``(M, K)`` pull counts ``issued`` for them, both fresh arrays each phase
     that it never writes into later, and the phase ``planned`` they were
@@ -198,7 +195,6 @@ class CentralServer:
         self.d = d
         self.model: GlobalBroadcast | None = None
         self.directions = np.zeros((m, k, d))
-        self.has_direction = np.zeros((m, k), dtype=bool)
         self.design: DesignAllocation | None = None
         self.active = np.ones((m, k), dtype=bool)
         self.issued: np.ndarray | None = None
@@ -212,11 +208,8 @@ class CentralServer:
         self.model = aggregate_init(upload, self.m, self.k, self.d)
         th = np.asarray(upload.theta_hat, dtype=float)
         # np.linalg.norm of one vector is sqrt(th @ th): the same bits.
-        norm = np.sqrt(sq_norms(th))
-        self.has_direction = norm > 0.0
-        self.directions = np.divide(
-            th, norm[..., None], out=np.zeros_like(th), where=self.has_direction[..., None]
-        )
+        norm = np.sqrt(sq_norms(th))[..., None]
+        self.directions = np.divide(th, norm, out=np.zeros_like(th), where=norm > 0.0)
         return self.model
 
     def plan_phase(self, upload: ActiveSetUpload, f_p: int) -> AllocationMessage:
@@ -239,7 +232,7 @@ class CentralServer:
         empty = np.flatnonzero(~active.any(axis=1))
         if empty.size:
             raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
-        prob = DesignProblem(active, self.directions, self.has_direction & active)
+        prob = DesignProblem(active, np.where(active[..., None], self.directions, 0.0))
         self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
         self.active, self.planned = active, phase
         self.issued = allocate(self.design, f_p)

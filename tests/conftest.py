@@ -15,11 +15,9 @@ def design_problem(active_sets, directions, dim):
     for i, arms in enumerate(active_sets):
         active[i, arms] = True
     dense = np.zeros((len(active_sets), k, dim))
-    has = np.zeros((len(active_sets), k), dtype=bool)
     for (i, a), v in directions.items():
         dense[i, a] = v
-        has[i, a] = True
-    return DesignProblem(active=active, directions=dense, has_direction=has)
+    return DesignProblem(active=active, directions=dense)
 
 
 def broadcast(models, k, phase=1):

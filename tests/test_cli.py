@@ -83,3 +83,14 @@ def test_non_utf8_scenario_file_exit_code(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 text") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("perturbation", ["nan", "-0.05"])
+def test_bad_perturbation_exit_code(tmp_path, capsys, perturbation):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--preset", "desk", "--perturbation", perturbation,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: perturbation must fit the norm range")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

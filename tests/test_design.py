@@ -24,6 +24,11 @@ def rot(angle_deg):
     return np.array([np.cos(t), np.sin(t)])
 
 
+def narrowed(prob, active):
+    """``prob`` on the smaller active sets ``active``, each pair's direction kept."""
+    return DesignProblem(active, np.where(active[..., None], prob.directions, 0.0))
+
+
 def grid_search_two_by_two(dirs, resolution=1e-3):
     """Brute-force maximum of the span-restricted objective for M=2, K=2,
     d=2, evaluated independently of the solver's code path."""
@@ -93,8 +98,8 @@ class TestSolveDesign:
 
     def test_objective_monotone_over_sweeps(self):
         prob = random_design_problem(6, 4, 3, seed=3)
-        alloc = solve_design(prob)
-        trace = np.array(alloc.objective_trace)
+        sweeps = solve_design(prob).sweeps
+        trace = np.array([solve_design(prob, max_iters=n).objective for n in range(1, sweeps + 1)])
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_budget_identity_at_optimum(self):
@@ -146,28 +151,28 @@ class TestSolveDesign:
     def test_direction_for_inactive_pair_rejected(self):
         dirs = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         with pytest.raises(ValidationError, match=r"inactive pair \(agent 0, arm 1\)"):
-            DesignProblem([[True, False]], dirs, [[True, True]])
+            DesignProblem([[True, False]], dirs)
 
     def test_arm_outside_the_directions_rejected(self):
         with pytest.raises(ValidationError, match=r"shape \(1, 2, 2\), expected \(1, 3, d\)"):
-            DesignProblem([[True, False, True]], np.zeros((1, 2, 2)), np.zeros((1, 2), bool))
+            DesignProblem([[True, False, True]], np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize("dirs_shape,mask_shape", [
-        ((2, 2, 2), (2, 2)),  # two agents' directions for one agent
+        ((2, 2, 2), (1, 2)),  # two agents' directions for one agent
         ((1, 2), (1, 2)),     # no direction axis
-        ((1, 2, 2), (1, 3)),  # mask over other arms
     ])
     def test_mis_shaped_input_rejected(self, dirs_shape, mask_shape):
         with pytest.raises(ValidationError, match="shape"):
-            DesignProblem([[True, True]], np.zeros(dirs_shape), np.zeros(mask_shape, dtype=bool))
+            DesignProblem(np.ones(mask_shape, dtype=bool), np.zeros(dirs_shape))
 
     def test_solver_view_is_c_ordered(self):
-        """Column selection from the dense input yields a transposed
-        layout.  The solver's compact active mask is copied back to C order:
-        numpy adds a transposed row one column at a time, not pairwise, so
-        the warm start's row sums would round differently."""
+        """A Fortran-ordered active mask is copied to C order for the solver:
+        numpy adds a Fortran-ordered row one column at a time, not pairwise,
+        so the warm start's row sums would round differently."""
         prob = random_design_problem(6, 5, 3, seed=1, active_sets=[[1, 3, 4]] * 6)
-        assert _Solver(prob, None).active.flags.c_contiguous
+        fortran = DesignProblem(np.asfortranarray(prob.active), prob.directions)
+        assert not fortran.active.flags.c_contiguous
+        assert _Solver(fortran, None).active.flags.c_contiguous
 
 
 def assert_consistent(prob, alloc):
@@ -206,9 +211,9 @@ class TestRankOneUpdates:
 
     def test_pairs_without_direction(self):
         prob = random_design_problem(6, 4, 3, seed=8)
-        i, a = np.indices(prob.has_direction.shape)
+        i, a = np.indices(prob.active.shape)
         holes = (i + a) % 3 == 0
-        holed = DesignProblem(prob.active, prob.directions, prob.has_direction & ~holes)
+        holed = DesignProblem(prob.active, np.where(holes[..., None], 0.0, prob.directions))
         alloc = solve_design(holed)
         assert np.isfinite(alloc.objective)
         assert_consistent(holed, alloc)
@@ -222,7 +227,7 @@ class TestRankOneUpdates:
         cold = solve_design(prob)
         i, a = np.indices((8, 6))
         active = (a + i) % 4 != 0
-        later = DesignProblem(active, prob.directions, prob.has_direction & active)
+        later = narrowed(prob, active)
         warm = solve_design(later, warm_start=cold)
         assert_consistent(later, warm)
         assert warm.objective == pytest.approx(solve_design(later).objective, abs=1e-4)
@@ -236,7 +241,9 @@ class TestRankOneUpdates:
         for _ in range(3):
             for agent in range(len(prob.active)):
                 solver._block_update(agent)
-                grams = np.einsum("ik,ikj,ikl->kjl", solver.pi, solver.dirs, solver.dirs)
+                grams = np.einsum(
+                    "ik,ikj,ikl->kjl", solver.pi, solver.directions, solver.directions
+                )
                 for a in range(4):
                     np.testing.assert_allclose(
                         solver.pinv[a], pinv(grams[a]), rtol=1e-9, atol=1e-9
@@ -310,7 +317,7 @@ class TestDesignScore:
             prob = random_design_problem(3, 3, 3, seed=seed)
             alloc = solve_design(prob)
             scores = design_score(prob, alloc)
-            for a in prob.arms:
+            for a in range(prob.active.shape[1]):
                 members = np.flatnonzero(prob.active[:, a])
                 gram = np.zeros((3, 3))
                 for i in members:
@@ -336,7 +343,7 @@ class TestObjective:
 
 def span_rank_sum(prob):
     """Sum over arms of the rank of the unweighted roster-direction Gram."""
-    grams = np.einsum("ikj,ikl->kjl", prob.dirs, prob.dirs)
+    grams = np.einsum("ikj,ikl->kjl", prob.directions, prob.directions)
     return int(sum(np.linalg.matrix_rank(g) for g in grams))
 
 
@@ -411,6 +418,45 @@ class TestGapCertificate:
         assert alloc.gap == 0.0
 
 
+class TestArmNoAgentKeeps:
+    """An arm column that no agent keeps active has a zero Gram: it gets no
+    weight and leaves the solve as it is without that column."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("column", [0, 2, 5])
+    def test_cold_solve_matches_the_narrow_problem(self, seed, column):
+        narrow = random_design_problem(8, 5, 3, seed=seed)
+        wide = DesignProblem(
+            np.insert(narrow.active, column, False, axis=1),
+            np.insert(narrow.directions, column, 0.0, axis=1),
+        )
+        self.assert_matches(wide, column, solve_design(wide, tol=DESIGN_TOL),
+                            solve_design(narrow, tol=DESIGN_TOL))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_solve_after_every_agent_dropped_the_arm(self, seed):
+        """The server's case: a warm re-solve once no agent keeps arm 2."""
+        column = 2
+        prob = random_design_problem(8, 6, 3, seed=seed)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        wide = narrowed(prob, prob.active & (np.arange(6) != column))
+        narrow = DesignProblem(np.delete(wide.active, column, 1),
+                               np.delete(wide.directions, column, 1))
+        warm_narrow = DesignAllocation(pi=np.delete(cold.pi, column, 1))
+        self.assert_matches(wide, column, solve_design(wide, tol=DESIGN_TOL, warm_start=cold),
+                            solve_design(narrow, tol=DESIGN_TOL, warm_start=warm_narrow))
+
+    @staticmethod
+    def assert_matches(wide, column, got, expected):
+        assert np.all(got.pi[:, column] == 0.0)
+        assert got.converged
+        assert got.certificate <= 1.0 + DESIGN_TOL
+        assert worst_ratio(wide, got) == pytest.approx(got.certificate, rel=1e-9)
+        assert got.sweeps == expected.sweeps
+        assert got.objective == pytest.approx(expected.objective, abs=1e-12)
+        np.testing.assert_allclose(np.delete(got.pi, column, 1), expected.pi, atol=1e-12)
+
+
 class TestPinnedBits:
     """The design's output to the last bit, on a problem large enough that a
     changed summation order or memory layout shows (a 12 x 5 one is not)."""
@@ -425,7 +471,7 @@ class TestPinnedBits:
         )
         i, a = np.indices((m, k))
         active = prob.active & ((7 * a + i) % 5 != 0)
-        later = DesignProblem(active, prob.directions, prob.has_direction & active)
+        later = narrowed(prob, active)
         cold = solve_design(prob, tol=DESIGN_TOL)
         warm = solve_design(later, tol=DESIGN_TOL, warm_start=cold)
         digest = hashlib.sha256()

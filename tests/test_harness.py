@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -89,8 +90,9 @@ class TestGenerateSynthetic:
         assert tied >= 5  # contested_frac = 0.35 over 40 agents
 
     def test_infeasible_norm_band_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticSpec(norm_range=(0.9, 1.0), perturbation=0.2)
+        for p in (0.2, math.nan, -0.05):
+            with pytest.raises(ConfigurationError):
+                SyntheticSpec(norm_range=(0.9, 1.0), perturbation=p)
 
     def test_movielens_like_preset(self):
         sc = generate_synthetic(movielens_like_spec(m=6), seed=0)
