@@ -1,7 +1,7 @@
 """Federated phased-elimination simulator for linear contextual bandits
 whose agents observe a context distribution instead of the exact context."""
 
-from .design import DesignAllocation, DesignProblem, design_score, solve_design
+from .design import DesignAllocation, DesignProblem, solve_design
 from .environment import Environment
 from .harness import (
     SyntheticSpec,
@@ -11,14 +11,13 @@ from .harness import (
     movielens_like_spec,
     run_sweep,
 )
-from .model import Bounds, ContextDistribution, Scenario
+from .model import Bounds, Scenario
 from .protocol import build_schedule, compute_alpha, run_protocol
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bounds",
-    "ContextDistribution",
     "DesignAllocation",
     "DesignProblem",
     "Environment",
@@ -26,7 +25,6 @@ __all__ = [
     "SyntheticSpec",
     "build_schedule",
     "compute_alpha",
-    "design_score",
     "desk_spec",
     "generate_synthetic",
     "load_features",

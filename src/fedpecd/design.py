@@ -152,12 +152,6 @@ def _logdet_span(w: np.ndarray, keep: np.ndarray, ranks: np.ndarray) -> float:
     return float(np.sum(np.log(w, out=np.zeros_like(w), where=keep)))
 
 
-def design_objective(prob: DesignProblem, pi: np.ndarray) -> float:
-    """Span-restricted log-det objective at an arbitrary feasible ``(M, K)`` point."""
-    w, keep, _ = eigh_range(_grams(pi, prob.directions))
-    return _logdet_span(w, keep, _span_ranks(prob.directions))
-
-
 def _start_pi(active: np.ndarray, warm: DesignAllocation | None) -> np.ndarray:
     """Uniform over each row of the ``(M, K)`` mask ``active``, or the warm
     allocation restricted to the active arms, renormalized and blended with
@@ -315,15 +309,3 @@ def solve_design(
         certificate=certificate,
     )
 
-
-def design_score(prob: DesignProblem, alloc: DesignAllocation) -> np.ndarray:
-    """g_{a,i} = e' (sum_j pi_{a,j} e_j e_j^T)^+ e for every pair, as ``(M, K)``.
-
-    Pairs without a direction, and pairs off the active sets, score 0.
-    """
-    total = np.where(prob.active, alloc.pi, 0.0).sum(axis=1)
-    bad = np.flatnonzero(np.abs(total - 1.0) > 1e-6)
-    if bad.size:
-        raise ValidationError(f"allocation for agent {bad[0]} sums to {total[bad[0]]}")
-    pinvs = eigh_range(_grams(alloc.pi, prob.directions))[2]
-    return _scores(prob.directions, pinvs)

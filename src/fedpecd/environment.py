@@ -1,7 +1,9 @@
 """Ground-truth simulator: hidden contexts, noisy rewards, regret ledger.
 
 Each agent's realized context is drawn once at construction (it is the
-agent's fixed user profile for the whole run).  One master seed spawns
+agent's fixed user profile for the whole run), as one ``choice`` over the
+context ids ``0..C-1`` weighted by the agent's row of the scenario's ``mu``;
+a zero-probability id is never drawn.  One master seed spawns
 independent per-agent streams, keyed by agent index, so results do not
 depend on scheduling order and a run over the first m agents of a scenario
 sees the same draws as a larger run would.
@@ -51,8 +53,9 @@ class Environment:
         agent_streams = agent_root.spawn(m)
         self._rngs = [np.random.Generator(np.random.PCG64(s)) for s in agent_streams]
 
-        self.contexts = np.array([mu.sample(np.random.Generator(np.random.PCG64(s)))
-                                  for mu, s in zip(scenario.mus, ctx_streams)])
+        n_ctx = scenario.mu.shape[1]
+        self.contexts = np.array([np.random.Generator(np.random.PCG64(s)).choice(n_ctx, p=row)
+                                  for row, s in zip(scenario.mu, ctx_streams)])
 
         # True expected rewards and per-agent gaps, fixed for the run.  numpy
         # evaluates stacked (1, d) @ (d, 1) products as one dot per (agent,

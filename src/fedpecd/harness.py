@@ -31,10 +31,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ProtocolError, ValidationError
-from .model import Bounds, ContextDistribution, Scenario
+from .model import Bounds, Scenario
 from .protocol import build_schedule, run_protocol
 
 MAX_REJECTIONS = 10**5
+
+# A hidden agent's mixture puts 1 - RHO on its base context and splits RHO
+# evenly over the perturbed copies.
+RHO = 0.5
+# Per-arm thetas (theta_mode "per_arm") have norms drawn from this range.
+THETA_SCALE_RANGE = (0.8, 1.0)
 
 CSV_HEADER = "variant,M,round,mean_regret,stderr,trials"
 
@@ -52,9 +58,7 @@ class SyntheticSpec:
     sigma: float = 1e-3
     perturbation: float = 0.1
     copies: int = 4
-    rho: float = 0.5
     theta_mode: str = "shared"  # "shared": theta_a = e1 for all arms
-    theta_scale_range: tuple[float, float] = (0.8, 1.0)  # per_arm mode only
     contested_frac: float = 0.0
     contested_gap_range: tuple[float, float] = (0.25, 0.35)
     name: str = "synthetic"
@@ -71,8 +75,8 @@ class SyntheticSpec:
             raise ConfigurationError("feature norms cannot exceed 1")
         if self.theta_mode not in ("shared", "per_arm"):
             raise ConfigurationError(f"unknown theta_mode {self.theta_mode!r}")
-        if not (0.0 <= self.rho <= 1.0) or self.copies < 1:
-            raise ConfigurationError("need 0 <= rho <= 1 and copies >= 1")
+        if self.copies < 1:
+            raise ConfigurationError("need copies >= 1")
         lo, hi = self.norm_range
         # Negated so that a NaN perturbation fails too.
         p = self.perturbation
@@ -101,7 +105,6 @@ def movielens_like_spec(m: int = 100) -> SyntheticSpec:
         sigma=1e-3,
         perturbation=0.05,
         copies=2,
-        rho=0.5,
         theta_mode="per_arm",
         contested_frac=0.25,
         contested_gap_range=(0.2, 0.35),
@@ -129,7 +132,6 @@ def desk_spec(m: int = 50) -> SyntheticSpec:
         sigma=1e-3,
         perturbation=0.08,
         copies=2,
-        rho=0.5,
         contested_frac=0.35,
         contested_gap_range=(0.25, 0.35),
         name="desk",
@@ -228,20 +230,18 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
         theta = np.zeros(spec.d)
         theta[0] = 1.0
         thetas = [theta] * spec.K
-        s = 1.0
     else:
         thetas = []
         for _ in range(spec.K):
             v = theta_rng.normal(size=spec.d)
             v /= np.linalg.norm(v)
-            thetas.append(float(theta_rng.uniform(*spec.theta_scale_range)) * v)
-        s = 1.0
+            thetas.append(float(theta_rng.uniform(*THETA_SCALE_RANGE)) * v)
 
     gap_lo, gap_hi = spec.gap_range
 
     rows: list[np.ndarray] = []  # rows[c]: the (K, d) features of context id c
     contexts: dict[int, np.ndarray] = {}
-    mus = []
+    weights: list[tuple[int, int, float]] = []  # (agent, context id, mu entry)
     for i in range(spec.M):
         rng = np.random.Generator(np.random.PCG64(agent_streams[i]))
         best = int(rng.integers(spec.K))
@@ -275,7 +275,7 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
         rows.append(base_feats)
 
         if variant == "exact":
-            mus.append(ContextDistribution.point_mass(base_id))
+            weights.append((i, base_id, 1.0))
             continue
 
         copy_ids = []
@@ -292,18 +292,17 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
                     row[a] = base_feats[a] + _sphere_offset(rng, spec.d, mag)
             rows.append(row)
             copy_ids.append(cid)
-        support = [(base_id, 1.0 - spec.rho)]
-        support += [(cid, spec.rho / spec.copies) for cid in copy_ids]
-        mus.append(ContextDistribution(support))
+        weights.append((i, base_id, 1.0 - RHO))
+        weights += [(i, cid, RHO / spec.copies) for cid in copy_ids]
 
+    mu = np.zeros((spec.M, len(rows)))
+    agent_ids, context_ids, probs = zip(*weights)
+    mu[agent_ids, context_ids] = probs
     return Scenario(
-        d=spec.d,
-        K=spec.K,
-        M=spec.M,
-        bounds=Bounds(ell=lo, big_l=hi, s=s),
+        bounds=Bounds(ell=lo, big_l=hi, s=1.0),
         rewards=thetas,
         features=np.stack(rows, axis=1),
-        mus=mus,
+        mu=mu,
         sigma=spec.sigma,
         contexts=contexts,
         name=f"{spec.name}-K{spec.K}-d{spec.d}-M{spec.M}",

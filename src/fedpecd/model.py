@@ -3,13 +3,14 @@
 A scenario bundles everything the simulator needs: the features as one
 read-only ``(K, C, d)`` array, ``features[a, c] = phi(a, c)`` over the dense
 context ids ``0..C-1``, the reward parameters as a read-only ``(K, d)``
-array, per-agent context distributions, and the norm bounds.  An agent
-works with psi_i(a) = sum_c mu_i(c) phi(a, c), one contraction of the
-feature array with its context distribution (``build_psi_set``); the
-environment (not the agent) knows which context each agent actually has.
-Scenario files keep the schema-v1 table {arm: {context: phi}}, which must
-hold every arm at exactly the context ids ``0..C-1``.
-"""
+array, the agents' context distributions as a read-only ``(M, C)`` array
+``mu`` (row i is agent i's distribution), and the norm bounds.  An agent
+works with psi_i(a) = sum_c mu[i, c] phi(a, c), one contraction of the
+feature array with the distributions (``build_psi_set``); the environment
+(not the agent) knows which context each agent actually has.  Scenario
+files keep the schema-v1 table {arm: {context: phi}}, which must hold
+every arm at exactly the context ids ``0..C-1``, and each agent's support
+as [[context id, probability], ...]."""
 
 from __future__ import annotations
 
@@ -43,70 +44,22 @@ class Bounds:
             raise ValidationError(f"need s >= 0, got s={self.s}")
 
 
-class ContextDistribution:
-    """Finite-support distribution over context ids."""
-
-    def __init__(self, support):
-        entries = [(int(c), float(p)) for c, p in support]
-        if not entries:
-            raise ValidationError("context distribution must have nonempty support")
-        entries.sort(key=lambda e: e[0])
-        ids = [c for c, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate context id in support")
-        probs = np.array([p for _, p in entries], dtype=float)
-        # Negated comparisons, so a NaN fails them.
-        if not (probs >= 0.0).all():
-            raise ValidationError("negative or NaN probability in support")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total}, expected 1")
-        self.ids: tuple[int, ...] = tuple(ids)
-        self.probs: np.ndarray = probs
-        self.probs.setflags(write=False)
-
-    @classmethod
-    def point_mass(cls, context_id: int) -> "ContextDistribution":
-        return cls([(context_id, 1.0)])
-
-    @property
-    def is_point_mass(self) -> bool:
-        return len(self.ids) == 1
-
-    def sample(self, rng: np.random.Generator) -> int:
-        idx = rng.choice(len(self.ids), p=self.probs)
-        return self.ids[int(idx)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ContextDistribution)
-            and self.ids == other.ids
-            and np.array_equal(self.probs, other.probs)
-        )
-
-    def __repr__(self):
-        pairs = ", ".join(f"{c}: {p:g}" for c, p in zip(self.ids, self.probs))
-        return f"ContextDistribution({{{pairs}}})"
-
-
-def build_psi_set(
-    features: np.ndarray,
-    mus: list[ContextDistribution],
-    bounds: Bounds,
-) -> np.ndarray:
-    """psi_i(a) = sum_c mu_i(c) phi(a, c) for every (agent, arm), as one
+def build_psi_set(features: np.ndarray, mu: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """psi_i(a) = sum_c mu[i, c] phi(a, c) for every (agent, arm), as one
     read-only ``(M, K, d)`` array; reject norms below the ell floor.
 
-    Each agent's support terms are added in context-id order, for all arms
-    at once.  The estimators divide by ||psi||^2, so scenarios whose mixing
-    drives a psi below ell are rejected outright instead of silently
-    producing near-singular updates.
+    Each agent's nonzero terms are added in context-id order, one support
+    slot at a time for all agents and arms at once, so a psi carries the
+    bits of summing its support left to right.  The estimators divide by
+    ||psi||^2, so scenarios whose mixing drives a psi below ell are
+    rejected outright instead of silently producing near-singular updates.
     """
-    k, _, d = features.shape
-    psi = np.zeros((len(mus), k, d))
-    for out, mu in zip(psi, mus):
-        for c, p in zip(mu.ids, mu.probs):
-            out += p * features[:, c]
+    rows, cols = np.nonzero(mu)
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    psi = np.zeros((mu.shape[0], features.shape[0], features.shape[2]))
+    for s in range(slot.max(initial=-1) + 1):
+        r, c = rows[slot == s], cols[slot == s]
+        psi[r] += mu[r, c, None, None] * features[:, c].swapaxes(0, 1)
     norms = np.linalg.norm(psi, axis=2)
     below = np.argwhere(norms < bounds.ell - NORM_TOL)
     if below.size:
@@ -155,63 +108,107 @@ def _dense_table(table: dict, k: int) -> list:
     return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
 
 
+def _integer(value, what: str) -> int:
+    """A document's integer; a bool, or a float such as 2.0, is not one."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} = {value!r} is not an integer")
+    return value
+
+
+def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
+    """The agents' schema-v1 supports [[c, p], ...] as one dense ``(M, C)``
+    array.  Checked here, as only a document can get them wrong: every
+    support is nonempty, its ids are integers in 0..C-1 and none appears
+    twice.  ``Scenario.validate`` checks the probabilities."""
+    sizes = np.array([len(agent["mu"]) for agent in agents], dtype=int)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    ids = [c for agent in agents for c, _ in agent["mu"]]
+    probs = [float(p) for agent in agents for _, p in agent["mu"]]
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValidationError(f"agent {empty[0]}: context distribution has an empty support")
+    j = next((j for j, c in enumerate(ids) if type(c) is not int or not 0 <= c < n_ctx), None)
+    if j is not None:
+        where = f"agent {owner[j]}: context id"
+        _integer(ids[j], where)  # names a non-integer id as such
+        raise ValidationError(f"{where} {ids[j]} outside 0..{n_ctx - 1}")
+    mu = np.zeros((sizes.size, n_ctx))
+    mu[owner, ids] = 1.0
+    twice = np.flatnonzero(np.count_nonzero(mu, axis=1) != sizes)
+    if twice.size:
+        raise ValidationError(f"agent {twice[0]}: duplicate context id in support")
+    mu[owner, ids] = probs
+    return mu
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete problem instance consumed by the environment and protocol;
-    immutable (read-only arrays, ``mus`` a tuple), so validation holds."""
+    immutable (read-only arrays), so validation holds.  ``d``, ``K`` and
+    ``M`` are read from the arrays."""
 
-    d: int
-    K: int
-    M: int
     bounds: Bounds
     rewards: np.ndarray  # (K, d) theta_a rows, read-only
     features: np.ndarray  # (K, C, d) phi(a, c) over context ids 0..C-1, read-only
-    mus: tuple[ContextDistribution, ...]
+    mu: np.ndarray  # (M, C) row i: agent i's distribution over context ids, read-only
     sigma: float = 0.0
     contexts: dict[int, np.ndarray] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", _frozen(self.rewards))
-        object.__setattr__(self, "features", _frozen(self.features))
-        object.__setattr__(self, "mus", tuple(self.mus))
+        for name in ("rewards", "features", "mu"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         self.validate()
 
+    @property
+    def d(self) -> int:
+        return self.features.shape[2]
+
+    @property
+    def K(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.mu.shape[0]
+
     def validate(self):
-        """Check shapes, finiteness, the norm bounds, sigma and the support
-        ids in one place."""
-        if self.d < 1 or self.K < 1 or self.M < 1:
-            raise ValidationError("d, K, M must all be positive")
+        """Check shapes, finiteness, the norm bounds, sigma and the context
+        distributions in one place."""
+        if self.features.ndim != 3 or 0 in self.features.shape:
+            raise ValidationError(
+                f"features have shape {self.features.shape}, expected (K, C, d), all positive"
+            )
         if self.rewards.shape != (self.K, self.d):
             raise ValidationError(
                 f"thetas have shape {self.rewards.shape}, expected ({self.K}, {self.d})"
             )
-        if self.features.ndim != 3 or self.features.shape[::2] != (self.K, self.d):
+        n_ctx = self.features.shape[1]
+        if self.mu.ndim != 2 or self.mu.shape[1] != n_ctx or self.mu.shape[0] < 1:
             raise ValidationError(
-                f"features have shape {self.features.shape}, expected ({self.K}, C, {self.d})"
+                f"mu has shape {self.mu.shape}, expected (M, {n_ctx}) with M >= 1"
             )
-        if len(self.mus) != self.M:
-            raise ValidationError(f"expected {self.M} agents, got {len(self.mus)}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ValidationError(
                 f"sigma = {self.sigma} is outside the supported noise range [0, 1]"
             )
+        # Negated comparisons, so a NaN fails them.
+        negative = ~(self.mu >= 0.0).all(axis=1)
+        totals = self.mu.sum(axis=1)
+        bad = np.flatnonzero(negative | ~(np.abs(totals - 1.0) <= PROB_SUM_TOL))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"agent {i}: " + (
+                "negative or NaN probability" if negative[i]
+                else f"probabilities sum to {totals[i]}, expected 1"))
         _check_norms(self.features, "phi", self.bounds.ell, self.bounds.big_l)
         _check_norms(self.rewards, "theta", 0.0, self.bounds.s)
-        n_ctx = self.features.shape[1]
-        for i, mu in enumerate(self.mus):
-            # ids are sorted, so the ends are the only candidates.
-            bad = [c for c in (mu.ids[0], mu.ids[-1]) if not 0 <= c < n_ctx]
-            if bad:
-                raise ValidationError(
-                    f"agent {i}: context id {bad[0]} outside 0..{n_ctx - 1}"
-                )
 
     def restrict(self, m: int) -> "Scenario":
         """Scenario with only the first m agents (same features and thetas)."""
         if not (1 <= m <= self.M):
             raise ValidationError(f"cannot restrict to {m} of {self.M} agents")
-        return self if m == self.M else replace(self, M=m, mus=self.mus[:m])
+        return self if m == self.M else replace(self, mu=self.mu[:m])
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,8 +232,7 @@ class Scenario:
                 for a, row in enumerate(self.features.tolist())
             },
             "agents": [
-                {"mu": [[c, float(p)] for c, p in zip(mu.ids, mu.probs)]}
-                for mu in self.mus
+                {"mu": [[c, p] for c, p in enumerate(row) if p]} for row in self.mu.tolist()
             ],
         }
 
@@ -248,10 +244,10 @@ class Scenario:
                 big_l=float(data["bounds"]["L"]),
                 s=float(data["bounds"]["s"]),
             )
-            d, k, m = int(data["d"]), int(data["K"]), int(data["M"])
-            features = np.array(_dense_table(data["features"], k), dtype=float)
+            declared = {key: _integer(data[key], key) for key in ("d", "K", "M")}
+            features = np.array(_dense_table(data["features"], declared["K"]), dtype=float)
             rewards = np.array(data["thetas"], dtype=float)
-            mus = [ContextDistribution(agent["mu"]) for agent in data["agents"]]
+            mu = _dense_mu(data["agents"], features.shape[1] if features.ndim == 3 else 0)
             contexts = {
                 int(c): np.asarray(vec, dtype=float)
                 for c, vec in data.get("contexts", {}).items()
@@ -260,18 +256,21 @@ class Scenario:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed scenario document: {exc}") from exc
-        return cls(
-            d=d,
-            K=k,
-            M=m,
+        scenario = cls(
             bounds=bounds,
             rewards=rewards,
             features=features,
-            mus=mus,
+            mu=mu,
             sigma=float(data.get("sigma", 0.0)),
             contexts=contexts,
             name=str(data.get("name", "")),
         )
+        for key, value in declared.items():
+            if value != getattr(scenario, key):
+                raise ValidationError(
+                    f"{key} = {value} disagrees with the arrays, which hold {getattr(scenario, key)}"
+                )
+        return scenario
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -24,7 +24,7 @@ from .messages import (
     GlobalBroadcast,
     LocalEstimateUpload,
 )
-from .model import ContextDistribution, Scenario, build_psi_set
+from .model import Scenario, build_psi_set
 from .server import DESIGN_TOL, CentralServer
 
 TRACE_VERSION = 3
@@ -312,11 +312,12 @@ def run_protocol(
 
     env = Environment(scenario, master_seed)
 
-    # Exact variant: the agent knows its realized context, so psi collapses
-    # to the true feature vector.  Hidden variant: psi averages over mu.
-    mus = ([ContextDistribution.point_mass(c) for c in env.contexts.tolist()]
-           if variant == "exact" else scenario.mus)
-    psi = build_psi_set(scenario.features, mus, scenario.bounds)
+    # Exact variant: the agent knows its realized context, so mu is its
+    # one-hot row and psi the true feature vector.  Hidden: psi averages over mu.
+    mu = scenario.mu
+    if variant == "exact":
+        mu = (env.contexts[:, None] == np.arange(mu.shape[1])).astype(float)
+    psi = build_psi_set(scenario.features, mu, scenario.bounds)
 
     alpha, k_conf = compute_alpha(m, k_arms, schedule.H, d, delta)
     agents = Agent(psi, alpha, scenario.bounds.ell)

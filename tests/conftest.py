@@ -3,7 +3,7 @@ import pytest
 
 from fedpecd.design import DesignProblem
 from fedpecd.messages import ActiveSetUpload, GlobalBroadcast, LocalEstimateUpload
-from fedpecd.model import Bounds, ContextDistribution, Scenario
+from fedpecd.model import Bounds, Scenario
 
 
 def design_problem(active_sets, directions, dim):
@@ -76,13 +76,10 @@ def identical_agents_scenario(m=5, sigma=0.0):
     thetas = [r * u for r, u in zip(rewards, dirs)]
     bounds = Bounds(ell=1.0, big_l=1.0, s=10.0)
     return Scenario(
-        d=3,
-        K=3,
-        M=m,
         bounds=bounds,
         rewards=thetas,
         features=[[u] for u in dirs],
-        mus=[ContextDistribution.point_mass(0) for _ in range(m)],
+        mu=np.ones((m, 1)),
         sigma=sigma,
         name="identical-agents",
     )

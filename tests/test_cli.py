@@ -94,3 +94,21 @@ def test_bad_perturbation_exit_code(tmp_path, capsys, perturbation):
     assert err.startswith("error: perturbation must fit the norm range")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["agents"][0].update(mu=[[0.5, 0.25], [1.5, 0.25], [2.5, 0.5]]),
+     "agent 0: context id = 0.5 is not an integer"),
+    (lambda doc: doc["agents"][2].update(mu=[[True, 1.0]]),
+     "agent 2: context id = True is not an integer"),
+    (lambda doc: doc.update(d=3.9), "d = 3.9 is not an integer"),
+])
+def test_non_integer_id_or_size_exit_code(tmp_path, capsys, edit, message):
+    path = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", "desk", "--agents", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"

@@ -16,7 +16,7 @@ from fedpecd.errors import (
     ValidationError,
 )
 from fedpecd.harness import SyntheticSpec, generate_synthetic
-from fedpecd.model import Bounds, ContextDistribution, Scenario
+from fedpecd.model import Bounds, Scenario
 from fedpecd.protocol import build_schedule, run_protocol
 from fedpecd.server import CentralServer, allocate
 
@@ -26,19 +26,27 @@ from test_environment import one_agent_scenario
 from test_harness import tiny_sweep
 
 
+def one_context_document(support):
+    """A one-arm, one-context scenario document whose only agent has ``support``."""
+    doc = Scenario(bounds=Bounds(ell=0.5, big_l=1.0, s=1.0), rewards=[[1.0, 0.0]],
+                   features=[[[1.0, 0.0]]], mu=[[1.0]]).to_json_dict()
+    doc["agents"] = [{"mu": support}]
+    return doc
+
+
 def test_expected_feature_missing_pair():
-    """A support id past the feature array's contexts has no phi to average."""
+    """A support id past the feature array's contexts has no phi to average,
+    in a document or as a column past the array's."""
     with pytest.raises(ValidationError, match="agent 0: context id 7 outside 0..0"):
-        Scenario(
-            d=2, K=1, M=1, bounds=Bounds(ell=0.5, big_l=1.0, s=1.0),
-            rewards=[[1.0, 0.0]], features=[[[1.0, 0.0]]],
-            mus=[ContextDistribution([(0, 0.5), (7, 0.5)])],
-        )
+        Scenario.from_json_dict(one_context_document([[0, 0.5], [7, 0.5]]))
+    with pytest.raises(ValidationError, match=r"mu has shape \(1, 2\), expected \(M, 1\)"):
+        Scenario(bounds=Bounds(ell=0.5, big_l=1.0, s=1.0), rewards=[[1.0, 0.0]],
+                 features=[[[1.0, 0.0]]], mu=[[0.5, 0.5]])
 
 
 def test_duplicate_context_id_rejected():
-    with pytest.raises(ValidationError):
-        ContextDistribution([(0, 0.5), (0, 0.5)])
+    with pytest.raises(ValidationError, match="agent 0: duplicate context id"):
+        Scenario.from_json_dict(one_context_document([[0, 0.5], [0, 0.5]]))
 
 
 def test_init_estimate_rejects_zero_psi():

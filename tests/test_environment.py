@@ -6,15 +6,15 @@ import pytest
 from fedpecd.environment import Environment
 from fedpecd.errors import ValidationError
 from fedpecd.harness import SyntheticSpec, generate_synthetic
-from fedpecd.model import Bounds, ContextDistribution, Scenario
+from fedpecd.model import Bounds, Scenario
 
 
 def one_agent_scenario(sigma=0.0):
     return Scenario(
-        d=3, K=2, M=1, bounds=Bounds(ell=0.5, big_l=1.0, s=1.0),
+        bounds=Bounds(ell=0.5, big_l=1.0, s=1.0),
         rewards=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
         features=[[[0.5, 0.2, 0.1]], [[0.1, 0.5, 0.3]]],
-        mus=[ContextDistribution.point_mass(0)],
+        mu=[[1.0]],
         sigma=sigma,
     )
 

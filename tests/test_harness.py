@@ -27,7 +27,7 @@ SAMPLE = Path(__file__).resolve().parents[1] / "data" / "movielens_like.json"
 
 
 def base_rewards(scenario, agent):
-    base = scenario.mus[agent].ids[0]
+    base = np.flatnonzero(scenario.mu[agent])[0]
     return np.array([
         float(scenario.rewards[a] @ scenario.features[a, base])
         for a in range(scenario.K)
@@ -61,8 +61,8 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.0)
         hidden = generate_synthetic(spec, seed=3, variant="hidden")
         exact = generate_synthetic(spec, seed=3, variant="exact")
-        psi_h = build_psi_set(hidden.features, hidden.mus, hidden.bounds)
-        psi_e = build_psi_set(exact.features, exact.mus, exact.bounds)
+        psi_h = build_psi_set(hidden.features, hidden.mu, hidden.bounds)
+        psi_e = build_psi_set(exact.features, exact.mu, exact.bounds)
         for i in range(3):
             for a in range(4):
                 np.testing.assert_allclose(
@@ -78,7 +78,7 @@ class TestGenerateSynthetic:
     def test_contested_agents_tie_under_the_mixture(self):
         spec = desk_spec(m=40)
         sc = generate_synthetic(spec, seed=5)
-        psi = build_psi_set(sc.features, sc.mus, sc.bounds)
+        psi = build_psi_set(sc.features, sc.mu, sc.bounds)
         tied = 0
         for i in range(sc.M):
             vals = np.array([
@@ -150,7 +150,7 @@ class TestLoadFeatures:
         """Every arm must hold every context id 0..C-1, including contexts no
         agent's support reaches; the file, arm and context are named."""
         sc = generate_synthetic(desk_spec(m=3), seed=9)
-        ctx = sc.mus[2].ids[0]
+        ctx = np.flatnonzero(sc.mu[2])[0]
         doc = sc.restrict(2).to_json_dict()
         del doc["features"]["3"][str(ctx)]
         path = tmp_path / "gap.json"

@@ -1,44 +1,55 @@
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from fedpecd.environment import Environment
 from fedpecd.errors import ConfigurationError, ValidationError
 from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic, load_features
-from fedpecd.model import Bounds, ContextDistribution, Scenario, build_psi_set
+from fedpecd.model import Bounds, Scenario, build_psi_set
 
 # A floor low enough that build_psi_set accepts any psi these tests mix.
 LOOSE = Bounds(ell=1e-6, big_l=1.0, s=1.0)
 
 
-def make_scenario(features, rewards=None, mus=None, bounds=LOOSE, **kw):
+def make_scenario(features, rewards=None, mu=None, bounds=LOOSE, **kw):
     """A Scenario over the (K, C, d) ``features``; theta_a = e_1 and one
     agent at context 0 unless given."""
     features = np.asarray(features, dtype=float)
-    k, _, d = features.shape
+    k, n_ctx, d = features.shape
     if rewards is None:
         rewards = np.tile(np.eye(d)[0], (k, 1))
-    if mus is None:
-        mus = [ContextDistribution.point_mass(0)]
-    return Scenario(d=d, K=k, M=len(mus), bounds=bounds, rewards=rewards,
-                    features=features, mus=mus, **kw)
+    if mu is None:
+        mu = np.eye(n_ctx)[:1]
+    return Scenario(bounds=bounds, rewards=rewards, features=features, mu=mu, **kw)
 
 
-def psi_of(features, mu, arm=0):
-    """psi(arm) under mu, computed by build_psi_set."""
-    return build_psi_set(np.asarray(features, dtype=float), [mu], LOOSE)[0, arm]
+def document(n_ctx, supports, **fields):
+    """The document of a one-arm scenario over ``n_ctx`` contexts whose
+    agents have the schema-v1 ``supports``, with ``fields`` overridden."""
+    doc = make_scenario(np.full((1, n_ctx, 2), 0.6)).to_json_dict()
+    doc["agents"] = [{"mu": support} for support in supports]
+    doc["M"] = len(supports)
+    doc.update(fields)
+    return doc
 
 
-def per_pair_psi(features, mus):
+def psi_of(features, row, arm=0):
+    """psi(arm) for one agent whose distribution is ``row``, by build_psi_set."""
+    return build_psi_set(np.asarray(features, dtype=float), np.array([row]), LOOSE)[0, arm]
+
+
+def per_pair_psi(features, mu):
     """The per-(agent, arm) loop that build_psi_set replaced, kept as its
     bit oracle: each psi sums its support terms in context-id order."""
     k, _, d = features.shape
-    out = np.empty((len(mus), k, d))
-    for i, mu in enumerate(mus):
+    out = np.empty((len(mu), k, d))
+    for i, row in enumerate(mu):
         for a in range(k):
             v = np.zeros(d)
-            for c, p in zip(mu.ids, mu.probs):
-                v += p * features[a, c]
+            for c in np.flatnonzero(row):
+                v += row[c] * features[a, c]
             out[i, a] = v
     return out
 
@@ -59,32 +70,60 @@ class TestBounds:
 
 
 class TestContextDistribution:
+    """The scenario's (M, C) array mu: row i is agent i's distribution."""
+
+    features = np.full((1, 2, 2), 0.6)
+
     def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            ContextDistribution([(0, 0.5), (1, 0.4)])
+        with pytest.raises(ValidationError, match="agent 1: probabilities sum to 0.9"):
+            make_scenario(self.features, mu=[[1.0, 0.0], [0.5, 0.4], [-1.0, 2.0]])
 
     def test_negative_probability_rejected(self):
-        with pytest.raises(ValidationError):
-            ContextDistribution([(0, 1.2), (1, -0.2)])
+        with pytest.raises(ValidationError, match="agent 0: negative or NaN probability"):
+            make_scenario(self.features, mu=[[1.2, -0.2]])
 
-    @pytest.mark.parametrize("support", [[(0, np.nan)], [(0, np.nan), (1, 1.0)]])
+    @pytest.mark.parametrize("support", [[[0, np.nan]], [[0, np.nan], [1, 1.0]]])
     def test_nan_probability_rejected(self, support):
-        with pytest.raises(ValidationError, match="NaN probability"):
-            ContextDistribution(support)
+        row = np.zeros(2)
+        row[[c for c, _ in support]] = [p for _, p in support]
+        with pytest.raises(ValidationError, match="agent 0: negative or NaN probability"):
+            make_scenario(self.features, mu=[row])
+        with pytest.raises(ValidationError, match="agent 0: negative or NaN probability"):
+            Scenario.from_json_dict(document(2, [support]))
 
     def test_empty_support_rejected(self):
-        with pytest.raises(ValidationError):
-            ContextDistribution([])
+        with pytest.raises(ValidationError, match="agent 1: context distribution has an empty"):
+            Scenario.from_json_dict(document(2, [[[0, 1.0]], []]))
+        with pytest.raises(ValidationError, match="agent 0: probabilities sum to 0.0"):
+            make_scenario(self.features, mu=[[0.0, 0.0]])
 
     def test_point_mass(self):
-        mu = ContextDistribution.point_mass(7)
-        assert mu.is_point_mass and mu.ids == (7,)
+        """A one-hot row is saved as its single [id, 1.0] entry and loads back."""
+        sc = make_scenario(self.features, mu=[[0.0, 1.0]])
+        doc = sc.to_json_dict()
+        assert doc["agents"] == [{"mu": [[1, 1.0]]}]
+        assert np.array_equal(Scenario.from_json_dict(doc).mu, [[0.0, 1.0]])
 
     def test_sampling_is_seed_deterministic(self):
-        mu = ContextDistribution([(0, 0.3), (1, 0.7)])
-        draws1 = [mu.sample(np.random.default_rng(5)) for _ in range(4)]
-        draws2 = [mu.sample(np.random.default_rng(5)) for _ in range(4)]
-        assert draws1 == draws2
+        """A realized context depends only on the seed, and drawing it over
+        all C ids gives the id a draw over the support alone gives."""
+        sc = generate_synthetic(desk_spec(m=6), seed=4)
+        first = Environment(sc, master_seed=5).contexts
+        assert np.array_equal(first, Environment(sc, master_seed=5).contexts)
+        assert all(sc.mu[i, c] > 0.0 for i, c in enumerate(first))
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            row = np.zeros(9)
+            ids = np.sort(rng.choice(9, size=int(rng.integers(1, 6)), replace=False))
+            row[ids] = rng.dirichlet(np.ones(ids.size))
+            dense = np.random.default_rng(seed).choice(9, p=row)
+            assert dense == ids[np.random.default_rng(seed).choice(ids.size, p=row[ids])]
+
+    def test_zero_probability_entry_is_validated_not_kept(self):
+        sc = Scenario.from_json_dict(document(2, [[[0, 1.0], [1, 0.0]]]))
+        assert sc.to_json_dict()["agents"] == [{"mu": [[0, 1.0]]}]
+        with pytest.raises(ValidationError, match="agent 0: negative or NaN probability"):
+            Scenario.from_json_dict(document(2, [[[0, 1.0], [1, np.nan]]]))
 
 
 class TestFeatureMap:
@@ -101,7 +140,7 @@ class TestFeatureMap:
         """A support id outside 0..C-1 names no stored feature."""
         for ctx in (99, -1):
             with pytest.raises(ValidationError, match=f"agent 0: context id {ctx} outside 0..0"):
-                make_scenario([[[1.0, 0.0]]], mus=[ContextDistribution.point_mass(ctx)])
+                Scenario.from_json_dict(document(1, [[[ctx, 1.0]]]))
 
     @pytest.mark.parametrize("features,rewards", [
         ([[1.0, 0.0]], None),                         # not (K, C, d)
@@ -110,8 +149,8 @@ class TestFeatureMap:
     ])
     def test_wrong_shape_rejected(self, features, rewards):
         with pytest.raises(ValidationError, match="shape"):
-            Scenario(d=2, K=1, M=1, bounds=LOOSE, rewards=rewards or [[1.0, 0.0]],
-                     features=features, mus=[ContextDistribution.point_mass(0)])
+            Scenario(bounds=LOOSE, rewards=rewards or [[1.0, 0.0]],
+                     features=features, mu=[[1.0]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match=r"phi\[0, 1\]\|\| = nan"):
@@ -131,16 +170,20 @@ class TestFeatureMap:
             sc.features[0, 0, 0] = 0.5
         with pytest.raises(ValueError):
             sc.rewards[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            sc.mu[0, 0] = 0.5
 
     def test_scenario_is_immutable(self):
-        """Validation holds for the scenario's life: a support id cannot be
-        swapped in after construction, nor a field reassigned."""
+        """Validation holds for the scenario's life: a distribution cannot be
+        edited after construction, nor a field or size reassigned."""
         sc = generate_synthetic(desk_spec(m=3), seed=9)
-        with pytest.raises(TypeError):
-            sc.mus[0] = ContextDistribution.point_mass(-1)
-        with pytest.raises(FrozenInstanceError):
-            sc.sigma = 0.5
-        assert sc.restrict(2).mus == sc.mus[:2]
+        with pytest.raises(ValueError):
+            sc.mu[0] = np.roll(sc.mu[0], 1)
+        for name in ("sigma", "M"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sc, name, 2)
+        assert np.array_equal(sc.restrict(2).mu, sc.mu[:2])
+        assert (sc.restrict(2).M, sc.restrict(2).K, sc.restrict(2).d) == (2, sc.K, sc.d)
 
 
 class TestExpectedFeature:
@@ -149,17 +192,14 @@ class TestExpectedFeature:
     features = [[[0.5, 0.2, 0.1], [0.8, 0.1, 0.4]]]
 
     def test_point_mass_returns_phi(self):
-        mu = ContextDistribution.point_mass(1)
-        np.testing.assert_allclose(psi_of(self.features, mu), [0.8, 0.1, 0.4])
+        np.testing.assert_allclose(psi_of(self.features, [0.0, 1.0]), [0.8, 0.1, 0.4])
 
     def test_uniform_two_contexts(self):
-        mu = ContextDistribution([(0, 0.5), (1, 0.5)])
-        np.testing.assert_allclose(psi_of([[[1.0, 0.0], [0.0, 1.0]]], mu), [0.5, 0.5])
+        np.testing.assert_allclose(psi_of([[[1.0, 0.0], [0.0, 1.0]]], [0.5, 0.5]), [0.5, 0.5])
 
     def test_weighted_sum(self):
-        mu = ContextDistribution([(0, 0.3), (1, 0.7)])
         np.testing.assert_allclose(
-            psi_of(self.features, mu), [0.71, 0.13, 0.31], atol=1e-15
+            psi_of(self.features, [0.3, 0.7]), [0.71, 0.13, 0.31], atol=1e-15
         )
 
     def test_mixture_linearity(self, rng):
@@ -169,30 +209,25 @@ class TestExpectedFeature:
             alpha = float(rng.uniform(0.1, 0.9))
             p = rng.dirichlet(np.ones(4))
             q = rng.dirichlet(np.ones(4))
-            mu1 = ContextDistribution(list(enumerate(p)))
-            mu2 = ContextDistribution(list(enumerate(q)))
-            mix = ContextDistribution(list(enumerate(alpha * p + (1 - alpha) * q)))
-            lhs = psi_of(features, mix)
-            rhs = alpha * psi_of(features, mu1) + (1 - alpha) * psi_of(features, mu2)
+            lhs = psi_of(features, alpha * p + (1 - alpha) * q)
+            rhs = alpha * psi_of(features, p) + (1 - alpha) * psi_of(features, q)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_jensen_norm_bound(self, rng):
         features = rng.normal(size=(1, 5, 3))
-        mu = ContextDistribution(list(enumerate(np.full(5, 0.2))))
-        psi = psi_of(features, mu)
+        psi = psi_of(features, np.full(5, 0.2))
         assert np.linalg.norm(psi) <= np.linalg.norm(features, axis=2).max() + 1e-12
 
     def test_bit_identical_recomputation(self):
-        mu = ContextDistribution([(0, 0.3), (1, 0.7)])
-        assert np.array_equal(psi_of(self.features, mu), psi_of(self.features, mu))
+        assert np.array_equal(psi_of(self.features, [0.3, 0.7]),
+                              psi_of(self.features, [0.3, 0.7]))
 
 
 class TestBuildPsiSet:
     def test_point_mass_matches_feature_table(self):
         bounds = Bounds(ell=0.5, big_l=1.0, s=1.0)
         features = np.array([[[0.9, 0.0], [0.0, 0.9]], [[0.0, 0.8], [0.8, 0.0]]])
-        mus = [ContextDistribution.point_mass(0), ContextDistribution.point_mass(1)]
-        psi = build_psi_set(features, mus, bounds)
+        psi = build_psi_set(features, np.eye(2), bounds)
         np.testing.assert_allclose(psi[0][0], [0.9, 0.0])
         np.testing.assert_allclose(psi[1][1], [0.8, 0.0])
         assert psi.shape == (2, 2, 2) and not psi.flags.writeable
@@ -201,34 +236,32 @@ class TestBuildPsiSet:
         bounds = Bounds(ell=0.1, big_l=1.0, s=1.0)
         v = rng.normal(size=(2, 3, 3))
         features = 0.7 * v / np.linalg.norm(v, axis=2, keepdims=True)
-        mus = [
-            ContextDistribution([(0, 0.2), (1, 0.5), (2, 0.3)]),
-            ContextDistribution([(0, 0.6), (2, 0.4)]),
-        ]
-        psi = build_psi_set(features, mus, bounds)
-        for i, mu in enumerate(mus):
+        mu = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])
+        psi = build_psi_set(features, mu, bounds)
+        for i, row in enumerate(mu):
             for a in range(2):
-                manual = sum(p * features[a, c] for c, p in zip(mu.ids, mu.probs))
+                manual = sum(p * features[a, c] for c, p in enumerate(row))
                 np.testing.assert_allclose(psi[i][a], manual, atol=1e-15)
 
     def test_matches_the_per_pair_loop_bit_for_bit(self, rng):
+        """Supports of every size, at scattered ids, and agents of one context."""
         features = rng.normal(size=(4, 6, 3))
-        mus = []
-        for _ in range(10):
+        mu = np.zeros((12, 6))
+        for row in mu[:10]:
             ids = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
-            mus.append(ContextDistribution(zip(ids, rng.dirichlet(np.ones(len(ids))))))
-        assert np.array_equal(build_psi_set(features, mus, LOOSE), per_pair_psi(features, mus))
+            row[ids] = rng.dirichlet(np.ones(len(ids)))
+        mu[10:, 5] = 1.0
+        assert np.array_equal(build_psi_set(features, mu, LOOSE), per_pair_psi(features, mu))
         sc = generate_synthetic(desk_spec(m=8), seed=2, variant="hidden")
-        assert np.array_equal(build_psi_set(sc.features, sc.mus, sc.bounds),
-                              per_pair_psi(sc.features, sc.mus))
+        assert np.array_equal(build_psi_set(sc.features, sc.mu, sc.bounds),
+                              per_pair_psi(sc.features, sc.mu))
 
     def test_floor_violation_names_offender(self):
         bounds = Bounds(ell=0.9, big_l=1.0, s=1.0)
         # Two opposed contexts average to a near-zero psi for arm 0.
         features = np.array([[[0.95, 0.0], [-0.95, 0.0]]])
-        mus = [ContextDistribution([(0, 0.5), (1, 0.5)])]
         with pytest.raises(ConfigurationError, match="agent 0, arm 0"):
-            build_psi_set(features, mus, bounds)
+            build_psi_set(features, np.array([[0.5, 0.5]]), bounds)
 
 
 class TestScenarioSerialization:
@@ -248,10 +281,8 @@ class TestScenarioSerialization:
             make_scenario([[[0.9, 0.0]]], rewards=[[5.0, 0.0]], bounds=bounds)
 
     def test_missing_feature_for_support_context(self):
-        bounds = Bounds(ell=0.5, big_l=1.0, s=1.0)
-        with pytest.raises(ValidationError, match="agent 0: context id 1"):
-            make_scenario([[[0.9, 0.0]]], bounds=bounds,
-                     mus=[ContextDistribution([(0, 0.5), (1, 0.5)])])
+        with pytest.raises(ValidationError, match="agent 0: context id 1 outside 0..0"):
+            Scenario.from_json_dict(document(1, [[[0, 0.5], [1, 0.5]]]))
 
     @pytest.mark.parametrize("sigma", [-0.1, 1.5, np.nan])
     def test_sigma_outside_noise_range_rejected(self, sigma):
@@ -266,5 +297,32 @@ class TestScenarioSerialization:
     def test_document_context_ids_must_be_dense(self, edit, message):
         doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
         edit(doc["features"])
+        with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["agents"][0].update(mu=[[0.5, 0.5], [1.5, 0.25], [2.5, 0.25]]),
+         "agent 0: context id = 0.5 is not an integer"),
+        (lambda doc: doc["agents"][1].update(mu=[[True, 1.0]]),
+         "agent 1: context id = True is not an integer"),
+        (lambda doc: doc["agents"][1].update(mu=[["1", 1.0]]),
+         "agent 1: context id = '1' is not an integer"),
+        (lambda doc: doc.update(d=3.9), "d = 3.9 is not an integer"),
+        (lambda doc: doc.update(K=True), "K = True is not an integer"),
+        (lambda doc: doc.update(M=2.0), "M = 2.0 is not an integer"),
+    ])
+    def test_non_integer_ids_and_sizes_rejected(self, tmp_path, edit, message):
+        doc = document(3, [[[0, 1.0]], [[2, 1.0]]])
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{path}: {message}"):
+            load_features(path)
+
+    @pytest.mark.parametrize("key,value,held", [("d", 3, 2), ("M", 3, 2)])
+    def test_declared_sizes_must_match_the_arrays(self, key, value, held):
+        """A declared K is checked against the feature table's arms."""
+        doc = document(3, [[[0, 1.0]], [[2, 1.0]]], **{key: value})
+        message = f"{key} = {value} disagrees with the arrays, which hold {held}"
         with pytest.raises(ValidationError, match=message):
             Scenario.from_json_dict(doc)

@@ -129,13 +129,13 @@ def small_spec(**overrides):
 
 class TestRunProtocol:
     def test_single_arm_has_zero_regret(self):
-        from fedpecd.model import Bounds, ContextDistribution, Scenario
+        from fedpecd.model import Bounds, Scenario
 
         sc = Scenario(
-            d=2, K=1, M=3, bounds=Bounds(ell=0.9, big_l=1.0, s=1.0),
+            bounds=Bounds(ell=0.9, big_l=1.0, s=1.0),
             rewards=[[1.0, 0.0]],
             features=[[[0.95, 0.0]]],
-            mus=[ContextDistribution.point_mass(0)] * 3,
+            mu=[[1.0]] * 3,
             sigma=0.1,
         )
         sched = build_schedule(1, 2, 1, 256)
@@ -285,7 +285,7 @@ def planned_first_phase():
     inactive arms."""
     sc = generate_synthetic(desk_spec(m=5), seed=3, variant="hidden")
     env = Environment(sc, master_seed=0)
-    agents = Agent(build_psi_set(sc.features, sc.mus, sc.bounds), 0.0, sc.bounds.ell)
+    agents = Agent(build_psi_set(sc.features, sc.mu, sc.bounds), 0.0, sc.bounds.ell)
     server = CentralServer(sc.M, sc.K, sc.d)
     sets, _ = agents.begin_phase(server.ingest_init(agents.initialize(env.pull)))
     return env, agents, server, server.plan_phase(sets, 16)
