@@ -18,6 +18,15 @@ once as ``mean + N(0, sigma^2 / count)``: the mean of ``count`` iid
 N(0, sigma^2) draws has exactly that law, so a batch costs one draw
 whatever its size, and a single pull is the plain ``N(0, sigma^2)`` draw.
 
+The hot path runs on Python floats.  Each agent draws its standard normals
+ahead, ``NOISE_BLOCK`` at a time, from its own stream, and a batch uses the
+next one, z, as ``mean + (0.0 + s * z)`` with ``s = sigma / sqrt(count)``.
+The bits are those of one ``normal(0.0, s)`` call per batch: numpy computes
+that call as ``0.0 + s * z`` from one standard normal, and a bulk
+``standard_normal(n)`` yields the same sequence as n scalar draws.  An
+agent's stream feeds only its own noise, so drawing ahead moves no other
+value.  Blocks are drawn on first need, so with sigma = 0 nothing is drawn.
+
 Pseudo-regret is tracked from true reward gaps, so the ledger is identical
 across noise seeds for a fixed pull sequence.  It is a prefix-sum ledger:
 each pull batch appends its end round and the running regret, and a
@@ -33,6 +42,25 @@ from bisect import bisect_left
 import numpy as np
 
 from .model import Scenario
+
+# Standard normals an agent draws ahead per refill: enough to spread the
+# generator call over many batches, few enough that the M blocks stay small
+# (0.6 MB of Python floats for 150 agents).
+NOISE_BLOCK = 128
+
+
+def _checked_id(what: str, value, n: int) -> int:
+    """An agent or arm id as an int in ``0..n-1``; numpy integers pass, a
+    bool or a float is not an id."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise IndexError(f"{what} {value!r} is not an integer id")
+    if not 0 <= index < n:
+        raise IndexError(f"{what} {index} out of range [0, {n})")
+    return index
 
 
 class Environment:
@@ -63,9 +91,17 @@ class Environment:
         phi = scenario.features[:, self.contexts, None, :]  # (K, M, 1, d)
         self.true_rewards = (phi @ scenario.rewards[:, None, :, None])[:, :, 0, 0].T.copy()
         self.optimal_arms = np.argmax(self.true_rewards, axis=1)
-        self._gaps = self.true_rewards[np.arange(m), self.optimal_arms][:, None] - self.true_rewards
+        gaps = self.true_rewards[np.arange(m), self.optimal_arms][:, None] - self.true_rewards
         for truth in (self.contexts, self.true_rewards, self.optimal_arms):
             truth.setflags(write=False)
+
+        # The hot path's copies as Python scalars and nested lists (``tolist``
+        # keeps the bits), and each agent's drawn-ahead standard normals,
+        # stored reversed so the next one is ``pop()``.
+        self._m, self._k, self._sigma = m, scenario.K, float(scenario.sigma)
+        self._means: list[list[float]] = self.true_rewards.tolist()
+        self._gaps: list[list[float]] = gaps.tolist()
+        self._noise: list[list[float]] = [[] for _ in range(m)]
 
         # Ledger: per agent, one entry per pull batch (segment) in prefix form:
         # the round the segment ends at, the regret booked through it, and
@@ -87,30 +123,33 @@ class Environment:
     def _pull(self, agent: int, arm: int, count: int) -> float:
         # Both public methods call this core and never each other, so a
         # wrapper around either one sees each pull exactly once.
-        if not (0 <= agent < self.scenario.M):
-            raise IndexError(f"agent {agent} out of range [0, {self.scenario.M})")
-        if not (0 <= arm < self.scenario.K):
-            raise IndexError(f"arm {arm} out of range [0, {self.scenario.K})")
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise ValueError(f"count must be an integer, got {count!r}") from None
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if count == 0:
+        if type(agent) is not int or not 0 <= agent < self._m:
+            agent = _checked_id("agent", agent, self._m)
+        if type(arm) is not int or not 0 <= arm < self._k:
+            arm = _checked_id("arm", arm, self._k)
+        if type(count) is not int:
+            try:
+                count = operator.index(count)
+            except TypeError:
+                raise ValueError(f"count must be an integer, got {count!r}") from None
+        if count <= 0:
+            if count < 0:
+                raise ValueError("count must be nonnegative")
             return 0.0
-        mean = self.true_rewards[agent, arm]
-        avg = mean
-        sigma = self.scenario.sigma
-        if sigma > 0.0:
-            # One draw: the batch average's law (see the module docstring).
-            avg = mean + self._rngs[agent].normal(0.0, sigma / math.sqrt(count))
-        gap = float(self._gaps[agent, arm])
+        avg = self._means[agent][arm]
+        if self._sigma > 0.0:
+            # One draw: the batch average's law, with the bits of
+            # ``normal(0.0, s)`` (see the module docstring).
+            noise = self._noise[agent]
+            if not noise:
+                noise += self._rngs[agent].standard_normal(NOISE_BLOCK)[::-1].tolist()
+            avg += 0.0 + (self._sigma / math.sqrt(count)) * noise.pop()
+        gap = self._gaps[agent][arm]
         ends, cum = self._ends[agent], self._cum[agent]
         ends.append(ends[-1] + count)
         cum.append(cum[-1] + count * gap)
         self._seg_gap[agent].append(gap)
-        return float(avg)
+        return avg
 
     # -- regret ledger --------------------------------------------------------
 
@@ -129,7 +168,7 @@ class Environment:
                 raise ValueError(f"upto must be an integer, got {upto!r}") from None
             if upto < 0:
                 raise ValueError(f"upto must be nonnegative, got {upto}")
-        m = self.scenario.M
+        m = self._m
         per_agent = np.zeros(m)
         for i in range(m):
             ends, cum = self._ends[i], self._cum[i]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -93,8 +94,20 @@ def _check_norms(vecs: np.ndarray, name: str, lo: float, hi: float):
 
 def _dense_table(table: dict, k: int) -> list:
     """A schema-v1 feature table {arm: {context: phi}} as nested ``(K, C, d)``
-    lists; every arm 0..K-1 must hold exactly the context ids 0..C-1."""
-    rows = {int(a): {int(c): v for c, v in per_ctx.items()} for a, per_ctx in table.items()}
+    lists; every arm 0..K-1 must hold exactly the context ids 0..C-1, each
+    named by one key (``"0"`` and ``"00"`` name one id)."""
+    rows: dict[int, dict] = {}
+    for a_key, per_ctx in table.items():
+        a = int(a_key)
+        if a in rows:
+            raise ValidationError(f"arm {a}: named twice in features, the second time as {a_key!r}")
+        row = rows[a] = {}
+        for c_key, v in per_ctx.items():
+            c = int(c_key)
+            if c in row:
+                raise ValidationError(
+                    f"arm {a}: context {c} named twice in features, the second time as {c_key!r}")
+            row[c] = v
     if sorted(rows) != list(range(k)):
         raise ValidationError(f"features cover arms {sorted(rows)}, expected 0..{k - 1}")
     n_ctx = 1 + max((c for row in rows.values() for c in row), default=-1)
@@ -106,6 +119,61 @@ def _dense_table(table: dict, k: int) -> list:
                 f"context id {c} outside 0..{n_ctx - 1}" if c < 0
                 else f"no feature for context {c}"))
     return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
+
+
+def _is_real(t: type) -> bool:
+    """Whether values of type ``t`` are JSON numbers: int or float, not bool."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _number(value, what: str) -> float:
+    """A document's real number; a string such as "0.5", a bool or null is
+    not one."""
+    if not _is_real(type(value)):
+        raise ValidationError(f"{what} = {value!r} is not a number")
+    return float(value)
+
+
+def _first_non_number(values, at: tuple = ()):
+    """The index and value of the first leaf of nested lists that is not a
+    JSON number, or None."""
+    if isinstance(values, list):
+        for j, v in enumerate(values):
+            found = _first_non_number(v, at + (j,))
+            if found:
+                return found
+        return None
+    return None if _is_real(type(values)) else (at, values)
+
+
+def _flatten(values, depth: int):
+    """The leaves and shape of nested lists that are ``depth`` deep and
+    rectangular, or None."""
+    leaves, shape = [values], []
+    for _ in range(depth):
+        try:
+            sizes = set(map(len, leaves))
+        except TypeError:  # a number stands where a list should
+            return None
+        if len(sizes) != 1:  # ragged, or empty
+            return None
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    return leaves, shape
+
+
+def _reals(values, what: str, depth: int) -> np.ndarray:
+    """A document's numbers, nested ``depth`` lists deep, as a float array.
+    The flattened leaves' types are checked in one pass; only a document
+    that fails it is walked, to name the first leaf that is not a number."""
+    flat = _flatten(values, depth)
+    if flat and all(map(_is_real, set(map(type, flat[0])))):
+        return np.array(flat[0], dtype=float).reshape(flat[1])
+    found = _first_non_number(values)
+    if found:
+        at, value = found
+        raise ValidationError(f"{what}{list(at) if at else ''} = {value!r} is not a number")
+    return np.array(values, dtype=float)  # not rectangular: numpy names the defect
 
 
 def _integer(value, what: str) -> int:
@@ -123,7 +191,7 @@ def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
     sizes = np.array([len(agent["mu"]) for agent in agents], dtype=int)
     owner = np.repeat(np.arange(sizes.size), sizes)
     ids = [c for agent in agents for c, _ in agent["mu"]]
-    probs = [float(p) for agent in agents for _, p in agent["mu"]]
+    probs = [p for agent in agents for _, p in agent["mu"]]
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise ValidationError(f"agent {empty[0]}: context distribution has an empty support")
@@ -132,6 +200,10 @@ def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
         where = f"agent {owner[j]}: context id"
         _integer(ids[j], where)  # names a non-integer id as such
         raise ValidationError(f"{where} {ids[j]} outside 0..{n_ctx - 1}")
+    j = next((j for j, p in enumerate(probs) if not _is_real(type(p))), None)
+    if j is not None:
+        raise ValidationError(
+            f"agent {owner[j]}: probability of context {ids[j]} = {probs[j]!r} is not a number")
     mu = np.zeros((sizes.size, n_ctx))
     mu[owner, ids] = 1.0
     twice = np.flatnonzero(np.count_nonzero(mu, axis=1) != sizes)
@@ -141,11 +213,12 @@ def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
     return mu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete problem instance consumed by the environment and protocol;
     immutable (read-only arrays), so validation holds.  ``d``, ``K`` and
-    ``M`` are read from the arrays."""
+    ``M`` are read from the arrays.  Equality is identity: the fields are
+    arrays, which compare elementwise."""
 
     bounds: Bounds
     rewards: np.ndarray  # (K, d) theta_a rows, read-only
@@ -240,28 +313,28 @@ class Scenario:
     def from_json_dict(cls, data: dict) -> "Scenario":
         try:
             bounds = Bounds(
-                ell=float(data["bounds"]["ell"]),
-                big_l=float(data["bounds"]["L"]),
-                s=float(data["bounds"]["s"]),
+                ell=_number(data["bounds"]["ell"], "bounds.ell"),
+                big_l=_number(data["bounds"]["L"], "bounds.L"),
+                s=_number(data["bounds"]["s"], "bounds.s"),
             )
+            sigma = _number(data.get("sigma", 0.0), "sigma")
             declared = {key: _integer(data[key], key) for key in ("d", "K", "M")}
-            features = np.array(_dense_table(data["features"], declared["K"]), dtype=float)
-            rewards = np.array(data["thetas"], dtype=float)
+            features = _reals(_dense_table(data["features"], declared["K"]), "features", 3)
+            rewards = _reals(data["thetas"], "thetas", 2)
             mu = _dense_mu(data["agents"], features.shape[1] if features.ndim == 3 else 0)
-            contexts = {
-                int(c): np.asarray(vec, dtype=float)
-                for c, vec in data.get("contexts", {}).items()
-            }
+            # One check for the whole table: row j is the j-th entry.
+            profiles = data.get("contexts", {})
+            contexts = dict(zip(map(int, profiles), _reals(list(profiles.values()), "contexts", 2)))
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed scenario document: {exc}") from exc
         scenario = cls(
             bounds=bounds,
             rewards=rewards,
             features=features,
             mu=mu,
-            sigma=float(data.get("sigma", 0.0)),
+            sigma=sigma,
             contexts=contexts,
             name=str(data.get("name", "")),
         )

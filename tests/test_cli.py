@@ -112,3 +112,20 @@ def test_non_integer_id_or_size_exit_code(tmp_path, capsys, edit, message):
     assert main(["validate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["agents"][1].update(mu=[[0, "1.0"]]),
+     "agent 1: probability of context 0 = '1.0' is not a number"),
+    (lambda doc: doc.update(sigma=True), "sigma = True is not a number"),
+    (lambda doc: doc["features"]["0"].update({"00": doc["features"]["0"]["0"]}),
+     "arm 0: context 0 named twice in features, the second time as '00'"),
+])
+def test_non_number_or_repeated_id_exit_code(tmp_path, capsys, edit, message):
+    path = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", "desk", "--agents", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

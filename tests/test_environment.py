@@ -43,6 +43,23 @@ class TestPull:
         with pytest.raises(IndexError):
             env.pull(3, 0)
 
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(0.0), np.True_])
+    def test_float_and_bool_ids_rejected(self, bad):
+        """A bool would index list position 1 and a float is no id at all:
+        both are refused as agent and as arm, before any pull is booked."""
+        env = Environment(one_agent_scenario(), master_seed=0)
+        with pytest.raises(IndexError, match="is not an integer id"):
+            env.pull(bad, 0)
+        with pytest.raises(IndexError, match="is not an integer id"):
+            env.pull_many(0, bad, 2)
+        assert env.cumulative_regret() == (np.zeros(1), 0.0)
+
+    def test_numpy_integer_ids_accepted(self):
+        env = Environment(one_agent_scenario(), master_seed=0)
+        assert env.pull(np.int64(0), np.int32(1)) == env.pull(0, 1)
+        with pytest.raises(IndexError, match="arm 2 out of range"):
+            env.pull(np.int64(0), np.int64(2))
+
     def test_fractional_count_rejected(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         with pytest.raises(ValueError, match="integer"):
@@ -87,6 +104,30 @@ class TestNoise:
         )
         assert abs(z.mean()) <= 5.0 / np.sqrt(calls)
         assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / calls)
+
+    def test_batches_past_one_noise_block_match_per_call_draws(self):
+        """Across several refills of the drawn-ahead block, each batch equals
+        the mean plus one ``normal(0, sigma / sqrt(count))`` call on the
+        agent's stream, bit for bit; a zero count draws nothing, or every
+        later batch would miss its oracle draw."""
+        from fedpecd.environment import NOISE_BLOCK
+
+        sigma, seed = 0.3, 5
+        env = Environment(one_agent_scenario(sigma=sigma), master_seed=seed)
+        stream = np.random.SeedSequence(seed).spawn(2)[1].spawn(1)[0]
+        oracle = np.random.Generator(np.random.PCG64(stream))
+        counts = [1, 7, 0, 1000] * NOISE_BLOCK
+        drawn = 0
+        for step, count in enumerate(counts):
+            a = step % 2
+            got = env.pull_many(0, a, count)
+            if count == 0:
+                assert got == 0.0
+                continue
+            drawn += 1
+            expected = env.true_rewards[0, a] + oracle.normal(0.0, sigma / np.sqrt(count))
+            assert got == expected, step
+        assert drawn > 2 * NOISE_BLOCK
 
     def test_zero_sigma_returns_mean_without_drawing(self):
         env = Environment(replace(one_agent_scenario(sigma=0.3), sigma=0.0), master_seed=0)

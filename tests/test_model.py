@@ -185,6 +185,15 @@ class TestFeatureMap:
         assert np.array_equal(sc.restrict(2).mu, sc.mu[:2])
         assert (sc.restrict(2).M, sc.restrict(2).K, sc.restrict(2).d) == (2, sc.K, sc.d)
 
+    def test_equality_is_identity(self):
+        """Array fields compare elementwise, so scenarios compare by identity
+        instead of raising on the truth value of an array."""
+        sc = generate_synthetic(desk_spec(m=3), seed=1)
+        copy = generate_synthetic(desk_spec(m=3), seed=1)
+        assert sc == sc
+        assert sc != copy
+        assert sc.to_json_dict() == copy.to_json_dict()
+
 
 class TestExpectedFeature:
     """psi(a) = sum_c mu(c) phi(a, c), as build_psi_set computes it."""
@@ -318,6 +327,65 @@ class TestScenarioSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=f"{path}: {message}"):
             load_features(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda f: f.update({"00": f["0"]}), "arm 0: named twice in features, the second time as '00'"),
+        (lambda f: f["1"].update({"00": [0.9, 0.0]}),
+         "arm 1: context 0 named twice in features, the second time as '00'"),
+        (lambda f: f["2"].update({" 1": [0.9, 0.0]}),
+         "arm 2: context 1 named twice in features, the second time as ' 1'"),
+    ])
+    def test_document_ids_named_twice_rejected(self, edit, message):
+        """Keys are read with int(), so two spellings of one id would let the
+        later feature silently replace the earlier one."""
+        doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
+        edit(doc["features"])
+        with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["bounds"].update(ell="0.5"), "bounds.ell = '0.5' is not a number"),
+        (lambda doc: doc["bounds"].update(L=True), "bounds.L = True is not a number"),
+        (lambda doc: doc["bounds"].update(s=None), "bounds.s = None is not a number"),
+        (lambda doc: doc.update(sigma="0.1"), "sigma = '0.1' is not a number"),
+        (lambda doc: doc["thetas"][0].__setitem__(1, True),
+         r"thetas\[0, 1\] = True is not a number"),
+        (lambda doc: doc["features"]["0"]["2"].__setitem__(0, "0.6"),
+         r"features\[0, 2, 0\] = '0.6' is not a number"),
+        (lambda doc: doc["features"]["0"].update({"1": None}),
+         r"features\[0, 1\] = None is not a number"),
+        (lambda doc: doc["agents"][1].update(mu=[[2, True]]),
+         "agent 1: probability of context 2 = True is not a number"),
+        (lambda doc: doc["agents"][0].update(mu=[[0, "0.5"], [1, 0.5]]),
+         "agent 0: probability of context 0 = '0.5' is not a number"),
+        (lambda doc: doc.update(contexts={"0": [0.5, 0.1], "1": [0.5, False]}),
+         r"contexts\[1, 1\] = False is not a number"),
+    ])
+    def test_non_numbers_rejected(self, edit, message):
+        """Every real a document holds must be a JSON number: float() would
+        read "0.5" as 0.5 and true as 1.0."""
+        doc = document(3, [[[0, 1.0]], [[2, 1.0]]])
+        edit(doc)
+        with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(thetas=[[1.0, 0.0], [1.0]]),
+        lambda doc: doc["features"]["0"].update({"1": [0.6]}),
+        lambda doc: doc.update(contexts={"0": [0.5, 0.1], "1": [0.5]}),
+    ])
+    def test_ragged_arrays_are_malformed(self, edit):
+        doc = document(3, [[[0, 1.0]], [[2, 1.0]]])
+        edit(doc)
+        with pytest.raises(ValidationError, match="malformed scenario document"):
+            Scenario.from_json_dict(doc)
+
+    def test_integer_numbers_accepted(self):
+        doc = document(2, [[[0, 1]], [[1, 0.5], [0, 0.5]]], sigma=0)
+        doc["bounds"].update(L=1)
+        sc = Scenario.from_json_dict(doc)
+        assert sc.mu.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        assert (sc.sigma, sc.bounds.big_l) == (0.0, 1.0)
 
     @pytest.mark.parametrize("key,value,held", [("d", 3, 2), ("M", 3, 2)])
     def test_declared_sizes_must_match_the_arrays(self, key, value, held):
