@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleSpecError, ProtocolError, ValidationError
+from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
 from .model import Bounds, Scenario
 from .protocol import build_schedule, run_protocol
 
@@ -240,7 +240,6 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
     gap_lo, gap_hi = spec.gap_range
 
     rows: list[np.ndarray] = []  # rows[c]: the (K, d) features of context id c
-    contexts: dict[int, np.ndarray] = {}
     weights: list[tuple[int, int, float]] = []  # (agent, context id, mu entry)
     for i in range(spec.M):
         rng = np.random.Generator(np.random.PCG64(agent_streams[i]))
@@ -263,7 +262,8 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
             rewards[rival] = r_best - float(rng.uniform(*spec.contested_gap_range))
 
         base_id = len(rows)
-        contexts[base_id] = rng.normal(size=spec.d)
+        # One unread draw per context keeps every later draw, so every scenario, fixed.
+        rng.normal(size=spec.d)
         base_feats = np.empty((spec.K, spec.d))
         for a in range(spec.K):
             reach = 0.0
@@ -281,7 +281,7 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
         copy_ids = []
         for _ in range(spec.copies):
             cid = len(rows)
-            contexts[cid] = contexts[base_id] + 0.1 * rng.normal(size=spec.d)
+            rng.normal(size=spec.d)  # the copy's unread draw
             row = np.empty((spec.K, spec.d))
             for a in range(spec.K):
                 if rival >= 0 and a in (best, rival):
@@ -304,7 +304,6 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
         features=np.stack(rows, axis=1),
         mu=mu,
         sigma=spec.sigma,
-        contexts=contexts,
         name=f"{spec.name}-K{spec.K}-d{spec.d}-M{spec.M}",
     )
 
@@ -376,9 +375,7 @@ def _run_cell(task):
         variant=variant,
         extra_checkpoints=extras,
     )
-    rounds = [r for r, _ in trace.checkpoints]
-    values = [v for _, v in trace.checkpoints]
-    return (variant, m, trial), rounds, values
+    return trace.checkpoints
 
 
 def run_sweep(
@@ -398,8 +395,9 @@ def run_sweep(
 
     All cells of a trial share one scenario, generated once per trial and
     restricted to the first M agents in each cell, and one run seed, so
-    variant and M comparisons are paired.  Aggregation is a keyed merge:
-    worker count and completion order cannot change the result.
+    variant and M comparisons are paired.  Runs come back in task order
+    (``map`` and ``pool.map`` both keep it), each cell as one block of
+    ``trials`` runs, so the worker count cannot change the result.
     """
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
@@ -412,10 +410,10 @@ def run_sweep(
     extras = tuple(sorted(set(int(r) for r in extra_checkpoints)))
 
     scenarios = {t: _scenario_for_trial(source, t, base_seed, m_max) for t in range(trials)}
+    cells = [(variant, m) for variant in variants for m in agent_counts]
     tasks = [
         (scenarios[trial], variant, m, trial, base_seed, c, n, horizon, delta, extras)
-        for variant in variants
-        for m in agent_counts
+        for variant, m in cells
         for trial in range(trials)
     ]
     if workers > 1:
@@ -424,27 +422,19 @@ def run_sweep(
     else:
         outcomes = [_run_cell(t) for t in tasks]
 
-    by_cell: dict[tuple[str, int], dict[int, list[float]]] = {}
-    rounds_by_cell: dict[tuple[str, int], list[int]] = {}
-    for (variant, m, trial), rounds, values in outcomes:
-        key = (variant, m)
-        rounds_by_cell.setdefault(key, rounds)
-        if rounds_by_cell[key] != rounds:
-            raise ProtocolError(f"checkpoint rounds differ across trials for cell {key}")
-        by_cell.setdefault(key, {})[trial] = values
-
     result = SweepResult(horizon=horizon, trials=trials)
-    for key, per_trial in sorted(by_cell.items()):
-        curves = np.array([per_trial[t] for t in range(trials)])
+    for j, (variant, m) in enumerate(cells):
+        runs = outcomes[j * trials:(j + 1) * trials]
+        curves = np.array([[v for _, v in run] for run in runs])
         mean = curves.mean(axis=0)
         if trials > 1:
             stderr = curves.std(axis=0, ddof=1) / math.sqrt(trials)
         else:
             stderr = np.zeros_like(mean)
-        result.cells[key] = SweepCell(
-            variant=key[0],
-            m=key[1],
-            rounds=rounds_by_cell[key],
+        result.cells[(variant, m)] = SweepCell(
+            variant=variant,
+            m=m,
+            rounds=[r for r, _ in runs[0]],
             curves=curves,
             mean=mean,
             stderr=stderr,

@@ -15,7 +15,7 @@ as [[context id, probability], ...]."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -225,7 +225,6 @@ class Scenario:
     features: np.ndarray  # (K, C, d) phi(a, c) over context ids 0..C-1, read-only
     mu: np.ndarray  # (M, C) row i: agent i's distribution over context ids, read-only
     sigma: float = 0.0
-    contexts: dict[int, np.ndarray] = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):
@@ -297,9 +296,6 @@ class Scenario:
                 "s": self.bounds.s,
             },
             "thetas": self.rewards.tolist(),
-            "contexts": {
-                str(c): [float(x) for x in vec] for c, vec in sorted(self.contexts.items())
-            },
             "features": {
                 str(a): {str(c): vec for c, vec in enumerate(row)}
                 for a, row in enumerate(self.features.tolist())
@@ -322,9 +318,6 @@ class Scenario:
             features = _reals(_dense_table(data["features"], declared["K"]), "features", 3)
             rewards = _reals(data["thetas"], "thetas", 2)
             mu = _dense_mu(data["agents"], features.shape[1] if features.ndim == 3 else 0)
-            # One check for the whole table: row j is the j-th entry.
-            profiles = data.get("contexts", {})
-            contexts = dict(zip(map(int, profiles), _reals(list(profiles.values()), "contexts", 2)))
         except ValidationError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -335,7 +328,6 @@ class Scenario:
             features=features,
             mu=mu,
             sigma=sigma,
-            contexts=contexts,
             name=str(data.get("name", "")),
         )
         for key, value in declared.items():

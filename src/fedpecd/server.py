@@ -69,52 +69,6 @@ def _check_psd(v: np.ndarray):
 
 
 def _aggregate(
-    phase: int,
-    f: np.ndarray,
-    th: np.ndarray,
-    has_model: np.ndarray,
-    prev: GlobalBroadcast | None,
-) -> GlobalBroadcast:
-    """Per arm: V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
-
-    ``f`` is ``(M, K)`` and ``th`` ``(M, K, d)``: agent i's pull count and
-    estimate for each arm, with f = 0 where the agent sent none; the
-    broadcast carries a model for each arm in the ``(K,)`` mask
-    ``has_model`` and zero rows for the others.  Terms with f < 1 are
-    skipped.  Estimates that are exactly zero (zero observed reward) carry
-    no direction and are skipped in the Gram sum; their contribution to the
-    linear term is zero anyway.  An arm with no usable estimate keeps its
-    model from ``prev``, since a zero model would spuriously eliminate it;
-    without ``prev`` (initialization) it is degenerate.
-
-    Every arm is aggregated in one stacked pass that gives the bits of
-    adding each arm's terms one by one in agent order: a skipped term
-    enters the sums as -0.0, the exact additive identity, and ``cumsum``
-    adds along the agent axis in order (a ``reduceat`` sum does not give
-    the same bits).  One ``pinv`` call inverts the ``(K, d, d)`` Gram stack.
-    """
-    usable = f >= 1
-    norm_sq = sq_norms(th)
-    in_gram = usable & (norm_sq != 0.0)
-    has_gram = in_gram.any(axis=0)
-    if prev is None and not has_gram.all():
-        raise DegenerateArmError(f"all initial estimates for arm {np.argmin(has_gram)} are zero")
-    linear = np.cumsum(np.where(usable[..., None], f[..., None] * th, -0.0), axis=0)[-1]
-    coef = np.divide(f, norm_sq, out=np.zeros_like(norm_sq), where=in_gram)
-    outer = coef[..., None, None] * (th[..., :, None] * th[..., None, :])
-    gram = np.cumsum(np.where(in_gram[..., None, None], outer, -0.0), axis=0)[-1]
-    v = pinv(gram)
-    _check_psd(v)
-    theta = (v @ linear[..., None])[..., 0]
-    if prev is not None:
-        theta = np.where(has_gram[:, None], theta, prev.theta)
-        v = np.where(has_gram[:, None, None], v, prev.v)
-    theta = np.where(has_model[:, None], theta, 0.0)
-    v = np.where(has_model[:, None, None], v, 0.0)
-    return GlobalBroadcast(phase, theta, v, has_model)
-
-
-def _aggregate_round(
     upload: LocalEstimateUpload,
     issued: np.ndarray,
     active: np.ndarray,
@@ -122,7 +76,25 @@ def _aggregate_round(
     d: int,
     prev: GlobalBroadcast | None,
 ) -> GlobalBroadcast:
-    """Check one round of estimates and aggregate it (see ``aggregate_phase``)."""
+    """Check one round of estimates (see ``aggregate_phase``), then per arm:
+    V = pinv(sum_i f_i th th' / ||th||^2), theta = V (sum_i f_i th).
+
+    f is the ``(M, K)`` ``issued`` pull counts and th the reported
+    estimates, zero where an agent sent none; the broadcast carries a model
+    for each arm in the union of the ``active`` sets and zero rows for the
+    others.  Terms with f < 1 are skipped.  Estimates that are exactly
+    zero (zero observed reward) carry no direction and are skipped in the
+    Gram sum; their contribution to the linear term is zero anyway.  An arm
+    with no usable estimate keeps its model from ``prev``, since a zero
+    model would spuriously eliminate it; without ``prev`` (initialization)
+    it is degenerate.
+
+    Every arm is aggregated in one stacked pass that gives the bits of
+    adding each arm's terms one by one in agent order: a skipped term
+    enters the sums as -0.0, the exact additive identity, and ``cumsum``
+    adds along the agent axis in order (a ``reduceat`` sum does not give
+    the same bits).  One ``pinv`` call inverts the ``(K, d, d)`` Gram stack.
+    """
     m, k = issued.shape
     check_round(upload, phase, m, k, d)
     reported, pulls = upload.arms, upload.pulls
@@ -134,7 +106,26 @@ def _aggregate_round(
         ((issued >= 1) & ~reported, lambda i, a: f"no upload for {issued[i, a]} issued pulls"),
     ])
     th = np.where(reported[..., None], upload.theta_hat, 0.0)
-    return _aggregate(phase + 1, issued, th, active.any(axis=0), prev)
+    usable = issued >= 1
+    norm_sq = sq_norms(th)
+    in_gram = usable & (norm_sq != 0.0)
+    has_gram = in_gram.any(axis=0)
+    if prev is None and not has_gram.all():
+        raise DegenerateArmError(f"all initial estimates for arm {np.argmin(has_gram)} are zero")
+    linear = np.cumsum(np.where(usable[..., None], issued[..., None] * th, -0.0), axis=0)[-1]
+    coef = np.divide(issued, norm_sq, out=np.zeros_like(norm_sq), where=in_gram)
+    outer = coef[..., None, None] * (th[..., :, None] * th[..., None, :])
+    gram = np.cumsum(np.where(in_gram[..., None, None], outer, -0.0), axis=0)[-1]
+    v = pinv(gram)
+    _check_psd(v)
+    theta = (v @ linear[..., None])[..., 0]
+    if prev is not None:
+        theta = np.where(has_gram[:, None], theta, prev.theta)
+        v = np.where(has_gram[:, None, None], v, prev.v)
+    has_model = active.any(axis=0)
+    theta = np.where(has_model[:, None], theta, 0.0)
+    v = np.where(has_model[:, None, None], v, 0.0)
+    return GlobalBroadcast(phase + 1, theta, v, has_model)
 
 
 def aggregate_init(upload: LocalEstimateUpload, m: int, k: int, d: int) -> GlobalBroadcast:
@@ -143,7 +134,7 @@ def aggregate_init(upload: LocalEstimateUpload, m: int, k: int, d: int) -> Globa
     Needs a phase-0 round in which every agent reports every arm with one
     pull and a finite ``(d,)`` estimate; each enters with f = 1.
     """
-    return _aggregate_round(
+    return _aggregate(
         upload, np.ones((m, k), dtype=int), np.ones((m, k), dtype=bool), 0, d, None
     )
 
@@ -163,7 +154,7 @@ def aggregate_phase(
     like ``prev``'s models and come from an active pair with the issued
     pull count; every pair issued at least one pull must report.
     """
-    return _aggregate_round(upload, issued, active, prev.phase, prev.theta.shape[1], prev)
+    return _aggregate(upload, issued, active, prev.phase, prev.theta.shape[1], prev)
 
 
 def allocate(alloc: DesignAllocation, f_p: int) -> np.ndarray:

@@ -55,7 +55,27 @@ def test_generated_movielens_like_file_is_pinned(tmp_path):
     assert main(["generate", "--preset", "movielens-like", "--agents", "100",
                  "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b5c793ed27007c35132d6bfdb4dcaabe9862deecf8e738c581b6ff29dcf039d9")
+        "6afa307f7addbf79d7e6917512cd981ce57602b0ff7825375a9ff07974a2f530")
+
+
+def test_unwritable_output_path_exit_code(tmp_path, capsys):
+    """An output path in a missing directory is reported in one line with
+    exit code 2, not as a traceback."""
+    scenario = tmp_path / "scenario.json"
+    missing = tmp_path / "missing"
+    small = ["--agents", "2", "--arms", "2", "--seed", "1"]
+    assert main(["generate", *small, "--out", str(missing / "s.json")]) == 2
+    assert main(["generate", *small, "--out", str(scenario)]) == 0
+    run = ["run", "--scenario", str(scenario), "--horizon", "64"]
+    sweep = ["sweep", "--variants", "hidden", "--agents", "2", "--trials", "1",
+             "--horizon", "64"]
+    assert main([*run, "--trace-out", str(missing / "t.jsonl")]) == 2
+    assert main([*run, "--out-json", str(missing / "r.json")]) == 2
+    assert main([*sweep, "--out-csv", str(missing / "c.csv")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4
+    for error, name in zip(errors, ("s.json", "t.jsonl", "r.json", "c.csv")):
+        assert error.startswith("error: ") and str(missing / name) in error
 
 
 def test_validation_failure_exit_code(tmp_path):

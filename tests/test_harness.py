@@ -144,7 +144,7 @@ class TestLoadFeatures:
         load_features(SAMPLE).save(path)
         assert path.read_bytes() == SAMPLE.read_bytes()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "11d69740a0ad2a1e4b67570ab763f43c5ab9b2440cc17b87cb85a19de6abb0d7")
+            "8ad22d036f5b5a8bd59ea873b45c74cf71af376697cdadc60f90870b311e2075")
 
     def test_missing_feature_is_named(self, tmp_path, capsys):
         """Every arm must hold every context id 0..C-1, including contexts no
