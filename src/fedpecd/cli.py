@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 from .errors import FedPecdError
 from .harness import (
+    PRESETS,
     SyntheticSpec,
-    desk_spec,
     generate_synthetic,
     load_features,
-    movielens_like_spec,
     run_sweep,
     sweep_summary,
     write_sweep_csv,
     write_sweep_json,
 )
-from .protocol import build_schedule, run_protocol
+from .protocol import VARIANTS, build_schedule, run_protocol
 
 PAPER_SCALE = {"horizon": 2**17, "trials": 100, "agents": (50, 100, 150)}
 DESK_SCALE = {"horizon": 2**13, "trials": 20, "agents": (10, 25, 50)}
@@ -38,16 +38,20 @@ def agent_counts(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _preset_spec(preset: str, m: int) -> SyntheticSpec:
-    if preset == "movielens-like":
-        return movielens_like_spec(m=m)
-    if preset == "desk":
-        return desk_spec(m=m)
-    return SyntheticSpec(M=m)
+def _check_writable(*paths):
+    """Open each given output path once, so an unwritable one fails before any
+    work.  Append mode never truncates a file; one it creates is removed."""
+    for path in paths:
+        if path is not None:
+            made = not os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if made:
+                os.remove(path)
 
 
 def _spec_from_args(args) -> SyntheticSpec:
-    spec = _preset_spec(args.preset, args.agents)
+    spec = PRESETS[args.preset](args.agents)
     overrides = {}
     if args.arms is not None:
         overrides["K"] = args.arms
@@ -61,6 +65,7 @@ def _spec_from_args(args) -> SyntheticSpec:
 
 
 def cmd_generate(args) -> int:
+    _check_writable(args.out)
     spec = _spec_from_args(args)
     scenario = generate_synthetic(spec, seed=args.seed, variant=args.variant)
     scenario.save(args.out)
@@ -77,6 +82,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _check_writable(args.trace_out, args.out_json)
     scenario = load_features(args.scenario)
     if args.agents is not None:
         scenario = scenario.restrict(args.agents)
@@ -118,10 +124,11 @@ def cmd_sweep(args) -> int:
     trials = args.trials if args.trials is not None else scale["trials"]
     agents = args.agents or scale["agents"]
     variants = tuple(args.variants.split(","))
+    _check_writable(args.out_csv, args.out_json)
     if args.scenario:
         source = load_features(args.scenario)
     else:
-        source = _preset_spec(args.preset, max(agents))
+        source = PRESETS[args.preset](max(agents))
     result = run_sweep(
         source,
         variants=variants,
@@ -153,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic scenario file")
-    g.add_argument("--preset", choices=["synthetic", "desk", "movielens-like"],
-                   default="synthetic")
-    g.add_argument("--variant", choices=["exact", "hidden"], default="hidden")
+    g.add_argument("--preset", choices=PRESETS, default="synthetic")
+    g.add_argument("--variant", choices=VARIANTS, default="hidden")
     g.add_argument("--agents", type=int, default=50)
     g.add_argument("--arms", type=int, default=None)
     g.add_argument("--dim", type=int, default=None)
@@ -171,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run one protocol execution")
     r.add_argument("--scenario", required=True)
-    r.add_argument("--variant", choices=["exact", "hidden"], default="hidden")
+    r.add_argument("--variant", choices=VARIANTS, default="hidden")
     r.add_argument("--agents", type=int, default=None,
                    help="use only the first M agents of the scenario")
     r.add_argument("--trace-out", default=None, help="write a JSONL trace here")
@@ -184,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="multi-run sweep over variants and agent counts")
     s.add_argument("--scenario", default=None,
                    help="fixed scenario file (default: generate per trial)")
-    s.add_argument("--preset", choices=["synthetic", "desk", "movielens-like"],
-                   default="synthetic")
+    s.add_argument("--preset", choices=PRESETS, default="synthetic")
     s.add_argument("--variants", default="exact,hidden")
     s.add_argument("--agents", type=agent_counts, default=None, help="comma-separated agent counts")
     s.add_argument("--trials", type=int, default=None)

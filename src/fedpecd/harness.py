@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
 from .model import Bounds, Scenario
-from .protocol import build_schedule, run_protocol
+from .protocol import VARIANTS, build_schedule, run_protocol
 
 MAX_REJECTIONS = 10**5
 
@@ -138,25 +138,23 @@ def desk_spec(m: int = 50) -> SyntheticSpec:
     )
 
 
-def _orthogonal_offset(rng, direction: np.ndarray, magnitude: float) -> np.ndarray:
-    """Random vector of the given magnitude orthogonal to `direction`."""
-    d = direction.shape[0]
-    unit = direction / np.linalg.norm(direction)
-    for _ in range(MAX_REJECTIONS):
-        w = rng.normal(size=d)
-        w -= (w @ unit) * unit
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-9:
-            return (magnitude / nrm) * w
-    raise InfeasibleSpecError("could not sample an orthogonal perturbation")
+# Each preset's spec factory, called with the agent count M.
+PRESETS = {
+    "synthetic": lambda m: SyntheticSpec(M=m),
+    "desk": desk_spec,
+    "movielens-like": movielens_like_spec,
+}
 
 
-def _sphere_offset(rng, d: int, magnitude: float) -> np.ndarray:
-    """Random vector of the given magnitude, any direction."""
+def _offset(rng, d: int, magnitude: float, orthogonal_to=None) -> np.ndarray:
+    """Random vector of the given magnitude, orthogonal to `orthogonal_to` if given."""
     if magnitude == 0.0:
         return np.zeros(d)
+    unit = None if orthogonal_to is None else orthogonal_to / np.linalg.norm(orthogonal_to)
     for _ in range(MAX_REJECTIONS):
         w = rng.normal(size=d)
+        if unit is not None:
+            w -= (w @ unit) * unit
         nrm = float(np.linalg.norm(w))
         if nrm > 1e-9:
             return (magnitude / nrm) * w
@@ -183,7 +181,7 @@ def _feature_for_reward(rng, theta: np.ndarray, reward: float,
     tail = math.sqrt(max(target**2 - base_norm**2, 0.0))
     if tail == 0.0:
         return base
-    return base + _orthogonal_offset(rng, theta, tail)
+    return base + _offset(rng, len(theta), tail, theta)
 
 
 def _retarget_reward(rng, theta: np.ndarray, feat: np.ndarray,
@@ -205,7 +203,7 @@ def _retarget_reward(rng, theta: np.ndarray, feat: np.ndarray,
         )
     tail = feat - (feat @ unit) * unit
     tail_norm = float(np.linalg.norm(tail))
-    tail_dir = tail / tail_norm if tail_norm > 1e-12 else _orthogonal_offset(rng, theta, 1.0)
+    tail_dir = tail / tail_norm if tail_norm > 1e-12 else _offset(rng, len(theta), 1.0, theta)
     tail_len = math.sqrt(max(norm**2 - along**2, 0.0))
     return along * unit + tail_len * tail_dir
 
@@ -216,8 +214,8 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
     variant="hidden" gives each agent a mixture over its true context and
     `spec.copies` perturbed copies; variant="exact" gives point masses.
     """
-    if variant not in ("hidden", "exact"):
-        raise ConfigurationError(f"variant must be 'exact' or 'hidden', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     root = np.random.SeedSequence(seed)
     theta_stream, agent_root = root.spawn(2)
     theta_rng = np.random.Generator(np.random.PCG64(theta_stream))
@@ -289,7 +287,7 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
                     row[a] = _retarget_reward(rng, thetas[a], base_feats[a], swapped)
                 else:
                     mag = spec.perturbation * float(rng.uniform(0.5, 1.0))
-                    row[a] = base_feats[a] + _sphere_offset(rng, spec.d, mag)
+                    row[a] = base_feats[a] + _offset(rng, spec.d, mag)
             rows.append(row)
             copy_ids.append(cid)
         weights.append((i, base_id, 1.0 - RHO))
@@ -327,33 +325,17 @@ def load_features(path) -> Scenario:
 
 @dataclass
 class SweepCell:
-    variant: str
-    m: int
-    rounds: list[int]
     curves: np.ndarray  # (trials, len(rounds)) per-agent average regret
     mean: np.ndarray
     stderr: np.ndarray
-
-    @property
-    def final_mean(self) -> float:
-        return float(self.mean[-1])
-
-    @property
-    def final_stderr(self) -> float:
-        return float(self.stderr[-1])
-
-    def per_trial_final(self) -> np.ndarray:
-        return self.curves[:, -1]
 
 
 @dataclass
 class SweepResult:
     horizon: int
     trials: int
-    cells: dict[tuple[str, int], SweepCell] = field(default_factory=dict)
-
-    def cell(self, variant: str, m: int) -> SweepCell:
-        return self.cells[(variant, m)]
+    rounds: list[int]  # the checkpoint rounds, shared by every cell
+    cells: dict[tuple[str, int], SweepCell] = field(default_factory=dict)  # key (variant, M)
 
 
 def _scenario_for_trial(source, trial: int, base_seed: int, m_max: int) -> Scenario:
@@ -403,8 +385,8 @@ def run_sweep(
         raise ConfigurationError("trials must be at least 1")
     variants = tuple(variants)
     for v in variants:
-        if v not in ("exact", "hidden"):
-            raise ConfigurationError(f"unknown variant {v!r}")
+        if v not in VARIANTS:
+            raise ConfigurationError(f"variant must be one of {VARIANTS}, got {v!r}")
     agent_counts = tuple(int(m) for m in agent_counts)
     m_max = max(agent_counts)
     extras = tuple(sorted(set(int(r) for r in extra_checkpoints)))
@@ -422,8 +404,10 @@ def run_sweep(
     else:
         outcomes = [_run_cell(t) for t in tasks]
 
-    result = SweepResult(horizon=horizon, trials=trials)
-    for j, (variant, m) in enumerate(cells):
+    # One schedule and one set of extra checkpoints: every run has the same rounds.
+    rounds = [r for r, _ in outcomes[0]] if outcomes else []
+    result = SweepResult(horizon=horizon, trials=trials, rounds=rounds)
+    for j, key in enumerate(cells):
         runs = outcomes[j * trials:(j + 1) * trials]
         curves = np.array([[v for _, v in run] for run in runs])
         mean = curves.mean(axis=0)
@@ -431,25 +415,15 @@ def run_sweep(
             stderr = curves.std(axis=0, ddof=1) / math.sqrt(trials)
         else:
             stderr = np.zeros_like(mean)
-        result.cells[(variant, m)] = SweepCell(
-            variant=variant,
-            m=m,
-            rounds=[r for r, _ in runs[0]],
-            curves=curves,
-            mean=mean,
-            stderr=stderr,
-        )
+        result.cells[key] = SweepCell(curves=curves, mean=mean, stderr=stderr)
     return result
 
 
 def sweep_csv_lines(result: SweepResult):
     yield CSV_HEADER
     for (variant, m), cell in sorted(result.cells.items()):
-        for idx, r in enumerate(cell.rounds):
-            yield (
-                f"{variant},{m},{r},{float(cell.mean[idx])!r},"
-                f"{float(cell.stderr[idx])!r},{result.trials}"
-            )
+        for r, mean, err in zip(result.rounds, cell.mean.tolist(), cell.stderr.tolist()):
+            yield f"{variant},{m},{r},{mean!r},{err!r},{result.trials}"
 
 
 def write_sweep_csv(result: SweepResult, path):
@@ -465,15 +439,15 @@ def sweep_summary(result: SweepResult) -> dict:
         "trials": result.trials,
         "cells": [
             {
-                "variant": cell.variant,
-                "M": cell.m,
-                "rounds": list(cell.rounds),
+                "variant": variant,
+                "M": m,
+                "rounds": list(result.rounds),
                 "mean_regret": [float(x) for x in cell.mean],
                 "stderr": [float(x) for x in cell.stderr],
-                "final_mean": cell.final_mean,
-                "final_stderr": cell.final_stderr,
+                "final_mean": float(cell.mean[-1]),
+                "final_stderr": float(cell.stderr[-1]),
             }
-            for _, cell in sorted(result.cells.items())
+            for (variant, m), cell in sorted(result.cells.items())
         ],
     }
 

@@ -179,15 +179,6 @@ class PhaseTrace:
     regret: np.ndarray  # the ledger's (M,) per-agent regret at round_end
     design: dict  # the design solve's sweeps, converged, objective, gap and certificate
 
-    @property
-    def stats(self) -> list[list[tuple[int, float, float]]]:
-        """Per agent, the (arm, r_hat, u) of each arm it scored, in arm order."""
-        out = [[] for _ in range(len(self.scored))]
-        rows, arms = np.nonzero(self.scored)
-        for i, a, (r_hat, u) in zip(rows.tolist(), arms.tolist(), self.scores.tolist()):
-            out[i].append((a, r_hat, u))
-        return out
-
 
 @dataclass
 class RunTrace:
@@ -206,7 +197,10 @@ class RunTrace:
     phases: list[PhaseTrace] = field(default_factory=list)
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
     meter: CommMeter = field(default_factory=CommMeter)
-    total_rounds: int = 0
+
+    @property
+    def total_rounds(self) -> int:
+        return self.schedule.total_rounds()
 
     def regret_at(self, round_index: int) -> float:
         return dict(self.checkpoints)[round_index]
@@ -252,7 +246,10 @@ class RunTrace:
                 [[a for a, on in enumerate(row) if on] for row in mask.tolist()]
                 for mask in (rec.scored, rec.active)
             )
-            issued, regret, stats = rec.issued.tolist(), rec.regret.tolist(), rec.stats
+            issued, regret = rec.issued.tolist(), rec.regret.tolist()
+            # np.nonzero order: agent by agent, arms ascending, so each agent's
+            # zip below takes exactly its own rows.
+            rows = iter(rec.scores.tolist())
             yield {
                 "v": TRACE_VERSION,
                 "type": "server",
@@ -270,7 +267,7 @@ class RunTrace:
                     "agent": i,
                     "active_before": before[i],
                     "active_after": after[i],
-                    "stats": [{"arm": a, "r_hat": r, "u": u} for a, r, u in stats[i]],
+                    "stats": [{"arm": a, "r_hat": r, "u": u} for a, (r, u) in zip(before[i], rows)],
                     "allocation": [[a, issued[i][a]] for a in after[i]],
                     "regret": regret[i],
                 }
@@ -385,8 +382,6 @@ def run_protocol(
                 },
             )
         )
-
-    trace.total_rounds = round_cursor
 
     marks = {k_arms, schedule.horizon, *map(int, extra_checkpoints)}
     marks.update(rec.round_end for rec in trace.phases)

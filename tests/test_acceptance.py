@@ -96,8 +96,8 @@ def test_c02_optimal_arm_retention(coverage_runs):
 
 
 def test_c03_exact_beats_hidden(desk_sweep):
-    hidden = desk_sweep.cell("hidden", 25).per_trial_final()
-    exact = desk_sweep.cell("exact", 25).per_trial_final()
+    hidden = desk_sweep.cells["hidden", 25].curves[:, -1]
+    exact = desk_sweep.cells["exact", 25].curves[:, -1]
     diffs = hidden - exact
     mean = float(diffs.mean())
     stderr = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
@@ -109,7 +109,7 @@ def test_c03_exact_beats_hidden(desk_sweep):
 
 
 def test_c04_collaboration_gain(desk_sweep):
-    finals = {m: desk_sweep.cell("hidden", m).per_trial_final() for m in (10, 25, 50)}
+    finals = {m: desk_sweep.cells["hidden", m].curves[:, -1] for m in (10, 25, 50)}
     means = {m: float(v.mean()) for m, v in finals.items()}
     monotone = means[10] >= means[25] >= means[50]
     diffs = finals[10] - finals[50]
@@ -137,9 +137,9 @@ def test_desk_sweep_csv_is_pinned(desk_sweep):
     assert hashlib.sha256(text.encode()).hexdigest() == DESK_SWEEP_CSV_SHA256
 
 def test_c05_sublinearity(desk_sweep):
-    cell = desk_sweep.cell("exact", 25)
-    idx10 = cell.rounds.index(2**10)
-    idx13 = cell.rounds.index(2**13)
+    cell = desk_sweep.cells["exact", 25]
+    idx10 = desk_sweep.rounds.index(2**10)
+    idx13 = desk_sweep.rounds.index(2**13)
     rate10 = float(cell.mean[idx10]) / 2**10
     rate13 = float(cell.mean[idx13]) / 2**13
     ok = rate13 <= 0.5 * rate10
@@ -293,9 +293,8 @@ def test_c09_noiseless_exactness():
     )
     worst = 0.0
     for rec in trace.phases:
-        for i, stats in enumerate(rec.stats):
-            for arm, r_hat, _u in stats:
-                worst = max(worst, abs(r_hat - trace.true_rewards[i, arm]))
+        deviation = np.abs(rec.scores[:, 0] - trace.true_rewards[np.nonzero(rec.scored)])
+        worst = max(worst, float(deviation.max()))
     report(9, worst <= 1e-9, f"max |r_hat - r| = {worst:.2e} <= 1e-9 "
                              f"across {schedule.H} phases")
     assert worst <= 1e-9

@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import fedpecd.harness as harness
 import fedpecd.protocol as protocol
 import fedpecd.server as server
@@ -30,7 +32,7 @@ def test_tracer_wraps_and_restores_every_name():
 
 
 def test_tracer_counts_match_the_run():
-    """The benchmark counts one scored arm per stats entry that
+    """The benchmark counts one scored arm per score row that
     ``Agent.begin_phase`` returns, one pull per round and one
     ``fedpecd.server.pinv`` call per aggregation; a changed return shape, a
     pull counted twice (``pull`` calling ``pull_many``) or a per-arm
@@ -40,7 +42,10 @@ def test_tracer_counts_match_the_run():
     tr = tracer.Tracer()
     with tracer.instrument(tr):
         trace = protocol.run_protocol(scenario, schedule, master_seed=0)
-    entries = sum(len(stats) for rec in trace.phases for stats in rec.stats)
+    assert [len(rec.scores) for rec in trace.phases] == [
+        np.count_nonzero(rec.scored) for rec in trace.phases
+    ]
+    entries = sum(len(rec.scores) for rec in trace.phases)
     assert entries > 0
     assert tr.counts["agent.arms_scored"] == entries
     assert tr.counts["environment.pulls"] == scenario.M * trace.total_rounds

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fedpecd import cli
 from fedpecd.cli import main
 
 
@@ -58,24 +59,41 @@ def test_generated_movielens_like_file_is_pinned(tmp_path):
         "6afa307f7addbf79d7e6917512cd981ce57602b0ff7825375a9ff07974a2f530")
 
 
-def test_unwritable_output_path_exit_code(tmp_path, capsys):
+def test_unwritable_output_path_exit_code(tmp_path, capsys, monkeypatch):
     """An output path in a missing directory is reported in one line with
-    exit code 2, not as a traceback."""
+    exit code 2, not as a traceback, before any generation, run or sweep
+    starts.  An existing output file is left as it was, and the check leaves
+    no new one behind."""
     scenario = tmp_path / "scenario.json"
     missing = tmp_path / "missing"
     small = ["--agents", "2", "--arms", "2", "--seed", "1"]
-    assert main(["generate", *small, "--out", str(missing / "s.json")]) == 2
     assert main(["generate", *small, "--out", str(scenario)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in ("generate_synthetic", "run_protocol", "run_sweep"):
+        monkeypatch.setattr(cli, name, never)
     run = ["run", "--scenario", str(scenario), "--horizon", "64"]
     sweep = ["sweep", "--variants", "hidden", "--agents", "2", "--trials", "1",
              "--horizon", "64"]
+    assert main(["generate", *small, "--out", str(missing / "s.json")]) == 2
     assert main([*run, "--trace-out", str(missing / "t.jsonl")]) == 2
     assert main([*run, "--out-json", str(missing / "r.json")]) == 2
     assert main([*sweep, "--out-csv", str(missing / "c.csv")]) == 2
+    assert main([*sweep, "--out-json", str(missing / "j.json")]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 4
-    for error, name in zip(errors, ("s.json", "t.jsonl", "r.json", "c.csv")):
+    assert len(errors) == 5
+    for error, name in zip(errors, ("s.json", "t.jsonl", "r.json", "c.csv", "j.json")):
         assert error.startswith("error: ") and str(missing / name) in error
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    assert main([*run, "--out-json", str(kept), "--trace-out", str(missing / "t.jsonl")]) == 2
+    assert kept.read_text() == "kept\n"
+    fresh = tmp_path / "fresh.csv"
+    assert main([*sweep, "--out-csv", str(fresh), "--out-json", str(missing / "j.json")]) == 2
+    assert not fresh.exists()
 
 
 def test_validation_failure_exit_code(tmp_path):

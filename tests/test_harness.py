@@ -11,6 +11,7 @@ import fedpecd.harness as harness
 from fedpecd.cli import main
 from fedpecd.errors import ConfigurationError, ValidationError
 from fedpecd.harness import (
+    CSV_HEADER,
     SyntheticSpec,
     desk_spec,
     generate_synthetic,
@@ -181,8 +182,12 @@ class TestRunSweep:
     def test_rows_match_checkpoints(self):
         result = tiny_sweep(trials=1, variants=("hidden",), agent_counts=(2,))
         lines = list(sweep_csv_lines(result))
-        cell = result.cell("hidden", 2)
-        assert len(lines) == 1 + len(cell.rounds)
+        assert len(lines) == 1 + len(result.rounds)
+
+    def test_no_variants_gives_an_empty_result(self):
+        result = tiny_sweep(variants=())
+        assert result.cells == {} and result.rounds == []
+        assert list(sweep_csv_lines(result)) == [CSV_HEADER]
 
     def test_curves_nondecreasing(self):
         result = tiny_sweep()
@@ -219,8 +224,8 @@ class TestRunSweep:
             assert calls == [(7, 1, t) for t in range(3)]
         serial, pooled = results
         assert serial.cells.keys() == pooled.cells.keys()
+        assert serial.rounds == pooled.rounds
         for key, cell in serial.cells.items():
-            assert cell.rounds == pooled.cells[key].rounds
             np.testing.assert_array_equal(cell.curves, pooled.cells[key].curves)
 
     def test_json_summary_shape(self, tmp_path):

@@ -262,6 +262,7 @@ class TestRunProtocol:
 
     @pytest.mark.xfail(
         strict=False,
+        raises=AssertionError,
         reason="the width floor ||psi||_V >= sqrt(L) stops holding once "
         "exploration mass accumulates in the per-phase Gram matrices",
     )
@@ -270,12 +271,8 @@ class TestRunProtocol:
         sched = build_schedule(1, 2, sc.K, 2**10)
         trace = run_protocol(sc, sched, master_seed=1, variant="hidden")
         ell, big_l = sc.bounds.ell, sc.bounds.big_l
-        ratios = []
-        for rec in trace.phases:
-            for stats in rec.stats:
-                for _, _, u in stats:
-                    psi_v = u * ell / trace.alpha
-                    ratios.append(psi_v / math.sqrt(big_l))
+        psi_v = np.concatenate([rec.scores[:, 1] for rec in trace.phases]) * ell / trace.alpha
+        ratios = (psi_v / math.sqrt(big_l)).tolist()
         assert min(ratios) >= 1.0
 
 
