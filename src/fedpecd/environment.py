@@ -1,4 +1,4 @@
-"""Ground-truth simulator: hidden contexts, noisy rewards, regret ledger.
+"""Ground-truth simulator: hidden contexts, noisy rewards, pseudo-regret.
 
 Each agent's realized context is drawn once at construction (it is the
 agent's fixed user profile for the whole run), as one ``choice`` over the
@@ -27,17 +27,15 @@ that call as ``0.0 + s * z`` from one standard normal, and a bulk
 agent's stream feeds only its own noise, so drawing ahead moves no other
 value.  Blocks are drawn on first need, so with sigma = 0 nothing is drawn.
 
-Pseudo-regret is tracked from true reward gaps, so the ledger is identical
-across noise seeds for a fixed pull sequence.  It is a prefix-sum ledger:
-each pull batch appends its end round and the running regret, and a
-checkpoint query is one binary search per agent.
+A pull keeps no record.  Pseudo-regret is a function of a pull record
+and the true reward gaps (``cumulative_regret``), so it is the same across
+noise seeds for a fixed pull sequence.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 
 import numpy as np
 
@@ -64,11 +62,12 @@ def _checked_id(what: str, value, n: int) -> int:
 
 
 class Environment:
-    """Reward oracle plus the regret ledger agents can never compute.
+    """Reward oracle, and the pseudo-regret agents can never compute.
 
     Its truths are read-only arrays: the ``(M,)`` realized ``contexts``, the
-    ``(M, K)`` ``true_rewards`` r(a, c_i) and the ``(M,)`` ``optimal_arms``,
-    each row's argmax with ties broken by the lowest arm index.
+    ``(M, K)`` ``true_rewards`` r(a, c_i), the ``(M,)`` ``optimal_arms``,
+    each row's argmax with ties broken by the lowest arm index, and the
+    ``(M, K)`` ``gaps`` r(a*_i, c_i) - r(a, c_i).
     """
 
     def __init__(self, scenario: Scenario, master_seed):
@@ -91,8 +90,8 @@ class Environment:
         phi = scenario.features[:, self.contexts, None, :]  # (K, M, 1, d)
         self.true_rewards = (phi @ scenario.rewards[:, None, :, None])[:, :, 0, 0].T.copy()
         self.optimal_arms = np.argmax(self.true_rewards, axis=1)
-        gaps = self.true_rewards[np.arange(m), self.optimal_arms][:, None] - self.true_rewards
-        for truth in (self.contexts, self.true_rewards, self.optimal_arms):
+        self.gaps = self.true_rewards.max(axis=1, keepdims=True) - self.true_rewards
+        for truth in (self.contexts, self.true_rewards, self.optimal_arms, self.gaps):
             truth.setflags(write=False)
 
         # The hot path's copies as Python scalars and nested lists (``tolist``
@@ -100,20 +99,10 @@ class Environment:
         # stored reversed so the next one is ``pop()``.
         self._m, self._k, self._sigma = m, scenario.K, float(scenario.sigma)
         self._means: list[list[float]] = self.true_rewards.tolist()
-        self._gaps: list[list[float]] = gaps.tolist()
         self._noise: list[list[float]] = [[] for _ in range(m)]
 
-        # Ledger: per agent, one entry per pull batch (segment) in prefix form:
-        # the round the segment ends at, the regret booked through it, and
-        # its per-pull gap.  Entry 0 is the empty prefix.
-        self._ends: list[list[int]] = [[0] for _ in range(m)]
-        self._cum: list[list[float]] = [[0.0] for _ in range(m)]
-        self._seg_gap: list[list[float]] = [[0.0] for _ in range(m)]
-
-    # -- pulling ------------------------------------------------------------
-
     def pull(self, agent: int, arm: int) -> float:
-        """One pull: returns the noisy reward and books one round of regret."""
+        """One pull: returns the noisy reward."""
         return self._pull(agent, arm, 1)
 
     def pull_many(self, agent: int, arm: int, count: int) -> float:
@@ -144,40 +133,28 @@ class Environment:
             if not noise:
                 noise += self._rngs[agent].standard_normal(NOISE_BLOCK)[::-1].tolist()
             avg += 0.0 + (self._sigma / math.sqrt(count)) * noise.pop()
-        gap = self._gaps[agent][arm]
-        ends, cum = self._ends[agent], self._cum[agent]
-        ends.append(ends[-1] + count)
-        cum.append(cum[-1] + count * gap)
-        self._seg_gap[agent].append(gap)
         return avg
 
-    # -- regret ledger --------------------------------------------------------
+    def cumulative_regret(self, arms: np.ndarray, counts: np.ndarray, rounds) -> np.ndarray:
+        """Per-agent cumulative pseudo-regret of a pull record, ``(len(rounds), M)``.
 
-    def cumulative_regret(self, upto: int | None = None):
-        """Per-agent cumulative pseudo-regret over each agent's first
-        ``upto`` pulls (all pulls when None), plus the total.
-
-        ``upto`` must be a nonnegative integer no larger than any agent's
-        round count.  Inside a segment the partial regret is added to the
-        prefix before it: the same additions as a rescan of the segments.
+        Row i of the ``(M, S)`` ``arms`` and ``counts`` is agent i's pull
+        batches in pull order.  Each round r must be an integer in
+        ``0..counts[i].sum()``; inside a batch the partial regret is added to
+        the prefix before it: the additions of a rescan of the batches.
         """
-        if upto is not None:
-            try:
-                upto = operator.index(upto)
-            except TypeError:
-                raise ValueError(f"upto must be an integer, got {upto!r}") from None
-            if upto < 0:
-                raise ValueError(f"upto must be nonnegative, got {upto}")
-        m = self._m
-        per_agent = np.zeros(m)
-        for i in range(m):
-            ends, cum = self._ends[i], self._cum[i]
-            r = ends[-1] if upto is None else upto
-            if r > ends[-1]:
-                raise ValueError(f"agent {i} has only {ends[-1]} rounds, asked for {r}")
-            j = bisect_left(ends, r)
-            if ends[j] == r:
-                per_agent[i] = cum[j]
-            else:
-                per_agent[i] = cum[j - 1] + (r - ends[j - 1]) * self._seg_gap[i][j]
-        return per_agent, float(per_agent.sum())
+        rows = np.arange(self._m)
+        # cum[:, j] is the regret through batch j, added batch by batch.
+        cum = self.gaps[rows[:, None], arms]
+        cum *= counts
+        np.cumsum(cum, axis=1, out=cum)
+        ends = np.cumsum(counts, axis=1)
+        out = np.empty((len(rounds), self._m))
+        for t, r in enumerate(rounds):
+            # Batch j holds pull r; no regret precedes batch 0.  When r ends
+            # batch j, ``(r - start) * gap`` is the addition that booked cum[:, j].
+            j = (ends < r).sum(axis=1)
+            start = ends[rows, j] - counts[rows, j]
+            before = np.where(j > 0, cum[rows, j - 1], 0.0)
+            out[t] = before + (r - start) * self.gaps[rows, arms[rows, j]]
+        return out

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
 from .model import Bounds, Scenario
-from .protocol import VARIANTS, build_schedule, run_protocol
+from .protocol import VARIANTS, build_schedule, checkpoint_rounds, run_protocol
 
 MAX_REJECTIONS = 10**5
 
@@ -389,7 +389,8 @@ def run_sweep(
             raise ConfigurationError(f"variant must be one of {VARIANTS}, got {v!r}")
     agent_counts = tuple(int(m) for m in agent_counts)
     m_max = max(agent_counts)
-    extras = tuple(sorted(set(int(r) for r in extra_checkpoints)))
+    extras = tuple(extra_checkpoints)
+    checkpoint_rounds(build_schedule(c, n, source.K, horizon), extras)  # before any run
 
     scenarios = {t: _scenario_for_trial(source, t, base_seed, m_max) for t in range(trials)}
     cells = [(variant, m) for variant in variants for m in agent_counts]

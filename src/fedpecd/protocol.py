@@ -9,8 +9,10 @@ down -> exploration -> estimates up -> aggregation -> broadcast.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,9 +177,10 @@ class PhaseTrace:
     scores: np.ndarray  # (n, 2): r_hat and u of each scored pair, in np.nonzero order
     active: np.ndarray  # the server's (M, K) mask of active sets after elimination
     issued: np.ndarray  # the server's (M, K) issued pull counts
+    a_hat: np.ndarray  # the agents' (M,) empirical best arms, exploited after exploration
     round_end: int
-    regret: np.ndarray  # the ledger's (M,) per-agent regret at round_end
     design: dict  # the design solve's sweeps, converged, objective, gap and certificate
+    regret: np.ndarray | None = None  # (M,) per-agent regret at round_end, set as the run ends
 
 
 @dataclass
@@ -289,6 +292,17 @@ class RunTrace:
                 fh.write("\n")
 
 
+def checkpoint_rounds(schedule: PhaseSchedule, extra=()) -> list[int]:
+    """The rounds a run reports, ascending: K, each phase end, the horizon
+    and each extra round, which must be an integer in 0..total_rounds."""
+    total = schedule.total_rounds()
+    for r in extra:
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= total:
+            raise ConfigurationError(f"checkpoint {r!r} is not a round in 0..{total}")
+    ends = itertools.accumulate((f + schedule.K for f in schedule.f), initial=schedule.K)
+    return sorted({schedule.horizon, *ends, *map(int, extra)})
+
+
 def run_protocol(
     scenario: Scenario,
     schedule: PhaseSchedule,
@@ -306,6 +320,7 @@ def run_protocol(
             f"schedule built for K={schedule.K} but scenario has K={scenario.K}"
         )
     m, k_arms, d = scenario.M, scenario.K, scenario.d
+    rounds = checkpoint_rounds(schedule, extra_checkpoints)
 
     env = Environment(scenario, master_seed)
 
@@ -362,7 +377,6 @@ def run_protocol(
             raise type(exc)(f"phase {p}: {exc}") from exc
 
         round_cursor += schedule.phase_length(p)
-        per_agent, _total = env.cumulative_regret(upto=round_cursor)
         trace.phases.append(
             PhaseTrace(
                 phase=p,
@@ -371,8 +385,8 @@ def run_protocol(
                 scores=scores,
                 active=server.active,
                 issued=server.issued,
+                a_hat=agents.a_hat,
                 round_end=round_cursor,
-                regret=per_agent,
                 design={
                     "sweeps": server.design.sweeps,
                     "converged": server.design.converged,
@@ -383,12 +397,19 @@ def run_protocol(
             )
         )
 
-    marks = {k_arms, schedule.horizon, *map(int, extra_checkpoints)}
-    marks.update(rec.round_end for rec in trace.phases)
-    for r in sorted(marks):
-        if 0 <= r <= round_cursor:
-            _, total = env.cumulative_regret(upto=r)
-            trace.checkpoints.append((r, total / m))
+    # Each agent's pull batches in the order the Agent methods pull: K init
+    # pulls, arms ascending (initialize); per phase the issued counts, arms
+    # ascending (explore_phase), then the rest of the phase on a_hat
+    # (exploit_remainder).  Phase ends are among the rounds: one call serves all.
+    arms, counts = [np.broadcast_to(np.arange(k_arms), (m, k_arms))], [np.ones((m, k_arms), int)]
+    for rec in trace.phases:
+        rest = schedule.phase_length(rec.phase) - rec.issued.sum(axis=1)
+        arms += [arms[0], rec.a_hat[:, None]]
+        counts += [rec.issued, np.maximum(rest, 0)[:, None]]
+    regret = env.cumulative_regret(np.hstack(arms), np.hstack(counts), rounds)
+    for rec in trace.phases:
+        rec.regret = regret[rounds.index(rec.round_end)]
+    trace.checkpoints = [(r, float(row.sum()) / m) for r, row in zip(rounds, regret)]
 
     if trace_path is not None:
         trace.write_jsonl(trace_path)

@@ -88,3 +88,28 @@ def identical_agents_scenario(m=5, sigma=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pull_record(calls, m):
+    """The ``(m, S)`` arms and counts of ``(agent, arm, count)`` pull calls,
+    each agent's row in call order, padded with zero counts."""
+    rows = [[(a, c) for j, a, c in calls if j == i] for i in range(m)]
+    arms = np.zeros((m, max(map(len, rows), default=0) or 1), dtype=int)
+    counts = np.zeros_like(arms)
+    for i, row in enumerate(rows):
+        if row:
+            arms[i, :len(row)], counts[i, :len(row)] = zip(*row)
+    return arms, counts
+
+
+def rescan(batches, upto):
+    """The regret of the first ``upto`` pulls of ``(count, gap)`` batches,
+    added up batch by batch in order."""
+    acc, remaining = 0.0, upto
+    for count, gap in batches:
+        if remaining <= 0:
+            break
+        take = min(count, remaining)
+        acc += take * gap
+        remaining -= take
+    return acc

@@ -11,7 +11,7 @@ from fedpecd.errors import DimensionError, NonFiniteError, ProtocolError
 from fedpecd.linalg import pinv, sq_norms
 from fedpecd.messages import ActiveSetUpload, AllocationMessage, LocalEstimateUpload
 
-from conftest import broadcast
+from conftest import broadcast, pull_record
 from test_environment import one_agent_scenario
 
 
@@ -246,35 +246,37 @@ class TestExplorePhase:
         agent = make_agent(env)
         agent.phase, agent.active = 1, np.array([active])
         msg = AllocationMessage(phase=np.array([1]), arms=np.array(arms), counts=np.array(counts))
+        pulls = []
         with pytest.raises(ProtocolError, match=f"^{named}"):
-            agent.explore_phase(msg, env.pull_many)
-        with pytest.raises(ValueError):  # no round was booked
-            env.cumulative_regret(upto=1)
+            agent.explore_phase(msg, lambda *args: pulls.append(args))
+        assert pulls == []
+
+
+def exploit_regret(env, a_hat, rounds):
+    """Agent 0 exploits ``a_hat`` for ``rounds``; returns the pull calls
+    made and the regret of their record."""
+    agent = make_agent(env)
+    agent.a_hat = a_hat
+    calls = []
+    agent.exploit_remainder(np.array([rounds]), lambda *args: calls.append(args))
+    return calls, env.cumulative_regret(*pull_record(calls, 1), [rounds])[0, 0]
 
 
 class TestExploitRemainder:
     def test_zero_rounds_no_pulls(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
-        agent.a_hat = np.array([0])
-        agent.exploit_remainder(np.array([0]), env.pull_many)
-        with pytest.raises(ValueError):
-            env.cumulative_regret(upto=1)
+        assert exploit_regret(env, np.array([0]), 0) == ([], 0.0)
 
     def test_optimal_arm_accrues_nothing(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
-        agent.a_hat = env.optimal_arms[:1]
-        agent.exploit_remainder(np.array([10]), env.pull_many)
-        assert env.cumulative_regret()[1] == 0.0
+        calls, regret = exploit_regret(env, env.optimal_arms[:1], 10)
+        assert calls == [(0, 0, 10)] and regret == 0.0
 
     def test_gap_arm_accrues_exactly(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
-        agent.a_hat = np.array([1])
         gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
-        agent.exploit_remainder(np.array([5]), env.pull_many)
-        assert env.cumulative_regret()[1] == pytest.approx(5 * gap)
+        calls, regret = exploit_regret(env, np.array([1]), 5)
+        assert calls == [(0, 1, 5)] and regret == pytest.approx(5 * gap)
 
 
 class TestFederationBoundary:

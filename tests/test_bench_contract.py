@@ -36,7 +36,7 @@ def test_tracer_counts_match_the_run():
     ``Agent.begin_phase`` returns, one pull per round and one
     ``fedpecd.server.pinv`` call per aggregation; a changed return shape, a
     pull counted twice (``pull`` calling ``pull_many``) or a per-arm
-    pseudo-inverse breaks it."""
+    pseudo-inverse breaks it.  It counts one regret derivation per run."""
     scenario = harness.generate_synthetic(harness.desk_spec(m=6), seed=3, variant="hidden")
     schedule = protocol.build_schedule(1, 2, scenario.K, 2**9)
     tr = tracer.Tracer()
@@ -49,6 +49,8 @@ def test_tracer_counts_match_the_run():
     assert entries > 0
     assert tr.counts["agent.arms_scored"] == entries
     assert tr.counts["environment.pulls"] == scenario.M * trace.total_rounds
+    # Regret is derived once per run, from the run record.
+    assert tr.counts["environment.ledger_calls"] == 1
     # One batched pseudo-inverse per aggregation, not one per arm.
     assert tr.counts["linalg.pinv_calls"] == tr.counts["server.aggregate_calls"]
     # psi is built once per run, inside build_psi_set.

@@ -8,6 +8,8 @@ from fedpecd.errors import ValidationError
 from fedpecd.harness import SyntheticSpec, generate_synthetic
 from fedpecd.model import Bounds, Scenario
 
+from conftest import pull_record, rescan
+
 
 def one_agent_scenario(sigma=0.0):
     return Scenario(
@@ -26,9 +28,8 @@ class TestPull:
 
     def test_optimal_pull_has_zero_regret(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull(0, env.optimal_arms[0])
-        per_agent, total = env.cumulative_regret()
-        assert total == 0.0
+        one_pull = env.optimal_arms[:, None], np.ones((1, 1), dtype=int)
+        assert env.cumulative_regret(*one_pull, [1]).tolist() == [[0.0]]
 
     def test_monte_carlo_mean_within_clt_bound(self):
         env = Environment(one_agent_scenario(sigma=1e-3), master_seed=7)
@@ -46,13 +47,13 @@ class TestPull:
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(0.0), np.True_])
     def test_float_and_bool_ids_rejected(self, bad):
         """A bool would index list position 1 and a float is no id at all:
-        both are refused as agent and as arm, before any pull is booked."""
-        env = Environment(one_agent_scenario(), master_seed=0)
+        both are refused as agent and as arm, before any noise is drawn."""
+        env, fresh = (Environment(one_agent_scenario(sigma=0.3), master_seed=0) for _ in "ab")
         with pytest.raises(IndexError, match="is not an integer id"):
             env.pull(bad, 0)
         with pytest.raises(IndexError, match="is not an integer id"):
             env.pull_many(0, bad, 2)
-        assert env.cumulative_regret() == (np.zeros(1), 0.0)
+        assert env.pull(0, 1) == fresh.pull(0, 1)
 
     def test_numpy_integer_ids_accepted(self):
         env = Environment(one_agent_scenario(), master_seed=0)
@@ -61,17 +62,14 @@ class TestPull:
             env.pull(np.int64(0), np.int64(2))
 
     def test_fractional_count_rejected(self):
-        env = Environment(one_agent_scenario(), master_seed=0)
+        env, fresh = (Environment(one_agent_scenario(sigma=0.3), master_seed=0) for _ in "ab")
         with pytest.raises(ValueError, match="integer"):
             env.pull_many(0, 1, 2.5)
-        env.pull_many(0, 1, 3)
-        with pytest.raises(ValueError, match="agent 0 has only 3 rounds"):
-            env.cumulative_regret(upto=4)
+        assert env.pull_many(0, 1, 3) == fresh.pull_many(0, 1, 3)
 
     def test_numpy_integer_count_accepted(self):
-        env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull_many(0, 1, np.int64(3))
-        assert env.cumulative_regret() == env.cumulative_regret(upto=3)
+        env, fresh = (Environment(one_agent_scenario(sigma=0.3), master_seed=0) for _ in "ab")
+        assert env.pull_many(0, 1, np.int64(3)) == fresh.pull_many(0, 1, 3)
 
     def test_sigma_above_one_rejected(self):
         with pytest.raises(ValidationError, match="sigma = 1.5"):
@@ -162,130 +160,73 @@ class TestOptimalArm:
 
     def test_truths_are_read_only(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        for truth in (env.contexts, env.true_rewards, env.optimal_arms):
+        for truth in (env.contexts, env.true_rewards, env.optimal_arms, env.gaps):
             with pytest.raises(ValueError):
                 truth[0] = 1
 
 
 class TestRegretLedger:
+    """``cumulative_regret`` of a pull record: per agent, its batches of
+    (arm, count) in pull order, read at given rounds."""
+
     def test_no_pulls_zero(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        _, total = env.cumulative_regret()
-        assert total == 0.0
+        no_pulls = np.array([[1]]), np.array([[0]])
+        assert env.cumulative_regret(*no_pulls, [0]).tolist() == [[0.0]]
 
     def test_three_pulls_of_gap_arm(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
-        for _ in range(3):
-            env.pull(0, 1)
-        _, total = env.cumulative_regret()
-        assert total == pytest.approx(3 * gap)
+        three_pulls = np.array([[1, 1, 1]]), np.array([[1, 1, 1]])
+        assert env.cumulative_regret(*three_pulls, [3])[0, 0] == pytest.approx(3 * gap)
 
     def test_prefix_query(self):
         env = Environment(one_agent_scenario(), master_seed=0)
         gap = env.true_rewards[0, 0] - env.true_rewards[0, 1]
-        env.pull_many(0, 1, 4)
-        env.pull_many(0, 0, 4)
-        per_agent, _ = env.cumulative_regret(upto=2)
-        assert per_agent[0] == pytest.approx(2 * gap)
-        per_agent, _ = env.cumulative_regret(upto=8)
-        assert per_agent[0] == pytest.approx(4 * gap)
+        regret = env.cumulative_regret(np.array([[1, 0]]), np.array([[4, 4]]), [2, 8])
+        assert regret[:, 0] == pytest.approx([2 * gap, 4 * gap])
 
     def test_ledger_independent_of_noise_seed(self):
-        traces = []
-        for seed in (1, 2):
-            env = Environment(one_agent_scenario(sigma=0.5), master_seed=seed)
-            for arm in (0, 1, 1, 0, 1):
-                env.pull(0, arm)
-            traces.append(env.cumulative_regret()[1])
-        assert traces[0] == traces[1]
-
-    def test_negative_upto_rejected(self):
-        env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull_many(0, 1, 4)
-        with pytest.raises(ValueError, match="nonnegative"):
-            env.cumulative_regret(upto=-3)
-
-    def test_fractional_upto_rejected(self):
-        env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull_many(0, 1, 4)
-        with pytest.raises(ValueError, match="integer"):
-            env.cumulative_regret(upto=2.5)
-
-    def test_numpy_integer_upto_accepted(self):
-        env = Environment(one_agent_scenario(), master_seed=0)
-        env.pull_many(0, 1, 4)
-        assert env.cumulative_regret(upto=np.int64(3)) == env.cumulative_regret(upto=3)
-
-    def test_upto_beyond_rounds_names_agent(self):
-        spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.04)
-        env = Environment(generate_synthetic(spec, seed=2), master_seed=9)
-        for i, count in enumerate((5, 5, 2)):
-            env.pull_many(i, 0, count)
-        with pytest.raises(ValueError, match="agent 2 has only 2 rounds"):
-            env.cumulative_regret(upto=3)
+        record = np.array([[0, 1, 1, 0, 1]]), np.ones((1, 5), dtype=int)
+        regrets = [Environment(one_agent_scenario(sigma=0.5), master_seed=seed)
+                   .cumulative_regret(*record, [5]) for seed in (1, 2)]
+        assert regrets[0] == regrets[1]
 
     def test_prefix_sums_match_a_segment_rescan(self):
-        """Every prefix, inside segments and on their ends, equals a rescan
-        of the pull batches with the same float additions in the same order."""
+        """Every prefix, inside batches and on their ends, equals a rescan
+        of the batches with the same float additions in the same order."""
         spec = SyntheticSpec(K=5, d=3, M=3, perturbation=0.04)
         sc = generate_synthetic(spec, seed=4)
         env = Environment(sc, master_seed=1)
         rng = np.random.default_rng(12)
         rounds = 4000
-        segments = [[] for _ in range(sc.M)]
-        pending = list(range(sc.M))
-        while pending:
-            for i in list(pending):
-                done = sum(c for c, _ in segments[i])
-                count = min(int(rng.integers(1, 400)), rounds - done)
-                arm = int(rng.integers(sc.K))
-                if count == 1:
-                    env.pull(i, arm)
-                else:
-                    env.pull_many(i, arm, count)
-                gap = env.true_rewards[i, env.optimal_arms[i]] - env.true_rewards[i, arm]
-                segments[i].append((count, gap))
-                if done + count == rounds:
-                    pending.remove(i)
-        assert sum(gap > 0.0 for segs in segments for _, gap in segs) > 10
+        calls = []
+        done = [0] * sc.M
+        while min(done) < rounds:
+            for i in range(sc.M):
+                if done[i] < rounds:
+                    count = min(int(rng.integers(1, 400)), rounds - done[i])
+                    calls.append((i, int(rng.integers(sc.K)), count))
+                    done[i] += count
+        best = env.true_rewards[np.arange(sc.M), env.optimal_arms]
+        batches = [[(c, best[i] - env.true_rewards[i, a]) for j, a, c in calls if j == i]
+                   for i in range(sc.M)]
+        assert sum(gap > 0.0 for segs in batches for _, gap in segs) > 10
 
-        def rescan(segs, upto):
-            acc, remaining = 0.0, upto
-            for count, gap in segs:
-                if remaining <= 0:
-                    break
-                take = min(count, remaining)
-                acc += take * gap
-                remaining -= take
-            return acc
-
-        for r in range(rounds + 1):
-            expected = np.array([rescan(segs, r) for segs in segments])
-            per_agent, total = env.cumulative_regret(upto=r)
-            assert per_agent.tolist() == expected.tolist(), r
-            assert total == float(expected.sum()), r
-        per_agent, _ = env.cumulative_regret()
-        assert per_agent.tolist() == [rescan(segs, rounds) for segs in segments]
+        regret = env.cumulative_regret(*pull_record(calls, sc.M), range(rounds + 1))
+        for r, per_agent in enumerate(regret):
+            assert per_agent.tolist() == [rescan(segs, r) for segs in batches], r
 
     def test_cumulative_nondecreasing_and_bounded(self):
         spec = SyntheticSpec(K=4, d=3, M=3, perturbation=0.04)
         sc = generate_synthetic(spec, seed=2)
         env = Environment(sc, master_seed=9)
         rng = np.random.default_rng(0)
-        prev = 0.0
-        max_gap = 0.0
-        for i in range(sc.M):
-            gaps = [env.true_rewards[i, env.optimal_arms[i]] - env.true_rewards[i, a]
-                    for a in range(sc.K)]
-            max_gap = max(max_gap, max(gaps))
-        for t in range(1, 40):
-            for i in range(sc.M):
-                env.pull(i, int(rng.integers(sc.K)))
-            _, total = env.cumulative_regret(upto=t)
-            assert total >= prev
-            assert total <= t * max_gap * sc.M + 1e-12
-            prev = total
+        max_gap = env.gaps.max()
+        arms = np.array([[int(rng.integers(sc.K)) for _ in range(sc.M)] for _ in range(39)]).T
+        totals = env.cumulative_regret(arms, np.ones_like(arms), range(1, 40)).sum(axis=1)
+        assert (np.diff(totals) >= 0.0).all()
+        assert (totals <= np.arange(1, 40) * max_gap * sc.M + 1e-12).all()
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ import fedpecd.server as server_module
 from fedpecd.agent import Agent
 from fedpecd.environment import Environment
 from fedpecd.errors import ConfigurationError, ProtocolError
-from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic
+from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic, run_sweep
 from fedpecd.messages import (
     ActiveSetUpload,
     AllocationMessage,
@@ -22,7 +22,7 @@ from fedpecd.model import build_psi_set
 from fedpecd.protocol import build_schedule, compute_alpha, meter_message, run_protocol
 from fedpecd.server import DESIGN_TOL, CentralServer
 
-from conftest import identical_agents_scenario
+from conftest import identical_agents_scenario, rescan
 
 
 class TestBuildSchedule:
@@ -276,6 +276,69 @@ class TestRunProtocol:
         assert min(ratios) >= 1.0
 
 
+class TestRegretFromTheRecord:
+    """A run's regret is derived from its record, not booked per pull: it
+    must equal a rescan of the pulls the agents actually made."""
+
+    @pytest.mark.parametrize("variant", ["exact", "hidden"])
+    def test_regret_matches_a_rescan_of_the_pulls(self, monkeypatch, variant):
+        calls = []
+        pull, pull_many = Environment.pull, Environment.pull_many
+        monkeypatch.setattr(Environment, "pull",
+                            lambda env, i, a: calls.append((i, a, 1)) or pull(env, i, a))
+        monkeypatch.setattr(Environment, "pull_many",
+                            lambda env, i, a, c: calls.append((i, a, c)) or pull_many(env, i, a, c))
+        sc = generate_synthetic(desk_spec(m=4), seed=5, variant="hidden")
+        schedule = build_schedule(1, 2, sc.K, 2**7)
+        total = schedule.total_rounds()
+        # Every round, so 0 and 3 (inside the K = 5 init pulls) too: a pull
+        # order that differs from the agents' shows inside some phase, not
+        # only at its end.
+        trace = run_protocol(sc, schedule, master_seed=2, variant=variant,
+                             extra_checkpoints=range(total + 1))
+        assert [r for r, _ in trace.checkpoints] == list(range(total + 1))
+
+        best = trace.true_rewards[np.arange(sc.M), trace.optimal_arms]
+        batches = [[(c, best[i] - trace.true_rewards[i, a]) for j, a, c in calls if j == i]
+                   for i in range(sc.M)]
+        assert [sum(c for c, _ in b) for b in batches] == [total] * sc.M
+        assert trace.final_avg_regret > 0.0
+
+        def expected(r):
+            return np.array([rescan(b, r) for b in batches])
+
+        for r, avg in trace.checkpoints:
+            assert avg == float(expected(r).sum()) / sc.M, r
+        for rec in trace.phases:
+            assert rec.regret.tolist() == expected(rec.round_end).tolist(), rec.phase
+
+
+class TestCheckpointRounds:
+    """An extra checkpoint is a round of the run, 0..total_rounds; anything
+    else is refused by name before any work, never truncated or dropped."""
+
+    @pytest.mark.parametrize("bad", [2.5, -3, 162, 10**9, True],
+                             ids=["fractional", "negative", "beyond", "far-beyond", "bool"])
+    def test_bad_round_rejected(self, monkeypatch, bad):
+        sc = generate_synthetic(desk_spec(m=3), seed=1, variant="hidden")
+        schedule = build_schedule(1, 2, sc.K, 2**7)
+        assert schedule.total_rounds() == 161
+        monkeypatch.setattr(Environment, "__init__", lambda *args: pytest.fail("a run started"))
+        named = rf"^checkpoint {re.escape(repr(bad))} is not a round in 0\.\.161$"
+        with pytest.raises(ConfigurationError, match=named):
+            run_protocol(sc, schedule, extra_checkpoints=(5, bad))
+        with pytest.raises(ConfigurationError, match=named):
+            run_sweep(sc, agent_counts=(3,), trials=2, horizon=2**7, extra_checkpoints=(bad,))
+
+    def test_numpy_integer_round_accepted(self):
+        sc = generate_synthetic(desk_spec(m=3), seed=1, variant="hidden")
+        schedule = build_schedule(1, 2, sc.K, 2**7)
+        runs = [run_protocol(sc, schedule, extra_checkpoints=(r, 161)).checkpoints
+                for r in (np.int64(3), 3)]
+        assert runs[0] == runs[1]
+        assert [r for r, _ in runs[0]][:2] == [3, 5] and runs[0][-1][0] == 161
+
+
 def planned_first_phase():
     """Five desk agents, their server and environment with phase 1 planned.
     alpha = 0 keeps each agent's empirical best alone, so every agent has
@@ -321,15 +384,14 @@ class TestRoundAtomicity:
         "defect", ["inactive arm", "negative count", "float count", "stale phase"]
     )
     def test_bad_allocation_row_pulls_nothing(self, defect, j):
-        env, agents, _, alloc = planned_first_phase()
-        active, regret = agents.active, env.cumulative_regret()[0]
+        _, agents, _, alloc = planned_first_phase()
+        active = agents.active
         bad, arm = with_bad_row(alloc, j, defect, active)
         pulls = []
         with pytest.raises(ProtocolError, match=rf"^agent {j}, arm {re.escape(arm)}, phase "):
             agents.explore_phase(bad, lambda *args: pulls.append(args))
         assert pulls == [] and agents.phase == 1
         assert agents.active is active and active.sum() == len(active)
-        assert (env.cumulative_regret()[0] == regret).all()
 
     @pytest.mark.parametrize("j", [0, 2, 4])
     @pytest.mark.parametrize("defect", [
