@@ -71,7 +71,6 @@ class Environment:
     """
 
     def __init__(self, scenario: Scenario, master_seed):
-        self.scenario = scenario
         m = scenario.M
 
         root = np.random.SeedSequence(master_seed)

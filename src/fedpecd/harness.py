@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
 from .model import Bounds, Scenario
-from .protocol import VARIANTS, build_schedule, checkpoint_rounds, run_protocol
+from .protocol import VARIANTS, build_schedule, checked_count, checkpoint_rounds, run_protocol
 
 MAX_REJECTIONS = 10**5
 
@@ -324,18 +324,20 @@ def load_features(path) -> Scenario:
 
 
 @dataclass
-class SweepCell:
-    curves: np.ndarray  # (trials, len(rounds)) per-agent average regret
-    mean: np.ndarray
-    stderr: np.ndarray
-
-
-@dataclass
 class SweepResult:
     horizon: int
     trials: int
     rounds: list[int]  # the checkpoint rounds, shared by every cell
-    cells: dict[tuple[str, int], SweepCell] = field(default_factory=dict)  # key (variant, M)
+    # (variant, M) -> the cell's (trials, len(rounds)) per-agent average regret curves
+    cells: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+
+
+def curve_stats(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's mean regret curve and its standard error (zero for one trial)."""
+    mean = curves.mean(axis=0)
+    if len(curves) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, curves.std(axis=0, ddof=1) / math.sqrt(len(curves))
 
 
 def _scenario_for_trial(source, trial: int, base_seed: int, m_max: int) -> Scenario:
@@ -346,18 +348,16 @@ def _scenario_for_trial(source, trial: int, base_seed: int, m_max: int) -> Scena
 
 
 def _run_cell(task):
-    (scenario, variant, m, trial, base_seed, c, n, horizon, delta, extras) = task
-    scenario = scenario.restrict(m)
-    schedule = build_schedule(c, n, scenario.K, horizon)
+    (scenario, variant, m, trial, base_seed, schedule, delta, extras) = task
     trace = run_protocol(
-        scenario,
+        scenario.restrict(m),
         schedule,
         delta=delta,
         master_seed=(base_seed, 2, trial),
         variant=variant,
         extra_checkpoints=extras,
     )
-    return trace.checkpoints
+    return [v for _, v in trace.checkpoints]
 
 
 def run_sweep(
@@ -379,23 +379,27 @@ def run_sweep(
     restricted to the first M agents in each cell, and one run seed, so
     variant and M comparisons are paired.  Runs come back in task order
     (``map`` and ``pool.map`` both keep it), each cell as one block of
-    ``trials`` runs, so the worker count cannot change the result.
+    ``trials`` runs, so the worker count cannot change the result.  The
+    schedule and its checkpoint rounds are built once, before any run, and a
+    cell is its ``(trials, len(rounds))`` curves (see ``curve_stats``).
     """
-    if trials < 1:
-        raise ConfigurationError("trials must be at least 1")
+    trials = checked_count("trials", trials)
     variants = tuple(variants)
     for v in variants:
         if v not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}, got {v!r}")
-    agent_counts = tuple(int(m) for m in agent_counts)
-    m_max = max(agent_counts)
+    agent_counts = tuple(checked_count("agent count M", m) for m in agent_counts)
+    if not agent_counts:
+        raise ConfigurationError("agent_counts names no agent count M")
     extras = tuple(extra_checkpoints)
-    checkpoint_rounds(build_schedule(c, n, source.K, horizon), extras)  # before any run
+    schedule = build_schedule(c, n, source.K, horizon)
+    rounds = checkpoint_rounds(schedule, extras)
 
+    m_max = max(agent_counts)
     scenarios = {t: _scenario_for_trial(source, t, base_seed, m_max) for t in range(trials)}
     cells = [(variant, m) for variant in variants for m in agent_counts]
     tasks = [
-        (scenarios[trial], variant, m, trial, base_seed, c, n, horizon, delta, extras)
+        (scenarios[trial], variant, m, trial, base_seed, schedule, delta, extras)
         for variant, m in cells
         for trial in range(trials)
     ]
@@ -405,25 +409,17 @@ def run_sweep(
     else:
         outcomes = [_run_cell(t) for t in tasks]
 
-    # One schedule and one set of extra checkpoints: every run has the same rounds.
-    rounds = [r for r, _ in outcomes[0]] if outcomes else []
-    result = SweepResult(horizon=horizon, trials=trials, rounds=rounds)
+    result = SweepResult(horizon=schedule.horizon, trials=trials, rounds=rounds)
     for j, key in enumerate(cells):
-        runs = outcomes[j * trials:(j + 1) * trials]
-        curves = np.array([[v for _, v in run] for run in runs])
-        mean = curves.mean(axis=0)
-        if trials > 1:
-            stderr = curves.std(axis=0, ddof=1) / math.sqrt(trials)
-        else:
-            stderr = np.zeros_like(mean)
-        result.cells[key] = SweepCell(curves=curves, mean=mean, stderr=stderr)
+        result.cells[key] = np.array(outcomes[j * trials:(j + 1) * trials])
     return result
 
 
 def sweep_csv_lines(result: SweepResult):
     yield CSV_HEADER
-    for (variant, m), cell in sorted(result.cells.items()):
-        for r, mean, err in zip(result.rounds, cell.mean.tolist(), cell.stderr.tolist()):
+    for (variant, m), curves in sorted(result.cells.items()):
+        means, stderrs = curve_stats(curves)
+        for r, mean, err in zip(result.rounds, means.tolist(), stderrs.tolist()):
             yield f"{variant},{m},{r},{mean!r},{err!r},{result.trials}"
 
 
@@ -435,22 +431,19 @@ def write_sweep_csv(result: SweepResult, path):
 
 
 def sweep_summary(result: SweepResult) -> dict:
-    return {
-        "horizon": result.horizon,
-        "trials": result.trials,
-        "cells": [
-            {
-                "variant": variant,
-                "M": m,
-                "rounds": list(result.rounds),
-                "mean_regret": [float(x) for x in cell.mean],
-                "stderr": [float(x) for x in cell.stderr],
-                "final_mean": float(cell.mean[-1]),
-                "final_stderr": float(cell.stderr[-1]),
-            }
-            for (variant, m), cell in sorted(result.cells.items())
-        ],
-    }
+    cells = []
+    for (variant, m), curves in sorted(result.cells.items()):
+        mean, stderr = curve_stats(curves)
+        cells.append({
+            "variant": variant,
+            "M": m,
+            "rounds": list(result.rounds),
+            "mean_regret": [float(x) for x in mean],
+            "stderr": [float(x) for x in stderr],
+            "final_mean": float(mean[-1]),
+            "final_stderr": float(stderr[-1]),
+        })
+    return {"horizon": result.horizon, "trials": result.trials, "cells": cells}
 
 
 def write_sweep_json(result: SweepResult, path):

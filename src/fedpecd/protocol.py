@@ -9,7 +9,6 @@ down -> exploration -> estimates up -> aggregation -> broadcast.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -54,19 +53,32 @@ class PhaseSchedule:
     def phase_length(self, p: int) -> int:
         return self.f_p(p) + self.K
 
+    def phase_end(self, p: int) -> int:
+        """Rounds per agent through phase p (0..H), the K init pulls included."""
+        return self.K + sum(self.f[:p]) + self.K * p
+
     def total_rounds(self) -> int:
         """Rounds per agent including the K initialization pulls."""
-        return self.K + sum(self.f) + self.K * self.H
+        return self.phase_end(self.H)
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool or a float is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def checked_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer of at least ``least``; anything
+    else is refused by name, never truncated."""
+    if not is_integer(value) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def build_schedule(c: int, n: int, K: int, T: int) -> PhaseSchedule:
     """Smallest H such that sum_{p<=H} (c n^p + K) covers the horizon T."""
-    if c < 1 or int(c) != c:
-        raise ConfigurationError(f"c must be a positive integer, got {c}")
-    if n < 2 or int(n) != n:
-        raise ConfigurationError(f"n must be an integer > 1, got {n}")
-    if K < 1:
-        raise ConfigurationError(f"K must be positive, got {K}")
+    c, n, K = checked_count("c", c), checked_count("n", n, 2), checked_count("K", K)
+    T = checked_count("horizon", T)
     if T < c * n + K:
         raise ConfigurationError(
             f"horizon {T} shorter than one phase (f_1 + K = {c * n + K})"
@@ -79,7 +91,7 @@ def build_schedule(c: int, n: int, K: int, T: int) -> PhaseSchedule:
         fs.append(f)
         covered += f + K
         p += 1
-    return PhaseSchedule(c=int(c), n=int(n), K=int(K), horizon=int(T), f=tuple(fs))
+    return PhaseSchedule(c=c, n=n, K=K, horizon=T, f=tuple(fs))
 
 
 def compute_alpha(m: int, k_arms: int, h: int, d: int, delta: float) -> tuple[float, float]:
@@ -169,18 +181,18 @@ class CommMeter:
 
 @dataclass
 class PhaseTrace:
-    """One phase's record: the arrays the run's owners hold, by reference."""
+    """What one phase produced, by reference to the arrays the run's owners hold.
+    Its budget and end round belong to the schedule; the mask it scored is the
+    previous phase's ``active`` (all arms in phase 1)."""
 
     phase: int
-    f_p: int
-    scored: np.ndarray  # the agents' (M, K) mask of active sets before elimination
     scores: np.ndarray  # (n, 2): r_hat and u of each scored pair, in np.nonzero order
     active: np.ndarray  # the server's (M, K) mask of active sets after elimination
     issued: np.ndarray  # the server's (M, K) issued pull counts
     a_hat: np.ndarray  # the agents' (M,) empirical best arms, exploited after exploration
-    round_end: int
+    exploit: np.ndarray  # (M,) rounds each agent spent on a_hat after exploring
     design: dict  # the design solve's sweeps, converged, objective, gap and certificate
-    regret: np.ndarray | None = None  # (M,) per-agent regret at round_end, set as the run ends
+    regret: np.ndarray | None = None  # (M,) per-agent regret at the phase end, set as the run ends
 
 
 @dataclass
@@ -214,10 +226,12 @@ class RunTrace:
 
     def any_confidence_violation(self) -> bool:
         """True if any recorded (phase, agent, arm) had |r_hat - r| >= u."""
+        scored = np.ones(self.true_rewards.shape, dtype=bool)
         for rec in self.phases:
             r_hat, u = rec.scores.T
-            if (np.abs(r_hat - self.true_rewards[np.nonzero(rec.scored)]) >= u).any():
+            if (np.abs(r_hat - self.true_rewards[np.nonzero(scored)]) >= u).any():
                 return True
+            scored = rec.active
         return False
 
     def any_optimal_arm_eliminated(self) -> bool:
@@ -243,12 +257,12 @@ class RunTrace:
             "H": self.schedule.H,
             "design_tol": DESIGN_TOL,
         }
+        # Each phase scores the arms the previous one kept: all arms in phase 1.
+        after = [list(range(self.schedule.K))] * self.m
         for rec in self.phases:
             # One tolist() per array: per-row numpy calls cost more here.
-            before, after = (
-                [[a for a, on in enumerate(row) if on] for row in mask.tolist()]
-                for mask in (rec.scored, rec.active)
-            )
+            before = after
+            after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
             issued, regret = rec.issued.tolist(), rec.regret.tolist()
             # np.nonzero order: agent by agent, arms ascending, so each agent's
             # zip below takes exactly its own rows.
@@ -257,9 +271,9 @@ class RunTrace:
                 "v": TRACE_VERSION,
                 "type": "server",
                 "phase": rec.phase,
-                "f_p": rec.f_p,
+                "f_p": self.schedule.f_p(rec.phase),
                 "union": [a for a, on in enumerate(rec.active.any(axis=0).tolist()) if on],
-                "round_end": rec.round_end,
+                "round_end": self.schedule.phase_end(rec.phase),
                 "design": rec.design,
             }
             for i in range(self.m):
@@ -297,9 +311,9 @@ def checkpoint_rounds(schedule: PhaseSchedule, extra=()) -> list[int]:
     and each extra round, which must be an integer in 0..total_rounds."""
     total = schedule.total_rounds()
     for r in extra:
-        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= total:
+        if not is_integer(r) or not 0 <= r <= total:
             raise ConfigurationError(f"checkpoint {r!r} is not a round in 0..{total}")
-    ends = itertools.accumulate((f + schedule.K for f in schedule.f), initial=schedule.K)
+    ends = map(schedule.phase_end, range(schedule.H + 1))
     return sorted({schedule.horizon, *ends, *map(int, extra)})
 
 
@@ -312,7 +326,9 @@ def run_protocol(
     extra_checkpoints=(),
     trace_path=None,
 ) -> RunTrace:
-    """Execute initialization plus all scheduled phases and trace the run."""
+    """Execute initialization plus all scheduled phases and trace the run: one
+    ``PhaseTrace`` of what each phase produced, then the regret at every
+    checkpoint round, derived once from those records."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if schedule.K != scenario.K:
@@ -356,37 +372,29 @@ def run_protocol(
     broadcast = server.ingest_init(upload)
     meter.record_down(broadcast, 0, copies=m)
 
-    round_cursor = k_arms  # rounds elapsed per agent so far
-
     for p in range(1, schedule.H + 1):
         try:
-            f_p = schedule.f_p(p)
-            scored = agents.active
             active_sets, scores = agents.begin_phase(broadcast)
             meter.record_up(active_sets, p)
-            allocation = server.plan_phase(active_sets, f_p)
+            allocation = server.plan_phase(active_sets, schedule.f_p(p))
             meter.record_down(allocation, p)
             estimates, used = agents.explore_phase(allocation, env.pull_many)
             meter.record_up(estimates, p)
             broadcast = server.ingest_phase(estimates)
             meter.record_down(broadcast, p, copies=m)
-            agents.exploit_remainder(
-                np.maximum(schedule.phase_length(p) - used, 0), env.pull_many
-            )
+            exploit = np.maximum(schedule.phase_length(p) - used, 0)
+            agents.exploit_remainder(exploit, env.pull_many)
         except FedPecdError as exc:
             raise type(exc)(f"phase {p}: {exc}") from exc
 
-        round_cursor += schedule.phase_length(p)
         trace.phases.append(
             PhaseTrace(
                 phase=p,
-                f_p=f_p,
-                scored=scored,
                 scores=scores,
                 active=server.active,
                 issued=server.issued,
                 a_hat=agents.a_hat,
-                round_end=round_cursor,
+                exploit=exploit,
                 design={
                     "sweeps": server.design.sweeps,
                     "converged": server.design.converged,
@@ -403,12 +411,11 @@ def run_protocol(
     # (exploit_remainder).  Phase ends are among the rounds: one call serves all.
     arms, counts = [np.broadcast_to(np.arange(k_arms), (m, k_arms))], [np.ones((m, k_arms), int)]
     for rec in trace.phases:
-        rest = schedule.phase_length(rec.phase) - rec.issued.sum(axis=1)
         arms += [arms[0], rec.a_hat[:, None]]
-        counts += [rec.issued, np.maximum(rest, 0)[:, None]]
+        counts += [rec.issued, rec.exploit[:, None]]
     regret = env.cumulative_regret(np.hstack(arms), np.hstack(counts), rounds)
     for rec in trace.phases:
-        rec.regret = regret[rounds.index(rec.round_end)]
+        rec.regret = regret[rounds.index(schedule.phase_end(rec.phase))]
     trace.checkpoints = [(r, float(row.sum()) / m) for r, row in zip(rounds, regret)]
 
     if trace_path is not None:

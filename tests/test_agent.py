@@ -151,11 +151,11 @@ class TestEliminate:
             eliminate(np.ones((1, 2), dtype=bool), np.array([[1.0, 0.5]]), np.array([[0.1]]))
 
 
-def make_agent(env, alpha=1.0):
-    """The one-agent population of agent 0 of ``env``."""
-    scenario = env.scenario
-    psi = scenario.features[:, env.contexts[0]]
-    return Agent(psi[None], alpha=alpha, ell=scenario.bounds.ell)
+def make_agent(alpha=1.0):
+    """The one-agent population of ``one_agent_scenario``, whose one context
+    and bounds do not depend on its sigma."""
+    scenario = one_agent_scenario()
+    return Agent(scenario.features[None, :, 0], alpha=alpha, ell=scenario.bounds.ell)
 
 
 def allocation(counts, phase=1, k=2):
@@ -170,7 +170,7 @@ def allocation(counts, phase=1, k=2):
 class TestExplorePhase:
     def test_single_pull_noiseless(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase = 1
         msg = allocation({0: 1, 1: 0})
         upload, used = agent.explore_phase(msg, env.pull_many)
@@ -182,7 +182,7 @@ class TestExplorePhase:
 
     def test_zero_count_emits_nothing(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase = 1
         msg = allocation({0: 0, 1: 0})
         upload, used = agent.explore_phase(msg, env.pull_many)
@@ -191,7 +191,7 @@ class TestExplorePhase:
 
     def test_average_concentrates(self):
         env = Environment(one_agent_scenario(sigma=1e-3), master_seed=3)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase = 1
         n = 10**4
         msg = allocation({0: n})
@@ -203,7 +203,7 @@ class TestExplorePhase:
 
     def test_collinearity_of_estimates(self, rng):
         env = Environment(one_agent_scenario(sigma=0.5), master_seed=1)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase = 1
         msg = allocation({0: 3, 1: 2})
         upload, _ = agent.explore_phase(msg, env.pull_many)
@@ -217,7 +217,7 @@ class TestExplorePhase:
         """Row i of a round is agent i's, so an allocation addressed to agent 1
         of a one-agent population is a round shaped for two agents."""
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase = 1
         msg = allocation({0: 1}, phase=phase)
         if agent_id:
@@ -243,7 +243,7 @@ class TestExplorePhase:
     ])
     def test_whole_allocation_checked_before_the_first_pull(self, active, arms, counts, named):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         agent.phase, agent.active = 1, np.array([active])
         msg = AllocationMessage(phase=np.array([1]), arms=np.array(arms), counts=np.array(counts))
         pulls = []
@@ -255,7 +255,7 @@ class TestExplorePhase:
 def exploit_regret(env, a_hat, rounds):
     """Agent 0 exploits ``a_hat`` for ``rounds``; returns the pull calls
     made and the regret of their record."""
-    agent = make_agent(env)
+    agent = make_agent()
     agent.a_hat = a_hat
     calls = []
     agent.exploit_remainder(np.array([rounds]), lambda *args: calls.append(args))
@@ -292,7 +292,7 @@ class TestFederationBoundary:
 class TestBeginPhase:
     def test_elimination_uses_broadcast_model(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env, alpha=0.0)
+        agent = make_agent(alpha=0.0)
         theta = np.array([1.0, 0.0, 0.0])
         models = {a: (theta, np.zeros((3, 3))) for a in range(2)}
         upload, scores = agent.begin_phase(broadcast(models, 2, phase=1))
@@ -304,7 +304,7 @@ class TestBeginPhase:
 
     def test_stats_are_per_arm_scores(self, rng):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env, alpha=1.5)
+        agent = make_agent(alpha=1.5)
         models = {}
         for a in range(2):
             g = rng.normal(size=(3, 4))
@@ -317,7 +317,7 @@ class TestBeginPhase:
 
     def test_a_hat_is_first_maximum(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env, alpha=0.0)
+        agent = make_agent(alpha=0.0)
         models = {a: (np.zeros(3), np.zeros((3, 3))) for a in range(2)}
         upload, _ = agent.begin_phase(broadcast(models, 2, phase=1))
         # r_hat ties at 0 with zero widths: both survive, the first is best
@@ -327,7 +327,7 @@ class TestBeginPhase:
     @pytest.mark.parametrize("stamp", [0, 2, 7])
     def test_broadcast_for_another_phase_rejected(self, stamp):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         models = {a: (np.zeros(3), np.eye(3)) for a in range(2)}
         with pytest.raises(
             ProtocolError, match=rf"^agent 0, arm \[0, 1\], phase 1: .* phase {stamp}$"
@@ -337,7 +337,7 @@ class TestBeginPhase:
 
     def test_broadcast_without_an_active_arm_rejected(self):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         models = {0: (np.zeros(3), np.eye(3))}
         with pytest.raises(ProtocolError, match=r"^agent 0, arm 1, phase 1: "):
             agent.begin_phase(broadcast(models, 2, phase=1))
@@ -346,7 +346,7 @@ class TestBeginPhase:
     @pytest.mark.parametrize("field", ["theta", "v"])
     def test_broadcast_with_a_non_finite_model_rejected(self, field):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         bad = broadcast({a: (np.zeros(3), np.eye(3)) for a in range(2)}, 2, phase=1)
         getattr(bad, field)[1, 0] = np.nan
         with pytest.raises(ProtocolError, match=r"^agent 0, arm 1, phase 1: broadcast has no finite"):
@@ -356,7 +356,7 @@ class TestBeginPhase:
     @pytest.mark.parametrize("v_shape", [(2, 2, 2), (2, 4, 4), (2, 3, 4), (3, 3, 3), (2, 9)])
     def test_broadcast_with_mis_shaped_v_rejected(self, v_shape):
         env = Environment(one_agent_scenario(), master_seed=0)
-        agent = make_agent(env)
+        agent = make_agent()
         models = {a: (np.zeros(3), np.eye(3)) for a in range(2)}
         bad = replace(broadcast(models, 2, phase=1), v=np.zeros(v_shape))
         with pytest.raises(ProtocolError, match=r"^agent 0, arm \[0, 1\], phase 1: broadcast V"):

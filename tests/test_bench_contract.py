@@ -42,8 +42,9 @@ def test_tracer_counts_match_the_run():
     tr = tracer.Tracer()
     with tracer.instrument(tr):
         trace = protocol.run_protocol(scenario, schedule, master_seed=0)
-    assert [len(rec.scores) for rec in trace.phases] == [
-        np.count_nonzero(rec.scored) for rec in trace.phases
+    # Each phase scores the arms the previous one kept: all arms in phase 1.
+    assert [len(rec.scores) for rec in trace.phases] == [scenario.M * scenario.K] + [
+        np.count_nonzero(rec.active) for rec in trace.phases[:-1]
     ]
     entries = sum(len(rec.scores) for rec in trace.phases)
     assert entries > 0

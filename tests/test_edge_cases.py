@@ -62,7 +62,7 @@ def test_arm_stats_propagate_not_psd():
 
 def test_explore_negative_count_rejected():
     env = Environment(one_agent_scenario(), master_seed=0)
-    agent = make_agent(env)
+    agent = make_agent()
     agent.phase = 1
     with pytest.raises(ProtocolError):
         agent.explore_phase(allocation({0: -1}), env.pull_many)

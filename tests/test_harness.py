@@ -19,10 +19,12 @@ from fedpecd.harness import (
     movielens_like_spec,
     run_sweep,
     sweep_csv_lines,
+    sweep_summary,
     write_sweep_csv,
     write_sweep_json,
 )
 from fedpecd.model import build_psi_set
+from fedpecd.protocol import build_schedule, checkpoint_rounds
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "movielens_like.json"
 
@@ -185,14 +187,46 @@ class TestRunSweep:
         assert len(lines) == 1 + len(result.rounds)
 
     def test_no_variants_gives_an_empty_result(self):
+        """No cells, but the rounds a cell would report: the sweep takes them
+        from its schedule, not from a run."""
         result = tiny_sweep(variants=())
-        assert result.cells == {} and result.rounds == []
+        assert result.cells == {}
+        assert result.rounds == checkpoint_rounds(build_schedule(1, 2, 3, 2**8))
+        assert result.rounds[0] == 3 and 2**8 in result.rounds
         assert list(sweep_csv_lines(result)) == [CSV_HEADER]
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(agent_counts=(3.9,)), "agent count M must be an integer >= 1, got 3.9"),
+        (dict(agent_counts=(2, True)), "agent count M must be an integer >= 1, got True"),
+        (dict(agent_counts=()), "agent_counts names no agent count M"),
+        (dict(trials=True), "trials must be an integer >= 1, got True"),
+        (dict(trials=2.5), "trials must be an integer >= 1, got 2.5"),
+        (dict(trials=0), "trials must be an integer >= 1, got 0"),
+        (dict(horizon=256.5), "horizon must be an integer >= 1, got 256.5"),
+    ], ids=["fractional-M", "bool-M", "no-M", "bool-trials", "fractional-trials",
+            "zero-trials", "fractional-horizon"])
+    def test_bad_size_rejected_before_any_work(self, monkeypatch, overrides, named):
+        """A size that is not an integer is refused by name, never truncated
+        (M = 3.9 ran M = 3; trials = True wrote rows ending ``,True``)."""
+        def no_work(*args, **kwargs):
+            pytest.fail("the sweep started work")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_work)
+        monkeypatch.setattr(harness, "run_protocol", no_work)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+            tiny_sweep(**overrides)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = dict(trials=np.int64(1), agent_counts=(np.int64(2),), horizon=np.int64(2**8))
+        result = tiny_sweep(**sizes)
+        lines = list(sweep_csv_lines(result))
+        assert lines == list(sweep_csv_lines(tiny_sweep(trials=1, agent_counts=(2,))))
+        assert json.loads(json.dumps(sweep_summary(result)))["horizon"] == 2**8
 
     def test_curves_nondecreasing(self):
         result = tiny_sweep()
-        for cell in result.cells.values():
-            diffs = np.diff(cell.curves, axis=1)
+        for curves in result.cells.values():
+            diffs = np.diff(curves, axis=1)
             assert np.all(diffs >= -1e-12)
 
     def test_csv_deterministic(self, tmp_path):
@@ -225,8 +259,8 @@ class TestRunSweep:
         serial, pooled = results
         assert serial.cells.keys() == pooled.cells.keys()
         assert serial.rounds == pooled.rounds
-        for key, cell in serial.cells.items():
-            np.testing.assert_array_equal(cell.curves, pooled.cells[key].curves)
+        for key, curves in serial.cells.items():
+            np.testing.assert_array_equal(curves, pooled.cells[key])
 
     def test_json_summary_shape(self, tmp_path):
         path = tmp_path / "summary.json"

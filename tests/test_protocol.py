@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedpecd.server as server_module
 from fedpecd.agent import Agent
 from fedpecd.environment import Environment
-from fedpecd.errors import ConfigurationError, ProtocolError
+from fedpecd.errors import ConfigurationError, NotPSDError, ProtocolError
 from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic, run_sweep
 from fedpecd.messages import (
     ActiveSetUpload,
@@ -19,7 +21,13 @@ from fedpecd.messages import (
     LocalEstimateUpload,
 )
 from fedpecd.model import build_psi_set
-from fedpecd.protocol import build_schedule, compute_alpha, meter_message, run_protocol
+from fedpecd.protocol import (
+    build_schedule,
+    checkpoint_rounds,
+    compute_alpha,
+    meter_message,
+    run_protocol,
+)
 from fedpecd.server import DESIGN_TOL, CentralServer
 
 from conftest import identical_agents_scenario, rescan
@@ -52,6 +60,42 @@ class TestBuildSchedule:
         c, n, h = sched.c, sched.n, sched.H
         assert sum(sched.f) == c * n * (n**h - 1) // (n - 1)
         assert sum(sched.f) + sched.K * h >= sched.horizon
+
+    @pytest.mark.parametrize("args, named", [
+        ((1, 2, 5, 87.5), "horizon must be an integer >= 1, got 87.5"),
+        ((1, 2, 5.5, 87), "K must be an integer >= 1, got 5.5"),
+        ((True, 2, 5, 87), "c must be an integer >= 1, got True"),
+        ((1, 2.0, 5, 87), "n must be an integer >= 2, got 2.0"),
+        ((1, 1, 5, 87), "n must be an integer >= 2, got 1"),
+        ((0, 2, 5, 87), "c must be an integer >= 1, got 0"),
+    ], ids=["fractional-horizon", "fractional-K", "bool-c", "float-n", "n-one", "c-zero"])
+    def test_non_integer_input_rejected_by_name(self, args, named):
+        """An input that is not an integer is refused, not truncated: at
+        T = 87.5 a truncating check chose H = 6 (161 rounds) where T = 87
+        gives H = 5 (92 rounds)."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+            build_schedule(*args)
+
+    def test_numpy_integers_accepted(self):
+        sched = build_schedule(*map(np.int64, (1, 2, 5, 87)))
+        assert sched == build_schedule(1, 2, 5, 87)
+        assert sched.H == 5 and sched.total_rounds() == 92
+        assert all(type(x) is int for x in (sched.c, sched.n, sched.K, sched.horizon))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 30), st.integers(0, 5000))
+    def test_phase_end_owns_the_round_arithmetic(self, c, n, k, extra):
+        """phase_end(p) counts the K init pulls and every phase length
+        through p; the run's checkpoints hold K, each phase end and T."""
+        sched = build_schedule(c, n, k, c * n + k + extra)
+        h = sched.H
+        assert sched.phase_end(0) == k
+        assert sched.phase_end(h) == sched.total_rounds() == k + sum(sched.f) + k * h
+        for p in range(1, h + 1):
+            assert sched.phase_end(p) - sched.phase_end(p - 1) == sched.phase_length(p)
+        rounds = checkpoint_rounds(sched)
+        assert rounds == sorted(set(rounds))
+        assert {k, sched.horizon, *(sched.phase_end(p) for p in range(1, h + 1))} == set(rounds)
 
 
 class TestComputeAlpha:
@@ -189,6 +233,34 @@ class TestRunProtocol:
         for rec in agents:
             assert len(rec["active_after"]) >= 1
 
+    def test_scored_mask_is_the_previous_phase_kept_arms(self, monkeypatch):
+        """The trace's ``active_before`` and ``stats`` arms, and the pairs
+        ``any_confidence_violation`` checks, are the arms the agents scored
+        in each phase: the previous phase's kept arms (all arms in phase 1)."""
+        scored = []
+        begin = Agent.begin_phase
+
+        def recording(agents, broadcast):
+            scored.append(agents.active.copy())
+            return begin(agents, broadcast)
+
+        monkeypatch.setattr(Agent, "begin_phase", recording)
+        sc = generate_synthetic(desk_spec(m=6), seed=3, variant="hidden")
+        trace = run_protocol(sc, build_schedule(1, 2, sc.K, 2**12), master_seed=0)
+        # Arms are dropped in two phases, 30 -> 29 -> 22 kept pairs.
+        assert len({int(rec.active.sum()) for rec in trace.phases}) == 3
+        agents = [rec for rec in trace.records() if rec["type"] == "agent"]
+        assert len(agents) == len(scored) * sc.M
+        for rec in agents:
+            want = np.flatnonzero(scored[rec["phase"] - 1][rec["agent"]]).tolist()
+            assert rec["active_before"] == want
+            assert [s["arm"] for s in rec["stats"]] == want
+        violated = any(
+            (np.abs(rec.scores[:, 0] - trace.true_rewards[np.nonzero(mask)]) >= rec.scores[:, 1]).any()
+            for rec, mask in zip(trace.phases, scored)
+        )
+        assert trace.any_confidence_violation() == violated
+
     def test_checkpoint_curve_nondecreasing(self):
         sc = generate_synthetic(small_spec(), seed=7)
         sched = build_schedule(1, 2, sc.K, 2**9)
@@ -254,7 +326,7 @@ class TestRunProtocol:
                 bound = (
                     4 * math.sqrt(10) * trace.alpha * sc.bounds.big_l / sc.bounds.ell
                     * math.sqrt(sc.d * sc.K * sc.M)
-                    * (rec.f_p + sc.K) / math.sqrt(f_prev)
+                    * (sched.f_p(rec.phase) + sc.K) / math.sqrt(f_prev)
                 )
                 assert phase_regret <= bound + 1e-9
                 checked += 1
@@ -274,6 +346,28 @@ class TestRunProtocol:
         psi_v = np.concatenate([rec.scores[:, 1] for rec in trace.phases]) * ell / trace.alpha
         ratios = (psi_v / math.sqrt(big_l)).tolist()
         assert min(ratios) >= 1.0
+
+
+class TestRunErrors:
+    @pytest.mark.parametrize("error", [ProtocolError, NotPSDError])
+    def test_in_phase_error_names_its_phase(self, monkeypatch, error):
+        """An error raised inside phase p keeps its type, gains a ``phase p:``
+        prefix and chains the original as its cause."""
+        plan = CentralServer.plan_phase
+        raised = []
+
+        def failing_plan(server, active_sets, f_p):
+            if server.planned == 1:  # the second phase
+                raised.append(error("agent 0, arm [1]: refused"))
+                raise raised[-1]
+            return plan(server, active_sets, f_p)
+
+        monkeypatch.setattr(CentralServer, "plan_phase", failing_plan)
+        sc = generate_synthetic(small_spec(), seed=5)
+        with pytest.raises(error, match=r"^phase 2: agent 0, arm \[1\]: refused$") as info:
+            run_protocol(sc, build_schedule(1, 2, sc.K, 2**9), master_seed=9)
+        assert type(info.value) is error
+        assert info.value.__cause__ is raised[0]
 
 
 class TestRegretFromTheRecord:
@@ -310,7 +404,7 @@ class TestRegretFromTheRecord:
         for r, avg in trace.checkpoints:
             assert avg == float(expected(r).sum()) / sc.M, r
         for rec in trace.phases:
-            assert rec.regret.tolist() == expected(rec.round_end).tolist(), rec.phase
+            assert rec.regret.tolist() == expected(schedule.phase_end(rec.phase)).tolist(), rec.phase
 
 
 class TestCheckpointRounds:

@@ -1,0 +1,106 @@
+"""Mutation check: every mutant listed in ``tools/mutants.json`` must fail tier-1.
+
+Run from anywhere:
+
+    python tools/check_mutants.py
+
+Each mutant names a file under ``src/``, an exact text that must occur in it
+exactly once, the text to put in its place and why the change matters.  For
+each mutant the script copies ``src/`` into a temporary directory, applies
+that one edit to the copy and runs the tier-1 tests against it with
+``python -m pytest -x -q``.  A mutant the tests do not kill fails the check.
+A mutant listed with an ``equivalent`` reason is one that outputs cannot
+show; it is expected to survive, and fails the check if a test kills it, so
+the list stays true.  A mutant whose old text is missing or ambiguous fails
+the check before any test runs: the change that moved the code retargets it.
+
+Exits 0 when every mutant behaves as listed and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MUTANTS = Path(__file__).resolve().with_name("mutants.json")
+# A mutant that hangs the suite is not a surviving one; tier-1 takes seconds.
+TIMEOUT_S = 600
+# The acceptance suite runs whole sweeps.  A mutant that stops the design
+# converging takes minutes there but fails a unit test in seconds, so the
+# acceptance file runs last; every tier-1 test still runs until one fails.
+LAST = "test_acceptance.py"
+
+
+def check_targets(mutants: list[dict]) -> list[str]:
+    """One error per mutant whose old text does not occur exactly once."""
+    errors = []
+    for m in mutants:
+        count = (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"])
+        if count != 1:
+            errors.append(f"{m['id']}: old text occurs {count} times in {m['file']}, not once")
+    return errors
+
+
+def run_tier1(src: Path) -> tuple[str, float]:
+    """``killed``, ``survived`` or an error note, and the seconds the run took."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    resolved = subprocess.run(
+        [sys.executable, "-c", "import fedpecd; print(fedpecd.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(resolved).is_relative_to(src):
+        raise SystemExit(f"fedpecd resolved to {resolved}, not the copy under {src}")
+    tests = sorted((ROOT / "tests").glob("test_*.py"), key=lambda p: (p.name == LAST, p.name))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *map(str, tests)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "killed", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    # pytest exits 1 when a test failed and 0 when all passed; any other
+    # code (a collection or usage error) says the mutant is not a clean one.
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode)
+    if outcome is None:
+        tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
+        outcome = f"pytest exited {proc.returncode}:\n{tail}"
+    return outcome, seconds
+
+
+def main() -> int:
+    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
+    errors = check_targets(mutants)
+    if errors:
+        print("\n".join(errors))
+        return 1
+    failed = 0
+    for m in mutants:
+        with tempfile.TemporaryDirectory(prefix="fedpecd-mutant-") as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            path = src.parent / m["file"]
+            path.write_text(path.read_text(encoding="utf-8").replace(m["old"], m["new"]),
+                            encoding="utf-8")
+            outcome, seconds = run_tier1(src)
+        expected = "survived" if "equivalent" in m else "killed"
+        ok = outcome == expected
+        failed += not ok
+        note = f" (equivalent: {m['equivalent']})" if "equivalent" in m else ""
+        print(f"{'ok  ' if ok else 'FAIL'} {m['id']}: {outcome} in {seconds:.1f} s{note}")
+        if not ok:
+            print(f"     why it matters: {m['why']}")
+    print(f"{len(mutants) - failed} of {len(mutants)} mutants behaved as listed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
