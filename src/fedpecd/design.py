@@ -39,10 +39,13 @@ number of eigendecompositions grows with sweeps, not blocks.
 The solver stops on a per-agent Kiefer-Wolfowitz certificate.  At the
 optimum every agent's block satisfies its KKT conditions, so each agent's
 worst score max_a g_{a,i} equals its budget-weighted mean score
-sum_a pi_{a,i} g_{a,i}.  After each sweep the solver reads every score
-from the rebuilt W^+ and stops once, for every agent, the worst score is
-at most (1 + tol) times the mean: the eps-approximate optimality of Todd
-(Minimum-Volume Ellipsoids, 2016, ch. 3).  Elimination widths scale with
+sum_a pi_{a,i} g_{a,i}.  The solver reads every score from the rebuilt
+W^+ at the start and after each sweep, and stops once, for every agent,
+the worst score is at most (1 + tol) times the mean: the eps-approximate
+optimality of Todd (Minimum-Volume Ellipsoids, 2016, ch. 3).  A start
+that already certifies costs no sweep, and a sweep updates only the
+agents whose own ratio failed the last check (Gauss-Southwell-type block
+selection, Nutini et al., ICML 2015).  Elimination widths scale with
 sqrt(g), so this bounds how far each agent's widest confidence interval
 sits above the optimum's.  Summed over agents the mean scores make up
 sum_a rank(W_a), so the certificate also bounds the Frank-Wolfe duality
@@ -63,7 +66,7 @@ from .linalg import eigh_range
 UNIT_NORM_TOL = 1e-9
 SIMPLEX_TOL = 1e-9
 
-# Uniform mass blended into a warm start so restored rosters stay interior.
+# Uniform mass blended into a warm start whose restriction lost span rank.
 _WARM_BLEND = 1e-2
 
 
@@ -120,6 +123,9 @@ class DesignAllocation:
     there, an upper bound on how far ``objective`` is below the optimum;
     both are nan for an allocation the solver did not produce.
     ``converged`` says whether the certificate met the solver's stop rule.
+    ``sweeps`` counts the sweeps run, 0 when the start already certified,
+    and ``blocks`` the agent block updates they did: a sweep updates only
+    the agents whose ratio failed the certificate before it.
     """
 
     pi: np.ndarray
@@ -128,6 +134,7 @@ class DesignAllocation:
     sweeps: int = 0
     gap: float = math.nan
     certificate: float = math.nan
+    blocks: int = 0
 
 
 def _grams(pi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -152,10 +159,13 @@ def _logdet_span(w: np.ndarray, keep: np.ndarray, ranks: np.ndarray) -> float:
     return float(np.sum(np.log(w, out=np.zeros_like(w), where=keep)))
 
 
-def _start_pi(active: np.ndarray, warm: DesignAllocation | None) -> np.ndarray:
+def _start_pi(active: np.ndarray, warm: DesignAllocation | None, blend: float) -> np.ndarray:
     """Uniform over each row of the ``(M, K)`` mask ``active``, or the warm
-    allocation restricted to the active arms, renormalized and blended with
-    uniform so restored rosters stay interior."""
+    allocation restricted to the active arms and renormalized, with a
+    ``blend`` share of uniform mixed in (an agent that kept no weight on its
+    active arms starts uniform).  The solver starts unblended, so an arm the
+    last solve gave no weight keeps none until a block moves it, and blends
+    in ``_WARM_BLEND`` only if that start lost span rank on some arm."""
     uniform = active / active.sum(axis=1, keepdims=True)
     if warm is None:
         return uniform
@@ -163,7 +173,7 @@ def _start_pi(active: np.ndarray, warm: DesignAllocation | None) -> np.ndarray:
     total = prev.sum(axis=1, keepdims=True)
     kept = total >= 1e-9
     share = np.divide(prev, total, out=np.zeros_like(prev), where=kept)
-    return np.where(kept, (1.0 - _WARM_BLEND) * share + _WARM_BLEND * uniform, uniform)
+    return np.where(kept, (1.0 - blend) * share + blend * uniform, uniform)
 
 
 class _Solver:
@@ -185,17 +195,21 @@ class _Solver:
         self.active = np.ascontiguousarray(prob.active)
         self.directions = prob.directions
         self.ranks = _span_ranks(self.directions)
-        self.pi = _start_pi(self.active, warm)
+        self.pi = _start_pi(self.active, warm, 0.0)
         self.cols = [np.flatnonzero(row) for row in self.active]
         self.agent_dirs = [d[c] for d, c in zip(self.directions, self.cols)]
         self._rebuild()
+        if self.objective == -np.inf:
+            # The restricted warm start lost span rank on some arm.
+            self.pi = _start_pi(self.active, warm, _WARM_BLEND)
+            self._rebuild()
 
     def _rebuild(self):
         w, keep, self.pinv = eigh_range(_grams(self.pi, self.directions))
         self.objective = _logdet_span(w, keep, self.ranks)
 
-    def certify(self) -> tuple[float, float]:
-        """The worst per-agent ratio max_a g_{a,i} / sum_a pi_{a,i} g_{a,i}
+    def certify(self) -> tuple[np.ndarray, float]:
+        """The ``(M,)`` per-agent ratios max_a g_{a,i} / sum_a pi_{a,i} g_{a,i}
         and the Frank-Wolfe duality gap sum_i (max_a g_{a,i} - sum_a pi_{a,i} g_{a,i}).
 
         An agent whose scores are all 0 has nothing to balance and counts
@@ -205,7 +219,7 @@ class _Solver:
         best = np.max(g, axis=1, where=self.active, initial=-np.inf)
         mean = np.sum(self.pi * g, axis=1)
         ratio = np.divide(best, mean, out=np.where(best > 0.0, np.inf, 1.0), where=mean > 0.0)
-        return float(ratio.max()), float(np.sum(best - mean))
+        return ratio, float(np.sum(best - mean))
 
     def _block_update(self, agent: int):
         """Set one agent's weights to the exact maximizer of its block.
@@ -257,8 +271,9 @@ class _Solver:
         step = np.array(coef)[:, None] * pe
         self.pinv[cols] = pinv - step[:, :, None] * pe[:, None, :]
 
-    def sweep(self):
-        for agent in range(len(self.cols)):
+    def sweep(self, agents):
+        """Update the blocks of ``agents`` in order, then rebuild."""
+        for agent in agents:
             self._block_update(agent)
         # Rebuild from pi so rank-1 update drift cannot accumulate.
         self._rebuild()
@@ -272,15 +287,19 @@ def solve_design(
 ) -> DesignAllocation:
     """Block-coordinate ascent for the separable log-det design.
 
-    Runs full sweeps over agents and stops after the first sweep at which
-    every agent i has max_a g_{a,i} <= (1 + tol) * sum_a pi_{a,i} g_{a,i}
-    over its active arms, so ``tol`` is the relative slack allowed on each
-    agent's worst score (an agent whose scores are all 0 passes).  Summed
-    over agents this bounds the Frank-Wolfe duality gap by ``tol`` times
-    the summed span ranks of the arms, and F is concave, so the gap bounds
-    how far the objective is below the optimum.  If ``max_iters`` sweeps
-    elapse first, the last iterate is returned with ``converged=False``;
-    it is still a feasible allocation.
+    Stops at the first iterate, the start included, at which every agent i
+    has max_a g_{a,i} <= (1 + tol) * sum_a pi_{a,i} g_{a,i} over its active
+    arms, so ``tol`` is the relative slack allowed on each agent's worst
+    score (an agent whose scores are all 0 passes).  Summed over agents
+    this bounds the Frank-Wolfe duality gap by ``tol`` times the summed
+    span ranks of the arms, and F is concave, so the gap bounds how far the
+    objective is below the optimum.  The start is uniform, or
+    ``warm_start`` restricted to the active arms (see ``_start_pi``); if it
+    certifies, the result reports 0 sweeps.  Each sweep updates, in agent
+    order, only the agents whose ratio exceeded 1 + tol at the last check,
+    and ``blocks`` counts those updates.  If ``max_iters`` sweeps elapse
+    first, the last iterate is returned with ``converged=False``; it is
+    still a feasible allocation.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be at least 1")
@@ -288,13 +307,14 @@ def solve_design(
         raise ValidationError("tol must be positive")
 
     solver = _Solver(prob, warm_start)
-    converged = False
-    for sweeps in range(1, max_iters + 1):
-        solver.sweep()
-        certificate, gap = solver.certify()
-        if certificate <= 1.0 + tol:
-            converged = True
-            break
+    ratio, gap = solver.certify()
+    sweeps = blocks = 0
+    # Negated so that a NaN ratio fails the certificate.
+    while (failing := np.flatnonzero(~(ratio <= 1.0 + tol))).size and sweeps < max_iters:
+        solver.sweep(failing.tolist())
+        sweeps += 1
+        blocks += failing.size
+        ratio, gap = solver.certify()
 
     total = solver.pi.sum(axis=1, keepdims=True)
     # Kill float drift so each agent's budget sums to one.
@@ -302,10 +322,11 @@ def solve_design(
     pi = np.divide(solver.pi, total, out=solver.pi.copy(), where=drift)
     return DesignAllocation(
         pi=pi,
-        converged=converged,
+        converged=not failing.size,
         objective=solver.objective,
         sweeps=sweeps,
         gap=gap,
-        certificate=certificate,
+        certificate=float(ratio.max()),
+        blocks=blocks,
     )
 

@@ -384,6 +384,7 @@ def run_sweep(
     cell is its ``(trials, len(rounds))`` curves (see ``curve_stats``).
     """
     trials = checked_count("trials", trials)
+    workers = checked_count("workers", workers)
     variants = tuple(variants)
     for v in variants:
         if v not in VARIANTS:

@@ -124,7 +124,7 @@ def test_c04_collaboration_gain(desk_sweep):
 
 
 # sha256 of the desk sweep's CSV lines, one newline after each.
-DESK_SWEEP_CSV_SHA256 = "11514052b8ce4a9ecb1913509301a9cffeeaa1292cff6feb936b46080ab9a994"
+DESK_SWEEP_CSV_SHA256 = "840533b7955084602a4cc855a6a6ca1fbcad1af7102f9449e7497d84851d2a2c"
 
 
 def test_desk_sweep_csv_is_pinned(desk_sweep):

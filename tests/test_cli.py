@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fedpecd import cli
+from fedpecd import cli, harness
 from fedpecd.cli import main
 
 
@@ -94,6 +94,27 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys, monkeypatch):
     fresh = tmp_path / "fresh.csv"
     assert main([*sweep, "--out-csv", str(fresh), "--out-json", str(missing / "j.json")]) == 2
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bad_worker_count_exit_code(capsys, monkeypatch, workers):
+    """A worker count below 1 is refused in one line before any scenario is
+    generated (it used to run serially)."""
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario was generated")
+
+    monkeypatch.setattr(harness, "generate_synthetic", never)
+    sweep = ["sweep", "--variants", "hidden", "--agents", "2", "--trials", "1",
+             "--horizon", "64", "--workers", workers]
+    assert main(sweep) == 2
+    assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers}\n"
+
+
+def test_fractional_worker_count_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--workers", "2.5"])
+    assert exc.value.code == 2
+    assert "argument --workers: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_validation_failure_exit_code(tmp_path):

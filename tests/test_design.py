@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedpecd.design import (
+    _WARM_BLEND,
     DesignAllocation,
     DesignProblem,
     _grams,
@@ -12,11 +13,12 @@ from fedpecd.design import (
     _scores,
     _Solver,
     _span_ranks,
+    _start_pi,
     solve_design,
 )
 from fedpecd.errors import ValidationError
 from fedpecd.linalg import eigh_range, pinv
-from fedpecd.server import DESIGN_TOL
+from fedpecd.server import DESIGN_TOL, allocate
 
 from conftest import design_problem, random_design_problem
 
@@ -271,7 +273,7 @@ class TestRankOneUpdates:
                     np.testing.assert_allclose(
                         solver.pinv[a], pinv(grams[a]), rtol=1e-9, atol=1e-9
                     )
-            solver.sweep()
+            solver.sweep(range(len(prob.active)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_update_is_the_exact_block_maximizer(self, seed):
@@ -385,7 +387,7 @@ CERTIFIED_CASES = [(5, 5, 2, 0), (12, 4, 3, 1), (25, 5, 3, 2), (10, 8, 4, 3)]
 # (m, k, d, seed, tol) whose solve runs out of sweeps before certifying.
 SLOW_TAIL_CASE = (12, 4, 3, 1, 1e-6)
 # Sweeps the slow-tail case needs to certify once max_iters allows them.
-SLOW_TAIL_SWEEPS = 775
+SLOW_TAIL_SWEEPS = 741
 
 
 class TestGapCertificate:
@@ -426,19 +428,108 @@ class TestGapCertificate:
     def test_stops_at_first_certified_sweep(self, m, k, d, seed, tol):
         prob = random_design_problem(m, k, d, seed=seed)
         alloc = solve_design(prob, tol=tol)
-        if alloc.sweeps == 1:
-            return  # the solver always sweeps once; nothing stopped late
+        if alloc.sweeps <= 1:
+            return  # a start that certifies costs no sweep; nothing stopped late
         early = solve_design(prob, tol=tol, max_iters=alloc.sweeps - 1)
         assert not early.converged
         assert early.certificate > 1.0 + tol
 
-    def test_no_directions_converges_in_one_sweep(self):
+    def test_no_directions_certifies_without_a_sweep(self):
         prob = design_problem([[0, 1], [1, 2], [2]], {}, 3)
         alloc = solve_design(prob)
         assert alloc.converged
-        assert alloc.sweeps == 1
+        assert alloc.sweeps == 0
+        assert alloc.blocks == 0
         assert alloc.certificate == 1.0
         assert alloc.gap == 0.0
+
+
+def record_block_updates(monkeypatch):
+    """The agents whose blocks the solver updates, in order, from now on."""
+    updated = []
+    block_update = _Solver._block_update
+
+    def recording(solver, agent):
+        updated.append(agent)
+        return block_update(solver, agent)
+
+    monkeypatch.setattr(_Solver, "_block_update", recording)
+    return updated
+
+
+class TestWorkWhereTheCertificateFails:
+    """A solve starts from the unblended warm start, certifies it before the
+    first sweep, and each sweep updates only the agents whose own ratio
+    failed the last certificate."""
+
+    def test_start_is_the_unblended_restriction(self):
+        prob = random_design_problem(8, 6, 3, seed=9)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        i, a = np.indices((8, 6))
+        later = narrowed(prob, (a + i) % 4 != 0)
+        unweighted = later.active & (cold.pi == 0.0)
+        assert unweighted.any()
+        solver = _Solver(later, cold)
+        np.testing.assert_array_equal(solver.pi, _start_pi(later.active, cold, 0.0))
+        assert np.all(solver.pi[unweighted] == 0.0)
+        assert np.isfinite(solver.objective)
+
+    def test_start_that_lost_span_rank_is_blended(self):
+        # Agent 1 gave arm 0 no weight, so arm 0's Gram has rank 1 of 2.
+        dirs = {(0, 0): rot(0), (1, 0): rot(60), (0, 1): rot(100), (1, 1): rot(20)}
+        prob = design_problem([[0, 1], [0, 1]], dirs, 2)
+        warm = DesignAllocation(pi=np.array([[0.5, 0.5], [0.0, 1.0]]))
+        assert design_objective(prob, warm.pi) == -np.inf
+        solver = _Solver(prob, warm)
+        np.testing.assert_array_equal(solver.pi, _start_pi(prob.active, warm, _WARM_BLEND))
+        assert np.all(solver.pi[prob.active] > 0.0)
+        assert np.isfinite(solver.objective)
+        alloc = solve_design(prob, warm_start=warm)
+        assert alloc.converged
+        assert_consistent(prob, alloc)
+
+    def test_certified_start_costs_no_sweep(self, monkeypatch):
+        prob = random_design_problem(10, 5, 3, seed=4)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        assert cold.sweeps >= 1
+        updated = record_block_updates(monkeypatch)
+        again = solve_design(prob, tol=DESIGN_TOL, warm_start=cold)
+        assert updated == []
+        assert again.converged
+        assert (again.sweeps, again.blocks) == (0, 0)
+        assert again.certificate == pytest.approx(cold.certificate, rel=1e-9)
+        np.testing.assert_allclose(again.pi, cold.pi, rtol=0.0, atol=1e-15)
+
+    def test_sweeps_update_only_failing_agents(self, monkeypatch):
+        m = 25
+        prob = random_design_problem(m, 5, 3, seed=2)
+        updated = record_block_updates(monkeypatch)
+        alloc = solve_design(prob, tol=DESIGN_TOL)
+        assert alloc.converged
+        assert alloc.blocks == len(updated)
+        # Every sweep updates some agent, and skipping keeps the total below full sweeps.
+        assert alloc.sweeps <= alloc.blocks < alloc.sweeps * m
+
+    def test_skipped_agent_is_issued_no_pull_on_a_zero_weight_arm(self, monkeypatch):
+        """An agent that meets the certificate from its warm start is skipped
+        in every sweep, so an active arm its start gave no weight keeps none
+        and ceil() issues it no pull.  A blended start would put weight on
+        that arm, and every such arm would cost the agent a pull."""
+        m, k = 6, 4
+        prob = random_design_problem(m, k, 3, seed=20)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        i, a = np.indices((m, k))
+        later = narrowed(prob, (a + 2 * i) % 5 != 0)
+        agent, arm = 2, 3
+        assert later.active[agent, arm] and cold.pi[agent, arm] == 0.0
+        assert _start_pi(later.active, cold, _WARM_BLEND)[agent, arm] > 0.0
+        updated = record_block_updates(monkeypatch)
+        alloc = solve_design(later, tol=DESIGN_TOL, warm_start=cold)
+        assert alloc.converged and alloc.sweeps >= 1
+        assert agent not in updated
+        issued = allocate(alloc, 2**10)
+        assert issued[agent, arm] == 0
+        assert np.all(issued[agent][later.active[agent] & (np.arange(k) != arm)] >= 1)
 
 
 class TestArmNoAgentKeeps:
@@ -485,7 +576,7 @@ class TestPinnedBits:
     changed summation order or memory layout shows (a 12 x 5 one is not)."""
 
     # sha256 of pi's bytes, gap.hex() and sweeps: cold solve, then warm re-solve.
-    DIGEST = "50ee5a521472160e603c42dd84837d988776f4a6415eea702c8a1ba13e0ac04e"
+    DIGEST = "85812a0e4fc403ff9a5f1db3ee1da7754d2170e1bec9710560a3d01f0a266023"
 
     def test_cold_and_warm_solves(self):
         m, k = 40, 10

@@ -203,8 +203,12 @@ class TestRunSweep:
         (dict(trials=2.5), "trials must be an integer >= 1, got 2.5"),
         (dict(trials=0), "trials must be an integer >= 1, got 0"),
         (dict(horizon=256.5), "horizon must be an integer >= 1, got 256.5"),
+        (dict(workers=2.5), "workers must be an integer >= 1, got 2.5"),
+        (dict(workers=0), "workers must be an integer >= 1, got 0"),
+        (dict(workers=-1), "workers must be an integer >= 1, got -1"),
     ], ids=["fractional-M", "bool-M", "no-M", "bool-trials", "fractional-trials",
-            "zero-trials", "fractional-horizon"])
+            "zero-trials", "fractional-horizon", "fractional-workers", "zero-workers",
+            "negative-workers"])
     def test_bad_size_rejected_before_any_work(self, monkeypatch, overrides, named):
         """A size that is not an integer is refused by name, never truncated
         (M = 3.9 ran M = 3; trials = True wrote rows ending ``,True``)."""
