@@ -238,9 +238,19 @@ class RunTrace:
         rows = np.arange(self.m)
         return any(not rec.active[rows, self.optimal_arms].all() for rec in self.phases)
 
-    def records(self):
-        """JSON-serializable trace records, one per line when written."""
-        yield {
+    def lines(self):
+        """The JSONL trace, one record's JSON text per line (no newline), each
+        as ``json.dumps(record, sort_keys=True)`` writes it.
+
+        The run header, the H server records and the summary are few and go
+        through ``json``.  Each agent record is rendered from the phase arrays
+        by one f-string with its keys in sorted order: list repr writes ints
+        and ``[[a, n], ...]`` as ``json`` does with its default separators,
+        and ``repr`` of a finite float is what ``json`` writes for it.  A
+        phase whose scores or regret are not all finite is refused, since
+        ``repr`` would write ``nan``, which is not JSON.
+        """
+        yield json.dumps({
             "v": TRACE_VERSION,
             "type": "run",
             "variant": self.variant,
@@ -256,10 +266,12 @@ class RunTrace:
             "horizon": self.schedule.horizon,
             "H": self.schedule.H,
             "design_tol": DESIGN_TOL,
-        }
+        }, sort_keys=True)
         # Each phase scores the arms the previous one kept: all arms in phase 1.
         after = [list(range(self.schedule.K))] * self.m
         for rec in self.phases:
+            if not (np.isfinite(rec.scores).all() and np.isfinite(rec.regret).all()):
+                raise FedPecdError(f"phase {rec.phase}: a score or regret is not finite")
             # One tolist() per array: per-row numpy calls cost more here.
             before = after
             after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
@@ -267,7 +279,7 @@ class RunTrace:
             # np.nonzero order: agent by agent, arms ascending, so each agent's
             # zip below takes exactly its own rows.
             rows = iter(rec.scores.tolist())
-            yield {
+            yield json.dumps({
                 "v": TRACE_VERSION,
                 "type": "server",
                 "phase": rec.phase,
@@ -275,20 +287,15 @@ class RunTrace:
                 "union": [a for a, on in enumerate(rec.active.any(axis=0).tolist()) if on],
                 "round_end": self.schedule.phase_end(rec.phase),
                 "design": rec.design,
-            }
+            }, sort_keys=True)
             for i in range(self.m):
-                yield {
-                    "v": TRACE_VERSION,
-                    "type": "agent",
-                    "phase": rec.phase,
-                    "agent": i,
-                    "active_before": before[i],
-                    "active_after": after[i],
-                    "stats": [{"arm": a, "r_hat": r, "u": u} for a, (r, u) in zip(before[i], rows)],
-                    "allocation": [[a, issued[i][a]] for a in after[i]],
-                    "regret": regret[i],
-                }
-        yield {
+                stats = ", ".join([f'{{"arm": {a}, "r_hat": {r!r}, "u": {u!r}}}'
+                                   for a, (r, u) in zip(before[i], rows)])
+                yield (f'{{"active_after": {after[i]}, "active_before": {before[i]}, '
+                       f'"agent": {i}, "allocation": {[[a, issued[i][a]] for a in after[i]]}, '
+                       f'"phase": {rec.phase}, "regret": {regret[i]!r}, "stats": [{stats}], '
+                       f'"type": "agent", "v": {TRACE_VERSION}}}')
+        yield json.dumps({
             "v": TRACE_VERSION,
             "type": "summary",
             "total_rounds": self.total_rounds,
@@ -297,12 +304,13 @@ class RunTrace:
             "scalars_down": self.meter.scalars_down,
             "meter_per_phase": self.meter.per_phase,
             "design_unconverged": sum(not rec.design["converged"] for rec in self.phases),
-        }
+        }, sort_keys=True)
 
     def write_jsonl(self, path):
+        """Write ``lines()`` to ``path`` line by line, never the whole text at once."""
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records():
-                fh.write(json.dumps(record, sort_keys=True))
+            for line in self.lines():
+                fh.write(line)
                 fh.write("\n")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import fedpecd.server as server_module
 from fedpecd.agent import Agent
 from fedpecd.environment import Environment
-from fedpecd.errors import ConfigurationError, NotPSDError, ProtocolError
+from fedpecd.errors import ConfigurationError, FedPecdError, NotPSDError, ProtocolError
 from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic, run_sweep
 from fedpecd.messages import (
     ActiveSetUpload,
@@ -22,6 +23,7 @@ from fedpecd.messages import (
 )
 from fedpecd.model import build_psi_set
 from fedpecd.protocol import (
+    TRACE_VERSION,
     build_schedule,
     checkpoint_rounds,
     compute_alpha,
@@ -211,7 +213,7 @@ class TestRunProtocol:
         sched = build_schedule(1, 2, sc.K, 2**9)
         t1 = run_protocol(sc, sched, master_seed=9, variant="hidden")
         t2 = run_protocol(sc, sched, master_seed=9, variant="hidden")
-        assert list(t1.records()) == list(t2.records())
+        assert list(t1.lines()) == list(t2.lines())
 
     def test_total_rounds_cover_horizon(self):
         sc = generate_synthetic(small_spec(), seed=5)
@@ -224,7 +226,7 @@ class TestRunProtocol:
     def test_monotone_elimination_and_best_arm_survival(self):
         sc = generate_synthetic(desk_spec(m=6), seed=3, variant="hidden")
         trace = run_protocol(sc, build_schedule(1, 2, sc.K, 2**12), master_seed=0)
-        agents = [rec for rec in trace.records() if rec["type"] == "agent"]
+        agents = [rec for rec in map(json.loads, trace.lines()) if rec["type"] == "agent"]
         for rec in agents:
             assert set(rec["active_after"]) <= set(rec["active_before"])
         # The run drops arms (30 -> 29 -> 22 kept pairs), so the check above
@@ -251,7 +253,7 @@ class TestRunProtocol:
         trace = run_protocol(sc, build_schedule(1, 2, sc.K, 2**12), master_seed=0)
         # Arms are dropped in two phases, 30 -> 29 -> 22 kept pairs.
         assert len({int(rec.active.sum()) for rec in trace.phases}) == 3
-        agents = [rec for rec in trace.records() if rec["type"] == "agent"]
+        agents = [rec for rec in map(json.loads, trace.lines()) if rec["type"] == "agent"]
         assert len(agents) == len(scored) * sc.M
         for rec in agents:
             want = np.flatnonzero(scored[rec["phase"] - 1][rec["agent"]]).tolist()
@@ -525,6 +527,143 @@ class TestOutputTripwire:
         run_protocol(sc, sched, master_seed=0, trace_path=path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.TINY_RUN_TRACE_SHA256
+
+
+def oracle_records(trace):
+    """The trace's records as dicts, built as ``RunTrace.records`` did before
+    ``RunTrace.lines`` rendered the agent records itself: the reference that
+    ``json.dumps(record, sort_keys=True)`` turns into the canonical text."""
+    schedule, m = trace.schedule, trace.m
+    yield {
+        "v": TRACE_VERSION,
+        "type": "run",
+        "variant": trace.variant,
+        "seed": trace.seed,
+        "M": m,
+        "K": schedule.K,
+        "delta": trace.delta,
+        "alpha": trace.alpha,
+        "k": trace.k,
+        "sigma": trace.sigma,
+        "c": schedule.c,
+        "n": schedule.n,
+        "horizon": schedule.horizon,
+        "H": schedule.H,
+        "design_tol": DESIGN_TOL,
+    }
+    after = [list(range(schedule.K))] * m
+    for rec in trace.phases:
+        before = after
+        after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
+        issued, regret = rec.issued.tolist(), rec.regret.tolist()
+        rows = iter(rec.scores.tolist())
+        yield {
+            "v": TRACE_VERSION,
+            "type": "server",
+            "phase": rec.phase,
+            "f_p": schedule.f_p(rec.phase),
+            "union": [a for a, on in enumerate(rec.active.any(axis=0).tolist()) if on],
+            "round_end": schedule.phase_end(rec.phase),
+            "design": rec.design,
+        }
+        for i in range(m):
+            yield {
+                "v": TRACE_VERSION,
+                "type": "agent",
+                "phase": rec.phase,
+                "agent": i,
+                "active_before": before[i],
+                "active_after": after[i],
+                "stats": [{"arm": a, "r_hat": r, "u": u} for a, (r, u) in zip(before[i], rows)],
+                "allocation": [[a, issued[i][a]] for a in after[i]],
+                "regret": regret[i],
+            }
+    yield {
+        "v": TRACE_VERSION,
+        "type": "summary",
+        "total_rounds": trace.total_rounds,
+        "checkpoints": [[r, x] for r, x in trace.checkpoints],
+        "scalars_up": trace.meter.scalars_up,
+        "scalars_down": trace.meter.scalars_down,
+        "meter_per_phase": trace.meter.per_phase,
+        "design_unconverged": sum(not rec.design["converged"] for rec in trace.phases),
+    }
+
+
+def oracle_lines(trace):
+    return [json.dumps(record, sort_keys=True) for record in oracle_records(trace)]
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@functools.cache
+def traced_run(case):
+    """The runs whose rendered trace is checked against the oracle, each made
+    once and shared read-only: a test that edits one renders an edited copy."""
+    if case == "one-arm-active-set":
+        sc = identical_agents_scenario(m=5, sigma=0.0)
+        return run_protocol(sc, build_schedule(1, 2, sc.K, 2**10), master_seed=0, variant="exact")
+    if case == "eliminations":
+        sc = generate_synthetic(desk_spec(m=6), seed=3, variant="hidden")
+        return run_protocol(sc, build_schedule(1, 2, sc.K, 2**12), master_seed=0)
+    spec = small_spec(M=1) if case == "one-agent" else small_spec()
+    sc = generate_synthetic(spec, seed=5)
+    variant = "exact" if case == "exact" else "hidden"
+    return run_protocol(sc, build_schedule(1, 2, sc.K, 2**9), master_seed=9, variant=variant)
+
+
+class TestRenderedTrace:
+    """``RunTrace.lines`` renders the agent records itself; its text must be
+    exactly what ``json.dumps(record, sort_keys=True)`` gives for the records
+    the dict-building renderer made."""
+
+    CASES = ["exact", "hidden", "eliminations", "one-agent", "one-arm-active-set"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_lines_match_the_dict_oracle(self, case):
+        trace = traced_run(case)
+        lines = list(trace.lines())
+        assert lines == oracle_lines(trace)
+        assert len(lines) == 2 + trace.schedule.H * (1 + trace.m)
+        for line in lines:
+            json.loads(line, parse_constant=refuse_constant)
+
+    def test_cases_cover_what_they_name(self):
+        kept = [int(rec.active.sum()) for rec in traced_run("eliminations").phases]
+        assert kept[-1] < kept[0]
+        assert traced_run("one-agent").m == 1
+        one_arm = traced_run("one-arm-active-set").phases[0].active
+        assert (one_arm.sum(axis=1) == 1).all()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_score_or_regret_renders_as_json_does(self, values):
+        trace = traced_run("hidden")
+        phases = [
+            replace(rec, scores=np.resize(values, rec.scores.shape),
+                    regret=np.resize(values[::-1], rec.regret.shape))
+            for rec in trace.phases
+        ]
+        edited = replace(trace, phases=phases)
+        assert list(edited.lines()) == oracle_lines(edited)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scores", np.nan), ("scores", -np.inf), ("regret", np.inf), ("regret", np.nan),
+    ])
+    def test_non_finite_phase_is_refused_by_name(self, field, value, tmp_path):
+        """``repr`` would write ``nan``, which is not JSON, so a phase with a
+        non-finite score or regret is refused, naming the phase."""
+        trace = traced_run("hidden")
+        edited = getattr(trace.phases[1], field).copy()
+        edited.flat[-1] = value
+        phases = list(trace.phases)
+        phases[1] = replace(phases[1], **{field: edited})
+        with pytest.raises(FedPecdError, match=r"^phase 2: a score or regret is not finite$"):
+            list(replace(trace, phases=phases).lines())
+        with pytest.raises(FedPecdError, match=r"^phase 2: "):
+            replace(trace, phases=phases).write_jsonl(tmp_path / "trace.jsonl")
 
 
 def tiny_run_records(tmp_path):
