@@ -191,7 +191,7 @@ class PhaseTrace:
     issued: np.ndarray  # the server's (M, K) issued pull counts
     a_hat: np.ndarray  # the agents' (M,) empirical best arms, exploited after exploration
     exploit: np.ndarray  # (M,) rounds each agent spent on a_hat after exploring
-    design: dict  # the design solve's sweeps, blocks, converged, objective, gap and certificate
+    design: dict  # sweeps, blocks (both 0 if reused), converged, objective, gap, certificate
     regret: np.ndarray | None = None  # (M,) per-agent regret at the phase end, set as the run ends
 
 

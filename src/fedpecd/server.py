@@ -31,6 +31,8 @@ and no sign rule is applied.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .design import DesignAllocation, DesignProblem, solve_design
@@ -174,10 +176,13 @@ class CentralServer:
     sets it planned for (every arm before the first phase); and the
     ``(M, K)`` pull counts ``issued`` for them, both fresh arrays each phase
     that it never writes into later, and the phase ``planned`` they were
-    issued for (0 before the first).  ``design`` is the last phase's design
-    solve, run at ``DESIGN_TOL``; it also warm-starts the next one.  The
-    server proceeds on an unconverged solve: its allocation is feasible,
-    and ``design.converged`` reports it.
+    issued for (0 before the first).  ``design`` is the last phase's design,
+    solved at ``DESIGN_TOL``; it also warm-starts the next solve.  A phase
+    whose active sets equal ``active`` reuses a converged ``design`` with
+    0 sweeps and 0 blocks, since the directions are fixed at init and the
+    problem is the same.  The server proceeds on an unconverged solve: its
+    allocation is feasible, ``design.converged`` reports it, and the next
+    phase solves again from it.
     """
 
     def __init__(self, m: int, k: int, d: int):
@@ -204,7 +209,8 @@ class CentralServer:
         return self.model
 
     def plan_phase(self, upload: ActiveSetUpload, f_p: int) -> AllocationMessage:
-        """Check the active sets, solve the design, and issue pull counts.
+        """Check the active sets, solve the design (or reuse the last one for
+        unchanged sets), and issue pull counts.
 
         The round must be stamped with the phase of the current model, and
         each agent's set must be nonempty and within its previous active
@@ -223,8 +229,13 @@ class CentralServer:
         empty = np.flatnonzero(~active.any(axis=1))
         if empty.size:
             raise ProtocolError(f"agent {empty[0]}, arm [], phase {phase}: empty active set")
-        prob = DesignProblem(active, np.where(active[..., None], self.directions, 0.0))
-        self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=self.design)
+        last = self.design
+        if last is not None and last.converged and np.array_equal(active, self.active):
+            # The same problem, and its allocation already certifies.
+            self.design = dataclasses.replace(last, sweeps=0, blocks=0)
+        else:
+            prob = DesignProblem(active, np.where(active[..., None], self.directions, 0.0))
+            self.design = solve_design(prob, tol=DESIGN_TOL, warm_start=last)
         self.active, self.planned = active, phase
         self.issued = allocate(self.design, f_p)
         return AllocationMessage(

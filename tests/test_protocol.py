@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,16 @@ from hypothesis import strategies as st
 
 import fedpecd.server as server_module
 from fedpecd.agent import Agent
+from fedpecd.design import DesignProblem, solve_design
 from fedpecd.environment import Environment
 from fedpecd.errors import ConfigurationError, FedPecdError, NotPSDError, ProtocolError
-from fedpecd.harness import SyntheticSpec, desk_spec, generate_synthetic, run_sweep
+from fedpecd.harness import (
+    SyntheticSpec,
+    desk_spec,
+    generate_synthetic,
+    load_features,
+    run_sweep,
+)
 from fedpecd.messages import (
     ActiveSetUpload,
     AllocationMessage,
@@ -30,7 +38,7 @@ from fedpecd.protocol import (
     meter_message,
     run_protocol,
 )
-from fedpecd.server import DESIGN_TOL, CentralServer
+from fedpecd.server import DESIGN_TOL, CentralServer, allocate
 
 from conftest import identical_agents_scenario, rescan
 
@@ -509,7 +517,7 @@ class TestRoundAtomicity:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "e62989cd1994cbc54db5b446acc213953c17c806d76d1ebd5fbc1b3b1514d2d6"
+        "7493b1a40ee3064630a5807047e0a00a5c5a083814df4849d99f223c99cca7b6"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):
@@ -724,3 +732,50 @@ class TestDesignDiagnostics:
         assert records[-1]["design_unconverged"] == unconverged
         # The server proceeds on the feasible allocation: the run completes.
         assert trace.total_rounds >= 2**9
+
+
+# The acceptance desk sweep's base seed; its M = 50 cell's trials 0-4 are
+# rerun below.
+ACCEPTANCE_BASE_SEED = 20260810
+MOVIELENS = Path(__file__).resolve().parents[1] / "data" / "movielens_like.json"
+
+
+class TestDesignReuse:
+    """A phase whose active sets equal the last solved ones reuses that
+    converged design; it must issue exactly the pull counts that a solve
+    warm-started from it would."""
+
+    @staticmethod
+    def check_reused_phases(monkeypatch):
+        """Wrap ``plan_phase`` to check every reused phase against a warm
+        re-solve; returns the list of reused phases, one entry each."""
+        plan = CentralServer.plan_phase
+        reused = []
+
+        def checked(server, upload, f_p):
+            last = server.design
+            msg = plan(server, upload, f_p)
+            if last is not None and server.design.pi is last.pi:
+                active = server.active
+                prob = DesignProblem(active, np.where(active[..., None], server.directions, 0.0))
+                again = solve_design(prob, tol=DESIGN_TOL, warm_start=last)
+                np.testing.assert_array_equal(server.issued, allocate(again, f_p))
+                reused.append(server.planned)
+            return msg
+
+        monkeypatch.setattr(CentralServer, "plan_phase", checked)
+        return reused
+
+    def test_movielens_runs(self, monkeypatch):
+        reused = self.check_reused_phases(monkeypatch)
+        sc = load_features(MOVIELENS)
+        schedule = build_schedule(1, 2, sc.K, 2**13)
+        for seed in range(3):
+            run_protocol(sc, schedule, delta=0.1, master_seed=seed, variant="hidden")
+        assert reused
+
+    def test_desk_sweep_runs(self, monkeypatch):
+        reused = self.check_reused_phases(monkeypatch)
+        run_sweep(desk_spec(), variants=("exact", "hidden"), agent_counts=(50,), trials=5,
+                  horizon=2**13, delta=0.1, base_seed=ACCEPTANCE_BASE_SEED)
+        assert reused

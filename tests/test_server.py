@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedpecd.server as server_module
 from fedpecd.design import DesignAllocation
 from fedpecd.errors import DegenerateArmError, NotPSDError, ProtocolError
 from fedpecd.linalg import pinv
@@ -277,6 +278,41 @@ def explore(server, msg, theta):
     ))
 
 
+# Init estimates of a three-agent, three-arm server whose first design
+# solve, over every arm, takes sweeps (5 sweeps, 7 block updates).
+SPREAD_INIT_ESTIMATES = [
+    {0: [0.5, 0.0], 1: [0.1, 0.6], 2: [0.3, 0.3]},
+    {0: [0.2, 0.5], 1: [0.4, -0.1], 2: [-0.3, 0.4]},
+    {0: [0.0, -0.7], 1: [0.6, 0.2], 2: [0.5, 0.1]},
+]
+
+
+def explored_first_phase():
+    """The three-agent server with phase 1 planned over every arm and
+    explored, so phase 2 can be planned."""
+    server = CentralServer(m=3, k=3, d=2)
+    server.ingest_init(estimates(
+        0, [[(a, th, 1) for a, th in ests.items()] for ests in SPREAD_INIT_ESTIMATES], 3
+    ))
+    explore(server, server.plan_phase(active_sets([[0, 1, 2]] * 3, 3, 1), f_p=8), [0.5, 0.1])
+    assert server.design.converged and server.design.sweeps > 0 and server.design.blocks > 0
+    return server
+
+
+def record_solves(monkeypatch):
+    """Wrap the server's ``solve_design``; returns the list of the warm
+    starts it was called with, one per solve."""
+    solve = server_module.solve_design
+    warm_starts = []
+
+    def recorded(prob, **kwargs):
+        warm_starts.append(kwargs.get("warm_start"))
+        return solve(prob, **kwargs)
+
+    monkeypatch.setattr(server_module, "solve_design", recorded)
+    return warm_starts
+
+
 class TestPlanPhase:
     def test_issued_counts_cover_the_active_sets(self):
         msg = initialized_server().plan_phase(active([[0], [0, 1]], 1), f_p=4)
@@ -335,6 +371,37 @@ class TestPlanPhase:
         explore(server, server.plan_phase(active([[0, 1], [0, 1]], 1), f_p=4), [0.5, 0.0])
         msg = server.plan_phase(active([[1], [0]], 2), f_p=8)
         assert [np.flatnonzero(row).tolist() for row in msg.arms] == [[1], [0]]
+
+    def test_unchanged_active_sets_reuse_the_converged_design(self, monkeypatch):
+        server = explored_first_phase()
+        last = server.design
+        solves = record_solves(monkeypatch)
+        msg = server.plan_phase(active_sets([[0, 1, 2]] * 3, 3, 2), f_p=16)
+        assert solves == []
+        assert server.design.pi is last.pi
+        assert (server.design.sweeps, server.design.blocks) == (0, 0)
+        assert server.design.converged
+        assert (server.design.objective, server.design.gap, server.design.certificate) == (
+            last.objective, last.gap, last.certificate
+        )
+        np.testing.assert_array_equal(msg.counts, allocate(last, 16))
+
+    def test_narrowed_active_sets_are_solved(self, monkeypatch):
+        server = explored_first_phase()
+        last = server.design
+        solves = record_solves(monkeypatch)
+        msg = server.plan_phase(active_sets([[0, 1, 2], [1, 2], [0, 1, 2]], 3, 2), f_p=16)
+        assert len(solves) == 1 and solves[0] is last
+        assert msg.counts[1, 0] == 0
+
+    def test_unconverged_design_is_solved_again(self, monkeypatch):
+        server = explored_first_phase()
+        server.design = replace(server.design, converged=False)
+        unconverged = server.design
+        solves = record_solves(monkeypatch)
+        server.plan_phase(active_sets([[0, 1, 2]] * 3, 3, 2), f_p=16)
+        assert len(solves) == 1 and solves[0] is unconverged
+        assert server.design.converged
 
 
 class TestDirections:
