@@ -32,17 +32,21 @@ W_a^+ in a (K, d, d) stack; an arm no agent keeps active has a zero Gram
 and scores 0.  A block reads all of its scores g = e' W^+ e with
 one einsum, water-fills, and then refreshes W_a^+ for each arm it moved
 by one Sherman-Morrison update, exact on the range because that range
-never shrinks.  Once per sweep W is rebuilt from pi with one einsum, and
-W^+ and the objective's eigenvalues come from one batched eigh, so the
-number of eigendecompositions grows with sweeps, not blocks.
+never shrinks.  W is rebuilt from pi with one einsum, and W^+ and the
+objective's eigenvalues come from one batched eigh, only at the start and
+to confirm a certificate about to stop the solve, so the number of
+eigendecompositions does not grow with sweeps.
 
 The solver stops on a per-agent Kiefer-Wolfowitz certificate.  At the
 optimum every agent's block satisfies its KKT conditions, so each agent's
 worst score max_a g_{a,i} equals its budget-weighted mean score
-sum_a pi_{a,i} g_{a,i}.  The solver reads every score from the rebuilt
-W^+ at the start and after each sweep, and stops once, for every agent,
-the worst score is at most (1 + tol) times the mean: the eps-approximate
-optimality of Todd (Minimum-Volume Ellipsoids, 2016, ch. 3).  A start
+sum_a pi_{a,i} g_{a,i}.  The solver reads every score from the W^+ the
+blocks keep, at the start and after each sweep, and stops once, for every
+agent, the worst score is at most (1 + tol) times the mean: the
+eps-approximate optimality of Todd (Minimum-Volume Ellipsoids, 2016,
+ch. 3).  A passing check after a sweep is confirmed on W^+ rebuilt from
+pi, and sweeping goes on if an agent fails there, so the certificate,
+gap and objective returned are those of the returned weights.  A start
 that already certifies costs no sweep, and a sweep updates only the
 agents whose own ratio failed the last check (Gauss-Southwell-type block
 selection, Nutini et al., ICML 2015).  Elimination widths scale with
@@ -184,8 +188,8 @@ class _Solver:
     agent's weights to their exact maximizer, which changes W_a only along
     the agent's own direction e_{a,i}, so each touched arm's W_a^+ is
     brought up to date by one exact Sherman-Morrison update on the range;
-    W, W^+ and the objective's eigenvalues are rebuilt from pi once per
-    sweep.
+    W, W^+ and ``objective`` are rebuilt from pi by ``_rebuild``, which
+    the solve calls at the start and to confirm a certificate.
     """
 
     def __init__(self, prob: DesignProblem, warm: DesignAllocation | None):
@@ -272,11 +276,11 @@ class _Solver:
         self.pinv[cols] = pinv - step[:, :, None] * pe[:, None, :]
 
     def sweep(self, agents):
-        """Update the blocks of ``agents`` in order, then rebuild."""
+        """Update the blocks of ``agents`` in order.  W^+ stays the one the
+        blocks keep by Sherman-Morrison, and ``objective`` is stale until
+        the next ``_rebuild``."""
         for agent in agents:
             self._block_update(agent)
-        # Rebuild from pi so rank-1 update drift cannot accumulate.
-        self._rebuild()
 
 
 def solve_design(
@@ -297,9 +301,14 @@ def solve_design(
     ``warm_start`` restricted to the active arms (see ``_start_pi``); if it
     certifies, the result reports 0 sweeps.  Each sweep updates, in agent
     order, only the agents whose ratio exceeded 1 + tol at the last check,
-    and ``blocks`` counts those updates.  If ``max_iters`` sweeps elapse
-    first, the last iterate is returned with ``converged=False``; it is
-    still a feasible allocation.
+    and ``blocks`` counts those updates.  After a sweep the check reads the
+    W^+ the blocks keep up to date; once every agent passes it, or
+    ``max_iters`` sweeps have run, W^+ is rebuilt from pi and the check is
+    made again there, and an agent that fails it is swept on.  So
+    ``certificate``, ``gap`` and ``objective`` are always those of the
+    returned weights, free of rank-1 update drift.  If ``max_iters`` sweeps
+    elapse first, the last iterate is returned with ``converged=False``; it
+    is still a feasible allocation.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be at least 1")
@@ -309,11 +318,21 @@ def solve_design(
     solver = _Solver(prob, warm_start)
     ratio, gap = solver.certify()
     sweeps = blocks = 0
-    # Negated so that a NaN ratio fails the certificate.
-    while (failing := np.flatnonzero(~(ratio <= 1.0 + tol))).size and sweeps < max_iters:
-        solver.sweep(failing.tolist())
-        sweeps += 1
-        blocks += failing.size
+    rebuilt = True
+    while True:
+        # Negated so that a NaN ratio fails the certificate.
+        failing = np.flatnonzero(~(ratio <= 1.0 + tol))
+        if failing.size and sweeps < max_iters:
+            solver.sweep(failing.tolist())
+            sweeps += 1
+            blocks += failing.size
+            rebuilt = False
+        elif rebuilt:
+            break
+        else:
+            # About to stop: confirm on W^+ rebuilt from pi, free of drift.
+            solver._rebuild()
+            rebuilt = True
         ratio, gap = solver.certify()
 
     total = solver.pi.sum(axis=1, keepdims=True)

@@ -96,11 +96,15 @@ def _dense_table(table: dict, k: int) -> list:
     """A schema-v1 feature table {arm: {context: phi}} as nested ``(K, C, d)``
     lists; every arm 0..K-1 must hold exactly the context ids 0..C-1, each
     named by one key (``"0"`` and ``"00"`` name one id)."""
+    if not isinstance(table, dict):
+        raise ValidationError("features is not an object {arm: {context: phi}}")
     rows: dict[int, dict] = {}
     for a_key, per_ctx in table.items():
         a = int(a_key)
         if a in rows:
             raise ValidationError(f"arm {a}: named twice in features, the second time as {a_key!r}")
+        if not isinstance(per_ctx, dict):
+            raise ValidationError(f"arm {a}: features are not an object {{context: phi}}")
         row = rows[a] = {}
         for c_key, v in per_ctx.items():
             c = int(c_key)
@@ -108,8 +112,18 @@ def _dense_table(table: dict, k: int) -> list:
                 raise ValidationError(
                     f"arm {a}: context {c} named twice in features, the second time as {c_key!r}")
             row[c] = v
-    if sorted(rows) != list(range(k)):
+    # The count first, so a huge declared K builds no list.
+    if len(rows) != k or sorted(rows) != list(range(k)):
         raise ValidationError(f"features cover arms {sorted(rows)}, expected 0..{k - 1}")
+    # No arm can hold an id at or above the most contexts any arm names; it
+    # is refused before anything is sized by it.
+    most = max(map(len, rows.values()), default=0)
+    for a in range(k):
+        c = max(rows[a], default=-1)
+        if c >= most:
+            raise ValidationError(
+                f"arm {a}: context id {c} outside 0..{most - 1}, as no arm names more "
+                f"than {most} contexts")
     n_ctx = 1 + max((c for row in rows.values() for c in row), default=-1)
     for a in range(k):
         odd = set(range(n_ctx)) ^ set(rows[a])

@@ -304,21 +304,30 @@ def test_c09_noiseless_exactness():
     assert worst <= 1e-9
 
 
-def test_c10_sweep_determinism(tmp_path):
-    def one_csv():
-        result = run_sweep(
-            SyntheticSpec(K=3, d=2, M=4, sigma=0.2, gap_range=(0.5, 0.7),
-                          norm_range=(0.8, 1.0), best_reward_range=(0.78, 0.85),
-                          perturbation=0.05),
-            variants=("exact", "hidden"),
-            agent_counts=(2, 4),
-            trials=3,
-            horizon=2**9,
-            base_seed=BASE_SEED,
-        )
-        return "\n".join(sweep_csv_lines(result)).encode()
+def c10_csv(workers=1):
+    """The CSV bytes of c10's small sweep, run with ``workers`` processes."""
+    result = run_sweep(
+        SyntheticSpec(K=3, d=2, M=4, sigma=0.2, gap_range=(0.5, 0.7),
+                      norm_range=(0.8, 1.0), best_reward_range=(0.78, 0.85),
+                      perturbation=0.05),
+        variants=("exact", "hidden"),
+        agent_counts=(2, 4),
+        trials=3,
+        horizon=2**9,
+        base_seed=BASE_SEED,
+        workers=workers,
+    )
+    return "\n".join(sweep_csv_lines(result)).encode()
 
-    first, second = one_csv(), one_csv()
+
+def test_c10_sweep_determinism(tmp_path):
+    first, second = c10_csv(), c10_csv()
     ok = first == second
     report(10, ok, f"two sweeps produced byte-identical CSV ({len(first)} bytes)")
     assert first == second
+
+
+def test_c10_worker_count_keeps_the_csv():
+    """Runs come back in task order, so two worker processes write the
+    bytes that one does."""
+    assert c10_csv(workers=2) == c10_csv(workers=1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,23 @@ def test_non_number_or_repeated_id_exit_code(tmp_path, capsys, edit, message):
     assert main(["generate", "--preset", "desk", "--agents", "3", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
     edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(features=[]),
+     "features is not an object {arm: {context: phi}}"),
+    (lambda doc: doc["features"].update({"0": list(doc["features"]["0"].values())}),
+     "arm 0: features are not an object {context: phi}"),
+])
+def test_non_object_feature_table_exit_code(tmp_path, capsys, edit, message):
+    """The shipped movielens-like file with its feature table, or one arm's
+    entry in it, given as a list is refused in one line, not a traceback."""
+    doc = json.loads((Path(__file__).parent.parent / "data" / "movielens_like.json").read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -292,7 +292,9 @@ class TestRankOneUpdates:
                 assert np.all(g[(weights == 0.0) & prob.active[agent]] <= lam * (1.0 + 1e-9))
             solver._rebuild()
 
-    def test_eigendecompositions_scale_with_sweeps_not_steps(self, monkeypatch):
+    def test_eigendecompositions_do_not_grow_with_sweeps(self, monkeypatch):
+        """One eigh for the span ranks, one for the start and one to confirm
+        the certificate that stops the solve, however many sweeps it takes."""
         calls = []
 
         def counted(fn):
@@ -304,7 +306,8 @@ class TestRankOneUpdates:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         alloc = solve_design(random_design_problem(20, 8, 3))
-        assert 0 < len(calls) <= 3 * (alloc.sweeps + 2)
+        assert alloc.converged and alloc.sweeps > 3
+        assert calls == ["eigh"] * 3
 
 
 class TestDualityGap:
@@ -444,6 +447,81 @@ class TestGapCertificate:
         assert alloc.gap == 0.0
 
 
+def rebuilt_from_weights(prob, alloc):
+    """``certify()``'s ratios and gap, and the objective, of a solver whose
+    W^+ is rebuilt from ``alloc.pi`` with no block update since."""
+    solver = _Solver(prob, None)
+    solver.pi = alloc.pi.copy()
+    solver._rebuild()
+    ratio, gap = solver.certify()
+    return ratio, gap, solver.objective
+
+
+class TestConfirmedOnRebuild:
+    """Between rebuilds the certificate reads the W^+ the blocks keep by
+    Sherman-Morrison.  A solve stops only once the check passes again on
+    W^+ rebuilt from pi, or its sweeps run out, so the certificate, gap
+    and objective it returns are those of its weights, to the bit."""
+
+    @staticmethod
+    def assert_from_weights(prob, alloc):
+        ratio, gap, objective = rebuilt_from_weights(prob, alloc)
+        assert alloc.sweeps >= 1  # the blocks moved W^+ since the start
+        assert alloc.certificate == float(ratio.max())
+        assert alloc.gap == gap
+        assert alloc.objective == objective
+
+    def test_cold_solve(self):
+        prob = random_design_problem(25, 5, 3, seed=2)
+        alloc = solve_design(prob, tol=DESIGN_TOL)
+        assert alloc.converged
+        self.assert_from_weights(prob, alloc)
+
+    def test_warm_solve(self):
+        prob = random_design_problem(8, 6, 3, seed=9)
+        cold = solve_design(prob, tol=DESIGN_TOL)
+        i, a = np.indices((8, 6))
+        later = narrowed(prob, (a + i) % 4 != 0)
+        alloc = solve_design(later, tol=DESIGN_TOL, warm_start=cold)
+        assert alloc.converged
+        self.assert_from_weights(later, alloc)
+
+    def test_solve_capped_by_max_iters(self):
+        m, k, d, seed, tol = SLOW_TAIL_CASE
+        prob = random_design_problem(m, k, d, seed=seed)
+        alloc = solve_design(prob, tol=tol, max_iters=7)
+        assert not alloc.converged and alloc.sweeps == 7
+        self.assert_from_weights(prob, alloc)
+
+    def test_a_failed_confirmation_is_swept_on(self, monkeypatch):
+        """At tol 1e-12 this solve's check passes on the blocks' W^+ before
+        it passes on the rebuilt W^+: the solve sweeps on after the failed
+        confirmation and stops only on one that passes."""
+        prob = random_design_problem(25, 5, 3, seed=22)
+        tol = 1e-12
+        events = []
+        rebuild, sweep = _Solver._rebuild, _Solver.sweep
+
+        def confirming(solver):
+            rebuild(solver)
+            passed = not np.flatnonzero(~(solver.certify()[0] <= 1.0 + tol)).size
+            events.append("pass" if passed else "fail")
+
+        def sweeping(solver, agents):
+            events.append("sweep")
+            sweep(solver, agents)
+
+        monkeypatch.setattr(_Solver, "_rebuild", confirming)
+        monkeypatch.setattr(_Solver, "sweep", sweeping)
+        alloc = solve_design(prob, tol=tol)
+        confirmations = [e for e in events[1:] if e != "sweep"]  # after the start
+        assert confirmations == ["fail", "pass"]
+        assert events[-1] == "pass" and events[-2] == "sweep"
+        assert alloc.converged and alloc.sweeps == events.count("sweep")
+        assert alloc.certificate <= 1.0 + tol
+        self.assert_from_weights(prob, alloc)
+
+
 def record_block_updates(monkeypatch):
     """The agents whose blocks the solver updates, in order, from now on."""
     updated = []
@@ -576,7 +654,7 @@ class TestPinnedBits:
     changed summation order or memory layout shows (a 12 x 5 one is not)."""
 
     # sha256 of pi's bytes, gap.hex() and sweeps: cold solve, then warm re-solve.
-    DIGEST = "85812a0e4fc403ff9a5f1db3ee1da7754d2170e1bec9710560a3d01f0a266023"
+    DIGEST = "fac9d4dbca105ba521c976e819974c44494db4531c71c659d70e9238f951ebb2"
 
     def test_cold_and_warm_solves(self):
         m, k = 40, 10

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -345,6 +346,40 @@ class TestScenarioSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=f"{path}: {message}"):
             load_features(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(features=[]), "features is not an object"),
+        (lambda doc: doc.update(features=None), "features is not an object"),
+        (lambda doc: doc["features"].update({"0": [[0.6, 0.6]] * 3}),
+         "arm 0: features are not an object"),
+        (lambda doc: doc["features"].update({"2": "0.6"}), "arm 2: features are not an object"),
+    ])
+    def test_non_object_tables_rejected(self, edit, message):
+        doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
+        edit(doc)
+        with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["features"]["1"].update({"1000000000": [0.6, 0.6]}),
+         "arm 1: context id 1000000000 outside 0..3, as no arm names more than 4 contexts"),
+        (lambda doc: doc.update(K=1000000000),
+         r"features cover arms \[0, 1, 2\], expected 0..999999999"),
+    ])
+    def test_huge_id_or_size_rejected_before_sizing(self, edit, message):
+        """No arm names more contexts than the document has keys, so a
+        context id at or above that count, or a declared K that the table
+        does not hold, is refused without building anything as large."""
+        doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
+        edit(doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=message):
+                Scenario.from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("edit,message", [
         (lambda f: f.update({"00": f["0"]}), "arm 0: named twice in features, the second time as '00'"),

@@ -517,7 +517,7 @@ class TestRoundAtomicity:
 class TestOutputTripwire:
     # sha256 of the JSONL trace written by the run below.
     TINY_RUN_TRACE_SHA256 = (
-        "7493b1a40ee3064630a5807047e0a00a5c5a083814df4849d99f223c99cca7b6"
+        "959a9e1f4098baf623cb44627c236e328e7bee3f85d7c697a65f270cd3a2ea29"
     )
 
     def test_tiny_run_trace_is_pinned(self, tmp_path):

@@ -5,14 +5,19 @@ Run from anywhere:
     python tools/check_mutants.py
 
 Each mutant names a file under ``src/``, an exact text that must occur in it
-exactly once, the text to put in its place and why the change matters.  For
-each mutant the script copies ``src/`` into a temporary directory, applies
-that one edit to the copy and runs the tier-1 tests against it with
-``python -m pytest -x -q``.  A mutant the tests do not kill fails the check.
-A mutant listed with an ``equivalent`` reason is one that outputs cannot
-show; it is expected to survive, and fails the check if a test kills it, so
-the list stays true.  A mutant whose old text is missing or ambiguous fails
-the check before any test runs: the change that moved the code retargets it.
+exactly once, the text to put in its place, why the change matters and, in
+``killed_by``, the pytest node id of a tier-1 test that kills it.  For each
+mutant the script copies ``src/`` into a temporary directory, applies that
+one edit to the copy and runs the named test against it.  Only if that test
+passes are the whole tier-1 tests run, with ``python -m pytest -x -q``, so
+what counts as killed is the same as running tier-1 alone: a mutant tier-1
+does not kill fails the check, and one killed only by the full run is
+reported with its named test, which needs retargeting.  A mutant listed
+with an ``equivalent`` reason is one that outputs cannot show; it names no
+test, runs the whole tier-1, is expected to survive, and fails the check if
+a test kills it, so the list stays true.  A mutant whose old text is missing
+or ambiguous, or that is not equivalent and names no test, fails the check
+before any test runs: the change that moved the code retargets it.
 
 Exits 0 when every mutant behaves as listed and 1 otherwise.
 """
@@ -36,20 +41,26 @@ TIMEOUT_S = 600
 # converging takes minutes there but fails a unit test in seconds, so the
 # acceptance file runs last; every tier-1 test still runs until one fails.
 LAST = "test_acceptance.py"
+TIER1 = [str(p) for p in sorted((ROOT / "tests").glob("test_*.py"),
+                                key=lambda p: (p.name == LAST, p.name))]
 
 
 def check_targets(mutants: list[dict]) -> list[str]:
-    """One error per mutant whose old text does not occur exactly once."""
+    """One error per mutant whose old text does not occur exactly once, or
+    that is not equivalent and names no killing test."""
     errors = []
     for m in mutants:
         count = (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"])
         if count != 1:
             errors.append(f"{m['id']}: old text occurs {count} times in {m['file']}, not once")
+        if "equivalent" not in m and not m.get("killed_by"):
+            errors.append(f"{m['id']}: names no test in killed_by")
     return errors
 
 
-def run_tier1(src: Path) -> tuple[str, float]:
-    """``killed``, ``survived`` or an error note, and the seconds the run took."""
+def run_tests(src: Path, tests: list[str]) -> tuple[str, float]:
+    """Run ``tests`` against the copy ``src``: ``killed``, ``survived`` or an
+    error note, and the seconds the run took."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     resolved = subprocess.run(
         [sys.executable, "-c", "import fedpecd; print(fedpecd.__file__)"],
@@ -57,18 +68,18 @@ def run_tier1(src: Path) -> tuple[str, float]:
     ).stdout.strip()
     if not Path(resolved).is_relative_to(src):
         raise SystemExit(f"fedpecd resolved to {resolved}, not the copy under {src}")
-    tests = sorted((ROOT / "tests").glob("test_*.py"), key=lambda p: (p.name == LAST, p.name))
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *map(str, tests)],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return "killed", time.perf_counter() - start
     seconds = time.perf_counter() - start
     # pytest exits 1 when a test failed and 0 when all passed; any other
-    # code (a collection or usage error) says the mutant is not a clean one.
+    # code (a collection or usage error, or a named test that is not found)
+    # says the mutant or its entry is not a clean one.
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode)
     if outcome is None:
         tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
@@ -90,10 +101,18 @@ def main() -> int:
             path = src.parent / m["file"]
             path.write_text(path.read_text(encoding="utf-8").replace(m["old"], m["new"]),
                             encoding="utf-8")
-            outcome, seconds = run_tier1(src)
+            named = m.get("killed_by")
+            outcome, seconds = run_tests(src, [named]) if named else ("survived", 0.0)
+            by = named
+            if outcome == "survived":
+                outcome, more = run_tests(src, TIER1)
+                seconds += more
+                by = "tier-1" + (f", not by {named}, which needs retargeting" if named else "")
         expected = "survived" if "equivalent" in m else "killed"
         ok = outcome == expected
         failed += not ok
+        if outcome == "killed":
+            outcome = f"killed by {by}"
         note = f" (equivalent: {m['equivalent']})" if "equivalent" in m else ""
         print(f"{'ok  ' if ok else 'FAIL'} {m['id']}: {outcome} in {seconds:.1f} s{note}")
         if not ok:
