@@ -41,7 +41,7 @@ class Bounds:
             raise ValidationError(
                 f"need 0 < ell <= L <= 1, got ell={self.ell}, L={self.big_l}"
             )
-        if self.s < 0.0:
+        if not self.s >= 0.0:  # negated, so a NaN fails it
             raise ValidationError(f"need s >= 0, got s={self.s}")
 
 
@@ -140,61 +140,36 @@ def _is_real(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
-def _number(value, what: str) -> float:
-    """A document's real number; a string such as "0.5", a bool or null is
-    not one."""
-    if not _is_real(type(value)):
-        raise ValidationError(f"{what} = {value!r} is not a number")
-    return float(value)
-
-
-def _first_non_number(values, at: tuple = ()):
-    """The index and value of the first leaf of nested lists that is not a
-    JSON number, or None."""
-    if isinstance(values, list):
-        for j, v in enumerate(values):
-            found = _first_non_number(v, at + (j,))
-            if found:
-                return found
-        return None
-    return None if _is_real(type(values)) else (at, values)
-
-
-def _flatten(values, depth: int):
-    """The leaves and shape of nested lists that are ``depth`` deep and
-    rectangular, or None."""
+def _leaves(values, what: str, depth: int = 0, integer: bool = False):
+    """A document's numbers nested ``depth`` lists deep as a float array, or
+    at depth 0 the number itself: a float, or with ``integer`` an int (not a
+    bool, nor a float such as 2.0).  A rectangular document's leaf types are
+    checked once; only one that fails is walked in index order to name its
+    first leaf that is not a number, a list ``depth`` lists deep included."""
+    is_number = (lambda t: t is int) if integer else _is_real
     leaves, shape = [values], []
-    for _ in range(depth):
-        try:
-            sizes = set(map(len, leaves))
-        except TypeError:  # a number stands where a list should
-            return None
-        if len(sizes) != 1:  # ragged, or empty
-            return None
-        shape.append(sizes.pop())
-        leaves = list(chain.from_iterable(leaves))
-    return leaves, shape
+    try:
+        for _ in range(depth):
+            (n,) = set(map(len, leaves))  # ragged or empty: ValueError
+            shape.append(n)
+            leaves = list(chain.from_iterable(leaves))
+        rectangular = all(map(is_number, set(map(type, leaves))))
+    except (TypeError, ValueError):  # TypeError: a number stands where a list should
+        rectangular = False
+    if rectangular and depth:
+        return np.array(leaves, dtype=float).reshape(shape)
+    if rectangular:
+        return values if integer else float(values)
 
-
-def _reals(values, what: str, depth: int) -> np.ndarray:
-    """A document's numbers, nested ``depth`` lists deep, as a float array.
-    The flattened leaves' types are checked in one pass; only a document
-    that fails it is walked, to name the first leaf that is not a number."""
-    flat = _flatten(values, depth)
-    if flat and all(map(_is_real, set(map(type, flat[0])))):
-        return np.array(flat[0], dtype=float).reshape(flat[1])
-    found = _first_non_number(values)
-    if found:
-        at, value = found
-        raise ValidationError(f"{what}{list(at) if at else ''} = {value!r} is not a number")
+    todo = [((), values)]
+    while todo:
+        at, v = todo.pop()
+        if len(at) < depth and isinstance(v, list):
+            todo += [((*at, j), w) for j, w in enumerate(v)][::-1]  # popped in index order
+        elif not is_number(type(v)):
+            raise ValidationError(f"{what}{list(at) if at else ''} = {v!r} is not "
+                                  + ("an integer" if integer else "a number"))
     return np.array(values, dtype=float)  # not rectangular: numpy names the defect
-
-
-def _integer(value, what: str) -> int:
-    """A document's integer; a bool, or a float such as 2.0, is not one."""
-    if type(value) is not int:
-        raise ValidationError(f"{what} = {value!r} is not an integer")
-    return value
 
 
 def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
@@ -212,12 +187,11 @@ def _dense_mu(agents: list, n_ctx: int) -> np.ndarray:
     j = next((j for j, c in enumerate(ids) if type(c) is not int or not 0 <= c < n_ctx), None)
     if j is not None:
         where = f"agent {owner[j]}: context id"
-        _integer(ids[j], where)  # names a non-integer id as such
+        _leaves(ids[j], where, integer=True)  # names a non-integer id as such
         raise ValidationError(f"{where} {ids[j]} outside 0..{n_ctx - 1}")
     j = next((j for j, p in enumerate(probs) if not _is_real(type(p))), None)
-    if j is not None:
-        raise ValidationError(
-            f"agent {owner[j]}: probability of context {ids[j]} = {probs[j]!r} is not a number")
+    if j is not None:  # names the first probability that is not a number
+        _leaves(probs[j], f"agent {owner[j]}: probability of context {ids[j]}")
     mu = np.zeros((sizes.size, n_ctx))
     mu[owner, ids] = 1.0
     twice = np.flatnonzero(np.count_nonzero(mu, axis=1) != sizes)
@@ -323,14 +297,14 @@ class Scenario:
     def from_json_dict(cls, data: dict) -> "Scenario":
         try:
             bounds = Bounds(
-                ell=_number(data["bounds"]["ell"], "bounds.ell"),
-                big_l=_number(data["bounds"]["L"], "bounds.L"),
-                s=_number(data["bounds"]["s"], "bounds.s"),
+                ell=_leaves(data["bounds"]["ell"], "bounds.ell"),
+                big_l=_leaves(data["bounds"]["L"], "bounds.L"),
+                s=_leaves(data["bounds"]["s"], "bounds.s"),
             )
-            sigma = _number(data.get("sigma", 0.0), "sigma")
-            declared = {key: _integer(data[key], key) for key in ("d", "K", "M")}
-            features = _reals(_dense_table(data["features"], declared["K"]), "features", 3)
-            rewards = _reals(data["thetas"], "thetas", 2)
+            sigma = _leaves(data.get("sigma", 0.0), "sigma")
+            declared = {key: _leaves(data[key], key, integer=True) for key in ("d", "K", "M")}
+            features = _leaves(_dense_table(data["features"], declared["K"]), "features", 3)
+            rewards = _leaves(data["thetas"], "thetas", 2)
             mu = _dense_mu(data["agents"], features.shape[1] if features.ndim == 3 else 0)
         except ValidationError:
             raise

@@ -191,6 +191,18 @@ def test_non_number_or_repeated_id_exit_code(tmp_path, capsys, edit, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_nan_norm_bound_exit_code(tmp_path, capsys):
+    """A NaN s is refused by name, not only once a theta's norm falls
+    outside [0, nan]."""
+    path = tmp_path / "scenario.json"
+    assert main(["generate", "--preset", "desk", "--agents", "3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["bounds"]["s"] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: need s >= 0, got s=nan\n"
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc.update(features=[]),
      "features is not an object {arm: {context: phi}}"),

@@ -64,6 +64,7 @@ class TestBounds:
         (0.8, 0.5, 1.0),     # ell <= L
         (0.5, 1.5, 1.0),     # L <= 1
         (0.5, 1.0, -1.0),    # s >= 0
+        (0.5, 1.0, np.nan),  # s >= 0 fails for a NaN
     ])
     def test_invalid(self, ell, big_l, s):
         with pytest.raises(ValidationError):
@@ -428,6 +429,11 @@ class TestScenarioSerialization:
         doc = document(3, [[[0, 1.0]], [[2, 1.0]]])
         edit(doc)
         with pytest.raises(ValidationError, match="malformed scenario document"):
+            Scenario.from_json_dict(doc)
+
+    def test_first_non_number_in_index_order_is_named(self):
+        doc = document(3, [[[0, 1.0]], [[2, 1.0]]], thetas=[[0.6, None], ["x", 0.6]])
+        with pytest.raises(ValidationError, match=r"thetas\[0, 1\] = None is not a number"):
             Scenario.from_json_dict(doc)
 
     def test_integer_numbers_accepted(self):
