@@ -123,7 +123,6 @@ def cmd_sweep(args) -> int:
     horizon = args.horizon if args.horizon is not None else scale["horizon"]
     trials = args.trials if args.trials is not None else scale["trials"]
     agents = args.agents or scale["agents"]
-    variants = tuple(args.variants.split(","))
     _check_writable(args.out_csv, args.out_json)
     if args.scenario:
         source = load_features(args.scenario)
@@ -131,7 +130,7 @@ def cmd_sweep(args) -> int:
         source = PRESETS[args.preset](max(agents))
     result = run_sweep(
         source,
-        variants=variants,
+        variants=args.variants.split(","),
         agent_counts=agents,
         trials=trials,
         horizon=horizon,

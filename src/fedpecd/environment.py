@@ -116,8 +116,8 @@ class Environment:
         if type(arm) is not int or not 0 <= arm < self._k:
             arm = _checked_id("arm", arm, self._k)
         if type(count) is not int:
-            try:
-                count = operator.index(count)
+            try:  # a bool is no count: True is not one pull
+                count = operator.index(None if isinstance(count, bool) else count)
             except TypeError:
                 raise ValueError(f"count must be an integer, got {count!r}") from None
         if count <= 0:

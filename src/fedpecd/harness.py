@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
 from .model import Bounds, Scenario
-from .protocol import VARIANTS, build_schedule, checked_count, checkpoint_rounds, run_protocol
+from .protocol import build_schedule, checked_count, checked_variant, checkpoint_rounds, run_protocol
 
 MAX_REJECTIONS = 10**5
 
@@ -214,8 +214,7 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
     variant="hidden" gives each agent a mixture over its true context and
     `spec.copies` perturbed copies; variant="exact" gives point masses.
     """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    checked_variant(variant)
     root = np.random.SeedSequence(seed)
     theta_stream, agent_root = root.spawn(2)
     theta_rng = np.random.Generator(np.random.PCG64(theta_stream))
@@ -313,6 +312,8 @@ def load_features(path) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path}: nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except OSError as exc:
@@ -385,13 +386,13 @@ def run_sweep(
     """
     trials = checked_count("trials", trials)
     workers = checked_count("workers", workers)
-    variants = tuple(variants)
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigurationError(f"variant must be one of {VARIANTS}, got {v!r}")
+    variants = tuple(map(checked_variant, variants))
     agent_counts = tuple(checked_count("agent count M", m) for m in agent_counts)
     if not agent_counts:
         raise ConfigurationError("agent_counts names no agent count M")
+    for what, values in (("variant", variants), ("agent count M", agent_counts)):
+        if len(set(values)) < len(values):
+            raise ConfigurationError(f"{what} {max(values, key=values.count)!r} is repeated")
     extras = tuple(extra_checkpoints)
     schedule = build_schedule(c, n, source.K, horizon)
     rounds = checkpoint_rounds(schedule, extras)

@@ -92,47 +92,40 @@ def _check_norms(vecs: np.ndarray, name: str, lo: float, hi: float):
         )
 
 
+def _table_id(key: str, what: str) -> int:
+    """A feature-table key as its id: ASCII digits, no sign, space, underscore or leading zero."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ValidationError(f'{what} key {key!r} is not written as an id ("0", "1", "2", ...)')
+    return int(key)
+
+
 def _dense_table(table: dict, k: int) -> list:
     """A schema-v1 feature table {arm: {context: phi}} as nested ``(K, C, d)``
-    lists; every arm 0..K-1 must hold exactly the context ids 0..C-1, each
-    named by one key (``"0"`` and ``"00"`` name one id)."""
+    lists, read by key lookup: every arm ``"0"``..``"K-1"`` must hold contexts
+    ``"0"``..``"C-1"``, so no id has two keys.  Only a table that fails is walked."""
     if not isinstance(table, dict):
         raise ValidationError("features is not an object {arm: {context: phi}}")
-    rows: dict[int, dict] = {}
-    for a_key, per_ctx in table.items():
-        a = int(a_key)
-        if a in rows:
-            raise ValidationError(f"arm {a}: named twice in features, the second time as {a_key!r}")
-        if not isinstance(per_ctx, dict):
+    # The count first, so a huge declared K is not looked up.
+    if len(table) == k and all(isinstance(table.get(str(a)), dict) for a in range(k)):
+        rows = [table[str(a)] for a in range(k)]
+        keys = [str(c) for c in range(max(map(len, rows), default=0))]
+        if all(c in row for row in rows for c in keys):
+            return [[row[c] for c in keys] for row in rows]
+    ids = {}
+    for a_key, row in table.items():
+        a = _table_id(a_key, "arm")
+        if not isinstance(row, dict):
             raise ValidationError(f"arm {a}: features are not an object {{context: phi}}")
-        row = rows[a] = {}
-        for c_key, v in per_ctx.items():
-            c = int(c_key)
-            if c in row:
-                raise ValidationError(
-                    f"arm {a}: context {c} named twice in features, the second time as {c_key!r}")
-            row[c] = v
-    # The count first, so a huge declared K builds no list.
-    if len(rows) != k or sorted(rows) != list(range(k)):
-        raise ValidationError(f"features cover arms {sorted(rows)}, expected 0..{k - 1}")
-    # No arm can hold an id at or above the most contexts any arm names; it
-    # is refused before anything is sized by it.
-    most = max(map(len, rows.values()), default=0)
+        ids[a] = {_table_id(c_key, f"arm {a}: context") for c_key in row}
+    if len(ids) != k or sorted(ids) != list(range(k)):
+        raise ValidationError(f"features cover arms {sorted(ids)}, expected 0..{k - 1}")
+    most = max(map(len, ids.values()))  # no arm can hold an id at or above it
     for a in range(k):
-        c = max(rows[a], default=-1)
-        if c >= most:
-            raise ValidationError(
-                f"arm {a}: context id {c} outside 0..{most - 1}, as no arm names more "
-                f"than {most} contexts")
-    n_ctx = 1 + max((c for row in rows.values() for c in row), default=-1)
-    for a in range(k):
-        odd = set(range(n_ctx)) ^ set(rows[a])
-        if odd:
-            c = min(odd)  # an id outside 0..C-1 can only be negative
-            raise ValidationError(f"arm {a}: " + (
-                f"context id {c} outside 0..{n_ctx - 1}" if c < 0
-                else f"no feature for context {c}"))
-    return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
+        if max(ids[a], default=-1) >= most:
+            raise ValidationError(f"arm {a}: context id {max(ids[a])} outside 0..{most - 1}, "
+                                  f"as no arm names more than {most} contexts")
+    a = next(a for a in range(k) if len(ids[a]) < most)
+    raise ValidationError(f"arm {a}: no feature for context {min(set(range(most)) - ids[a])}")
 
 
 def _is_real(t: type) -> bool:

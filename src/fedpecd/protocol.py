@@ -75,6 +75,13 @@ def checked_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def checked_variant(variant) -> str:
+    """``variant`` if it is one of ``VARIANTS``; anything else is refused by name."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant
+
+
 def build_schedule(c: int, n: int, K: int, T: int) -> PhaseSchedule:
     """Smallest H such that sum_{p<=H} (c n^p + K) covers the horizon T."""
     c, n, K = checked_count("c", c), checked_count("n", n, 2), checked_count("K", K)
@@ -337,8 +344,7 @@ def run_protocol(
     """Execute initialization plus all scheduled phases and trace the run: one
     ``PhaseTrace`` of what each phase produced, then the regret at every
     checkpoint round, derived once from those records."""
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    checked_variant(variant)
     if schedule.K != scenario.K:
         raise ConfigurationError(
             f"schedule built for K={schedule.K} but scenario has K={scenario.K}"

@@ -111,6 +111,19 @@ def test_bad_worker_count_exit_code(capsys, monkeypatch, workers):
     assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers}\n"
 
 
+def test_repeated_agent_count_exit_code(capsys, monkeypatch):
+    """A repeated agent count would run its cell twice; it is refused in one
+    line before any scenario is generated."""
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario was generated")
+
+    monkeypatch.setattr(harness, "generate_synthetic", never)
+    sweep = ["sweep", "--variants", "hidden", "--agents", "10,10", "--trials", "1",
+             "--horizon", "64"]
+    assert main(sweep) == 2
+    assert capsys.readouterr().err == "error: agent count M 10 is repeated\n"
+
+
 def test_fractional_worker_count_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--workers", "2.5"])
@@ -122,6 +135,17 @@ def test_validation_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["validate", "--scenario", str(bad)]) == 2
+
+
+def test_deeply_nested_scenario_file_exit_code(tmp_path, capsys):
+    """json.load recurses once per nesting level; past the interpreter's
+    limit the file is refused like any invalid one, not with a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--scenario", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {deep}: nested too deeply to parse\n"
 
 
 def test_missing_scenario_file_exit_code(tmp_path, capsys):
@@ -179,7 +203,7 @@ def test_non_integer_id_or_size_exit_code(tmp_path, capsys, edit, message):
      "agent 1: probability of context 0 = '1.0' is not a number"),
     (lambda doc: doc.update(sigma=True), "sigma = True is not a number"),
     (lambda doc: doc["features"]["0"].update({"00": doc["features"]["0"]["0"]}),
-     "arm 0: context 0 named twice in features, the second time as '00'"),
+     "arm 0: context key '00' is not written as an id (\"0\", \"1\", \"2\", ...)"),
 ])
 def test_non_number_or_repeated_id_exit_code(tmp_path, capsys, edit, message):
     path = tmp_path / "scenario.json"

@@ -61,10 +61,12 @@ class TestPull:
         with pytest.raises(IndexError, match="arm 2 out of range"):
             env.pull(np.int64(0), np.int64(2))
 
-    def test_fractional_count_rejected(self):
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_fractional_count_rejected(self, count):
+        """Neither 2.5 nor True is a pull count (True read as one pull)."""
         env, fresh = (Environment(one_agent_scenario(sigma=0.3), master_seed=0) for _ in "ab")
-        with pytest.raises(ValueError, match="integer"):
-            env.pull_many(0, 1, 2.5)
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+            env.pull_many(0, 1, count)
         assert env.pull_many(0, 1, 3) == fresh.pull_many(0, 1, 3)
 
     def test_numpy_integer_count_accepted(self):

@@ -220,6 +220,24 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
             tiny_sweep(**overrides)
 
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(variants=("hidden", "hidden")), "variant 'hidden' is repeated"),
+        (dict(variants=("exact", "hidden", "exact")), "variant 'exact' is repeated"),
+        (dict(agent_counts=(2, 2)), "agent count M 2 is repeated"),
+        (dict(agent_counts=(2, 4, np.int64(4))), "agent count M 4 is repeated"),
+        (dict(variants=("hidden", "hidden"), agent_counts=(2, 2)), "variant 'hidden' is repeated"),
+    ])
+    def test_repeated_cell_rejected_before_any_work(self, monkeypatch, overrides, named):
+        """A repeated variant or agent count names one cell twice, which ran
+        every trial of it again into the same result key."""
+        def no_work(*args, **kwargs):
+            pytest.fail("the sweep started work")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_work)
+        monkeypatch.setattr(harness, "run_protocol", no_work)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+            tiny_sweep(**overrides)
+
     def test_numpy_integer_sizes_accepted(self):
         sizes = dict(trials=np.int64(1), agent_counts=(np.int64(2),), horizon=np.int64(2**8))
         result = tiny_sweep(**sizes)

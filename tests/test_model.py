@@ -320,7 +320,8 @@ class TestScenarioSerialization:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda f: f["1"].pop("2"), "arm 1: no feature for context 2"),
-        (lambda f: f["0"].update({"-1": [0.9, 0.0]}), "arm 0: context id -1 outside 0..2"),
+        (lambda f: f["0"].update({"-1": [0.9, 0.0]}),
+         "arm 0: context key '-1' is not written as an id"),
         (lambda f: f.pop("2"), r"features cover arms \[0, 1\], expected 0..2"),
     ])
     def test_document_context_ids_must_be_dense(self, edit, message):
@@ -383,18 +384,58 @@ class TestScenarioSerialization:
         assert peak < 2**20
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda f: f.update({"00": f["0"]}), "arm 0: named twice in features, the second time as '00'"),
+        (lambda f: f.update({"00": f["0"]}), "arm key '00' is not written as an id"),
         (lambda f: f["1"].update({"00": [0.9, 0.0]}),
-         "arm 1: context 0 named twice in features, the second time as '00'"),
+         "arm 1: context key '00' is not written as an id"),
         (lambda f: f["2"].update({" 1": [0.9, 0.0]}),
-         "arm 2: context 1 named twice in features, the second time as ' 1'"),
+         "arm 2: context key ' 1' is not written as an id"),
     ])
     def test_document_ids_named_twice_rejected(self, edit, message):
-        """Keys are read with int(), so two spellings of one id would let the
-        later feature silently replace the earlier one."""
+        """Keys are looked up as ``save`` writes ids, so a second spelling of
+        an id is refused by name and cannot replace the feature it shadows."""
         doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
         edit(doc["features"])
         with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    @pytest.mark.parametrize("canonical,key", [
+        ("4", "+4"), ("10", "1_0"), ("0", "\u0660"), ("2", "\u00b2"), ("0", "-1"), ("3", 3),
+    ], ids=["plus", "underscore", "arabic-indic-zero", "superscript-two", "minus-one", "int"])
+    def test_keys_not_written_as_ids_rejected(self, canonical, key):
+        """int() reads "+4" as 4, "1_0" as 10 and an Arabic-Indic zero as 0;
+        the table takes only the ids as ``save`` writes them, and names a key
+        written any other way (an int key of an in-memory dict included), at
+        the arm level and at the context level."""
+        def respelled(table):
+            return {key if k == canonical else k: v for k, v in table.items()}
+
+        doc = make_scenario(np.full((11, 11, 2), 0.6)).to_json_dict()
+        table = doc["features"]
+        arm_level = dict(doc, features=respelled(table))
+        context_level = dict(doc, features={**table, "1": respelled(table["1"])})
+        for edited, where in ((arm_level, "arm"), (context_level, "arm 1: context")):
+            with pytest.raises(ValidationError) as got:
+                Scenario.from_json_dict(edited)
+            assert str(got.value) == (
+                f'{where} key {key!r} is not written as an id ("0", "1", "2", ...)')
+
+    def test_declared_k_below_the_table_rejected(self):
+        """The table holds exactly the declared K arms: K = 2 does not read
+        the first two of three."""
+        doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
+        doc["K"] = 2
+        message = r"^features cover arms \[0, 1, 2\], expected 0..1$"
+        with pytest.raises(ValidationError, match=message):
+            Scenario.from_json_dict(doc)
+
+    def test_id_out_of_range_named_before_a_gap(self):
+        """Every arm is checked for an id at or above C before any arm for a
+        missing context, so the id that sets no size is named first."""
+        doc = make_scenario(np.full((3, 3, 2), 0.6)).to_json_dict()
+        doc["features"]["0"].pop("2")
+        doc["features"]["2"]["5"] = doc["features"]["2"].pop("1")
+        message = "arm 2: context id 5 outside 0..2, as no arm names more than 3 contexts"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             Scenario.from_json_dict(doc)
 
     @pytest.mark.parametrize("edit,message", [

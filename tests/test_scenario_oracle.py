@@ -10,15 +10,26 @@ must exit 0, or exit 2 with exactly one ``error:`` line.
 
 ``oracle_from_json_dict`` is ``Scenario.from_json_dict`` as it was with one
 type-check helper per kind of field (``_number``, ``_integer``, ``_reals``
-over ``_flatten`` and ``_first_non_number``), building through the live
-``Bounds`` and ``Scenario``.  On every edited document the loader must
-accept as the oracle does, with the same array bits, sigma and bounds, or
-raise the same message, with one difference: where a list stands in an
-array at the depth of a number, the loader names it (``thetas[2, 1] = [] is
-not a number``), while the oracle descended into it and refused the array
-some other way.
+over ``_flatten`` and ``_first_non_number``) and a feature-table reader that
+parsed every key with ``int()``, building through the live ``Bounds`` and
+``Scenario``.  On every edited document the loader must accept as the oracle
+does, with the same array bits, sigma and bounds, or raise the same message,
+with two differences:
+
+- where a list stands in an array at the depth of a number, the loader
+  names it (``thetas[2, 1] = [] is not a number``), while the oracle
+  descended into it and refused the array some other way;
+- where a feature-table key is not an id written as ``save`` writes it, the
+  loader names the key, while the oracle read it with ``int()``: it
+  accepted the key, called its id named twice, or could not parse it.
+
+A second strategy respells one arm or context key so that ``int()`` still
+reads it (a leading ``0``, ``+`` or space, an underscore, Arabic-Indic
+digits) or as ``-1``; the loader must name that key, and ``fedpecd
+validate`` must exit 2 with it in one ``error:`` line.
 """
 
+import ast
 import contextlib
 import functools
 import io
@@ -35,7 +46,7 @@ from hypothesis import strategies as st
 from fedpecd.cli import main
 from fedpecd.errors import ValidationError
 from fedpecd.harness import desk_spec, generate_synthetic
-from fedpecd.model import Bounds, Scenario, _dense_table
+from fedpecd.model import Bounds, Scenario
 
 # Derandomized so tier-1 runs the same examples every time; no database.
 PROFILE = settings(derandomize=True, deadline=None, database=None)
@@ -84,8 +95,42 @@ def edited(draw, name):
     return edit(document(name))
 
 
-# The loader as it was: one helper per kind of field, and _dense_mu as it
-# called them.  _dense_table did not change, so both sides share it.
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Each spelling but the last is one that int() reads as the same id.
+RESPELLINGS = {
+    "leading-zero": lambda key: "0" + key,
+    "plus": lambda key: "+" + key,
+    "space": lambda key: " " + key,
+    "underscore": lambda key: "_".join(key) if len(key) > 1 else "0_" + key,
+    "arabic-indic": lambda key: key.translate(ARABIC_INDIC),
+    "minus-one": lambda key: "-1",
+}
+
+
+@st.composite
+def respelled(draw, name):
+    """Document ``name`` with one arm key, or one context key of one arm,
+    respelled in place, the refusal that names it, and whether int() reads
+    the new key as the old id."""
+    doc = document(name)
+    table = doc["features"]
+    arm = draw(st.sampled_from(list(table)))
+    how = draw(st.sampled_from(list(RESPELLINGS)))
+    level = draw(st.sampled_from(["arm", "context"]))
+    old = arm if level == "arm" else draw(st.sampled_from(list(table[arm])))
+    new = RESPELLINGS[how](old)
+
+    def rename(keys):
+        return {new if k == old else k: v for k, v in keys.items()}
+
+    features = rename(table) if level == "arm" else {**table, arm: rename(table[arm])}
+    where = "arm" if level == "arm" else f"arm {arm}: context"
+    message = f'{where} key {new!r} is not written as an id ("0", "1", "2", ...)'
+    return dict(doc, features=features), message, how != "minus-one"
+
+
+# The loader as it was: one helper per kind of field, _dense_table reading
+# keys with int(), and _dense_mu as it called them.
 
 def _is_real(t):
     return issubclass(t, (int, float)) and not issubclass(t, bool)
@@ -136,6 +181,49 @@ def _integer(value, what):
     if type(value) is not int:
         raise ValidationError(f"{what} = {value!r} is not an integer")
     return value
+
+
+def _dense_table(table: dict, k: int) -> list:
+    """A schema-v1 feature table {arm: {context: phi}} as nested ``(K, C, d)``
+    lists; every arm 0..K-1 must hold exactly the context ids 0..C-1, each
+    named by one key (``"0"`` and ``"00"`` name one id)."""
+    if not isinstance(table, dict):
+        raise ValidationError("features is not an object {arm: {context: phi}}")
+    rows: dict[int, dict] = {}
+    for a_key, per_ctx in table.items():
+        a = int(a_key)
+        if a in rows:
+            raise ValidationError(f"arm {a}: named twice in features, the second time as {a_key!r}")
+        if not isinstance(per_ctx, dict):
+            raise ValidationError(f"arm {a}: features are not an object {{context: phi}}")
+        row = rows[a] = {}
+        for c_key, v in per_ctx.items():
+            c = int(c_key)
+            if c in row:
+                raise ValidationError(
+                    f"arm {a}: context {c} named twice in features, the second time as {c_key!r}")
+            row[c] = v
+    # The count first, so a huge declared K builds no list.
+    if len(rows) != k or sorted(rows) != list(range(k)):
+        raise ValidationError(f"features cover arms {sorted(rows)}, expected 0..{k - 1}")
+    # No arm can hold an id at or above the most contexts any arm names; it
+    # is refused before anything is sized by it.
+    most = max(map(len, rows.values()), default=0)
+    for a in range(k):
+        c = max(rows[a], default=-1)
+        if c >= most:
+            raise ValidationError(
+                f"arm {a}: context id {c} outside 0..{most - 1}, as no arm names more "
+                f"than {most} contexts")
+    n_ctx = 1 + max((c for row in rows.values() for c in row), default=-1)
+    for a in range(k):
+        odd = set(range(n_ctx)) ^ set(rows[a])
+        if odd:
+            c = min(odd)  # an id outside 0..C-1 can only be negative
+            raise ValidationError(f"arm {a}: " + (
+                f"context id {c} outside 0..{n_ctx - 1}" if c < 0
+                else f"no feature for context {c}"))
+    return [[rows[a][c] for c in range(n_ctx)] for a in range(k)]
 
 
 def _dense_mu(agents, n_ctx):
@@ -220,22 +308,45 @@ def is_named_list(got, want):
         f"{field} have shape"))
 
 
+# A refusal that names a feature-table key, of an arm or of arm A's contexts.
+RESPELLED = re.compile(r'(arm|arm (\d+): context) key (.*) is not written as an id '
+                       r'\("0", "1", "2", \.\.\.\)')
+
+
+def is_respelled_key(got, want, doc):
+    """Whether ``got`` names a key of ``doc``'s feature table that is not an
+    id written as ``save`` writes it, where ``want``, the oracle's outcome,
+    read that key with int(): it accepted it, called its id named twice, or
+    could not parse it."""
+    named = RESPELLED.fullmatch(str(got))
+    if not named:
+        return False
+    key, table = ast.literal_eval(named[3]), doc["features"]
+    keys = table if named[2] is None else table[named[2]]
+    if key not in keys or (key.isascii() and key.isdigit() and str(int(key)) == key):
+        return False
+    return isinstance(want, Scenario) or "named twice in features" in str(want) or str(
+        want).startswith("malformed scenario document: invalid literal for int() with base 10:")
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_loader_matches_the_oracle(name):
     """Both accept with the same bits, or both refuse with the same message,
-    but for a list where a number belongs, which only the loader names."""
+    but for a list where a number belongs and a key not written as an id,
+    which only the loader names."""
 
     @settings(PROFILE, max_examples=200)
     @given(edited(name))
     def check(doc):
         got, want = outcome(Scenario.from_json_dict, doc), outcome(oracle_from_json_dict, doc)
-        assert type(got) is type(want), (got, want)
-        if isinstance(want, Scenario):
+        if isinstance(got, Scenario):
+            assert isinstance(want, Scenario), want
             for field in ("features", "rewards", "mu"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert (got.sigma, got.bounds, got.name) == (want.sigma, want.bounds, want.name)
-        elif str(got) != str(want):
-            assert is_named_list(got, want), (str(got), str(want))
+        elif isinstance(want, Scenario) or str(got) != str(want):
+            assert is_named_list(got, want) or is_respelled_key(got, want, doc), (
+                str(got), str(want))
 
     check()
 
@@ -274,5 +385,43 @@ def test_validate_exits_0_or_2_with_one_error_line(name, tmp_path_factory):
             assert rc == 2 and not out.getvalue()
             assert err.getvalue().startswith(f"error: {path}: ")
             assert len(err.getvalue().splitlines()) == 1
+
+    check()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_respelled_key_is_named(name):
+    """The loader names the respelled key; the oracle read every spelling
+    but -1 as the id it respells, so it loaded the unedited bits."""
+    plain = Scenario.from_json_dict(document(name))
+
+    @settings(PROFILE, max_examples=40)
+    @given(respelled(name))
+    def check(case):
+        doc, message, same_id = case
+        with pytest.raises(ValidationError) as got:
+            Scenario.from_json_dict(doc)
+        assert str(got.value) == message
+        if same_id:
+            want = oracle_from_json_dict(doc)
+            for field in ("features", "rewards", "mu"):
+                assert getattr(want, field).tobytes() == getattr(plain, field).tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_validate_names_a_respelled_key_in_one_error_line(name, tmp_path_factory):
+    path = tmp_path_factory.mktemp(name) / "scenario.json"
+
+    @settings(PROFILE, max_examples=20)
+    @given(respelled(name))
+    def check(case):
+        doc, message, _ = case
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["validate", "--scenario", str(path)])
+        assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {path}: {message}\n")
 
     check()
