@@ -9,6 +9,7 @@ down -> exploration -> estimates up -> aggregation -> broadcast.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -202,6 +203,19 @@ class PhaseTrace:
     regret: np.ndarray | None = None  # (M,) per-agent regret at the phase end, set as the run ends
 
 
+class _ActiveRow:
+    """One active-set row as the trace writes it, rendered once per ``lines()``
+    call: its list text, a stats template with an r_hat and a u ``%r`` per
+    arm, and an allocation template with a count ``%d`` per arm."""
+
+    __slots__ = ("text", "stats", "alloc")
+
+    def __init__(self, arms: list[int]):
+        self.text = repr(arms)
+        self.stats = ", ".join([f'{{"arm": {a}, "r_hat": %r, "u": %r}}' for a in arms])
+        self.alloc = "[" + ", ".join([f"[{a}, %d]" for a in arms]) + "]"
+
+
 @dataclass
 class RunTrace:
     """Everything a run produced, sufficient for replay-style assertions."""
@@ -250,13 +264,20 @@ class RunTrace:
         as ``json.dumps(record, sort_keys=True)`` writes it.
 
         The run header, the H server records and the summary are few and go
-        through ``json``.  Each agent record is rendered from the phase arrays
-        by one f-string with its keys in sorted order: list repr writes ints
-        and ``[[a, n], ...]`` as ``json`` does with its default separators,
-        and ``repr`` of a finite float is what ``json`` writes for it.  A
-        phase whose scores or regret are not all finite is refused, since
-        ``repr`` would write ``nan``, which is not JSON.
+        through ``json``.  Each distinct active row is rendered once per call
+        as an ``_ActiveRow``.  Each agent record is one f-string with its keys
+        in sorted order, holding the stats template of the row it scored and
+        the allocation template of the row it kept, both filled for the whole
+        phase at once.  List repr writes ints as ``json`` does with its
+        default separators, and ``%r`` of a Python float and ``%d`` of a
+        Python int are the ``repr`` that ``json`` writes for them, so values
+        come from ``tolist()``: ``%r`` of a numpy float is not.  A phase whose
+        scores or regret are not all finite is refused before the first
+        record, since ``repr`` would write ``nan``, which is not JSON.
         """
+        for rec in self.phases:
+            if not (np.isfinite(rec.scores).all() and np.isfinite(rec.regret).all()):
+                raise FedPecdError(f"phase {rec.phase}: a score or regret is not finite")
         yield json.dumps({
             "v": TRACE_VERSION,
             "type": "run",
@@ -274,18 +295,27 @@ class RunTrace:
             "H": self.schedule.H,
             "design_tol": DESIGN_TOL,
         }, sort_keys=True)
+        cache: dict[tuple[bool, ...], _ActiveRow] = {}
+
+        def rendered(row: list[bool]) -> _ActiveRow:
+            key = tuple(row)
+            if key not in cache:
+                cache[key] = _ActiveRow([a for a, on in enumerate(row) if on])
+            return cache[key]
+
         # Each phase scores the arms the previous one kept: all arms in phase 1.
-        after = [list(range(self.schedule.K))] * self.m
+        after = [rendered([True] * self.schedule.K)] * self.m
         for rec in self.phases:
-            if not (np.isfinite(rec.scores).all() and np.isfinite(rec.regret).all()):
-                raise FedPecdError(f"phase {rec.phase}: a score or regret is not finite")
-            # One tolist() per array: per-row numpy calls cost more here.
             before = after
-            after = [[a for a, on in enumerate(row) if on] for row in rec.active.tolist()]
-            issued, regret = rec.issued.tolist(), rec.regret.tolist()
-            # np.nonzero order: agent by agent, arms ascending, so each agent's
-            # zip below takes exactly its own rows.
-            rows = iter(rec.scores.tolist())
+            # One tolist() per array: per-row numpy calls cost more here.
+            after = [rendered(row) for row in rec.active.tolist()]
+            # One % per phase fills every agent's template, the templates
+            # joined by a newline, which neither they nor a repr contain.  The
+            # scores are in np.nonzero order with r_hat and u of a pair side by
+            # side, and boolean indexing takes the kept pairs' issued counts in
+            # the same order, agent by agent and arms ascending.
+            stats = "\n".join([row.stats for row in before]) % tuple(rec.scores.ravel().tolist())
+            alloc = "\n".join([row.alloc for row in after]) % tuple(rec.issued[rec.active].tolist())
             yield json.dumps({
                 "v": TRACE_VERSION,
                 "type": "server",
@@ -295,12 +325,11 @@ class RunTrace:
                 "round_end": self.schedule.phase_end(rec.phase),
                 "design": rec.design,
             }, sort_keys=True)
-            for i in range(self.m):
-                stats = ", ".join([f'{{"arm": {a}, "r_hat": {r!r}, "u": {u!r}}}'
-                                   for a, (r, u) in zip(before[i], rows)])
-                yield (f'{{"active_after": {after[i]}, "active_before": {before[i]}, '
-                       f'"agent": {i}, "allocation": {[[a, issued[i][a]] for a in after[i]]}, '
-                       f'"phase": {rec.phase}, "regret": {regret[i]!r}, "stats": [{stats}], '
+            rows = zip(before, after, stats.split("\n"), alloc.split("\n"), rec.regret.tolist())
+            for i, (scored, kept, scores, counts, regret) in enumerate(rows):
+                yield (f'{{"active_after": {kept.text}, "active_before": {scored.text}, '
+                       f'"agent": {i}, "allocation": {counts}, "phase": {rec.phase}, '
+                       f'"regret": {regret!r}, "stats": [{scores}], '
                        f'"type": "agent", "v": {TRACE_VERSION}}}')
         yield json.dumps({
             "v": TRACE_VERSION,
@@ -314,9 +343,13 @@ class RunTrace:
         }, sort_keys=True)
 
     def write_jsonl(self, path):
-        """Write ``lines()`` to ``path`` line by line, never the whole text at once."""
+        """Write ``lines()`` to ``path`` line by line, never the whole text at
+        once.  The first line is taken before the file is opened, so a trace
+        that ``lines()`` refuses leaves a file already at ``path`` untouched."""
+        lines = self.lines()
+        first = next(lines)
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines():
+            for line in itertools.chain([first], lines):
                 fh.write(line)
                 fh.write("\n")
 

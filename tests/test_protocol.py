@@ -622,6 +622,51 @@ def traced_run(case):
     return run_protocol(sc, build_schedule(1, 2, sc.K, 2**9), master_seed=9, variant=variant)
 
 
+# Values the trace writes by repr that json must agree on: signed zeros,
+# subnormals and magnitudes near the float range's ends.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300]
+
+
+@st.composite
+def mask_chains(draw):
+    """K arms, M agents and, per phase, the server's (M, K) active mask, a
+    subset of the phase before's, with scores for the pairs that mask's
+    predecessor scored, issued counts up to 2**40 and a regret per agent.
+    Rows repeat across agents and phases, since each phase keeps, per agent,
+    the intersection with one of a few masks."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 8))
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_FLOATS))
+    prev = np.ones((m, k), dtype=bool)
+    phases = []
+    for _ in range(h):
+        pool = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                             min_size=1, max_size=3))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+        active = prev & np.array(pool)[picks]
+        # An agent never drops its last arm: keep its row as it was.
+        emptied = ~active.any(axis=1)
+        active[emptied] = prev[emptied]
+        values = draw(st.lists(floats, min_size=1, max_size=24))
+        counts = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=12))
+        phases.append((active,
+                       np.resize(np.array(values), (int(prev.sum()), 2)),
+                       np.resize(np.array(counts, dtype=np.int64), (m, k)),
+                       np.resize(np.array(values[::-1]), m)))
+        prev = active
+    return k, m, phases
+
+
+def chain_trace(trace, k, m, phases):
+    """``trace`` with K arms, m agents and the first phases' masks, scores,
+    issued counts and regret replaced by ``phases``."""
+    edited = [replace(rec, active=active, scores=scores, issued=issued, regret=regret)
+              for rec, (active, scores, issued, regret) in zip(trace.phases, phases)]
+    return replace(trace, m=m, schedule=replace(trace.schedule, K=k), phases=edited)
+
+
 class TestRenderedTrace:
     """``RunTrace.lines`` renders the agent records itself; its text must be
     exactly what ``json.dumps(record, sort_keys=True)`` gives for the records
@@ -670,8 +715,31 @@ class TestRenderedTrace:
         phases[1] = replace(phases[1], **{field: edited})
         with pytest.raises(FedPecdError, match=r"^phase 2: a score or regret is not finite$"):
             list(replace(trace, phases=phases).lines())
+        # The refusal comes before the file is opened: an earlier file stays.
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"an": "earlier trace"}\n')
         with pytest.raises(FedPecdError, match=r"^phase 2: "):
-            replace(trace, phases=phases).write_jsonl(tmp_path / "trace.jsonl")
+            replace(trace, phases=phases).write_jsonl(path)
+        assert path.read_bytes() == b'{"an": "earlier trace"}\n'
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(mask_chains())
+    def test_any_nested_mask_chain_renders_as_json_does(self, chain):
+        """Each distinct row is rendered once per call: rows repeated across
+        agents and phases, or differing in one arm, must still each render
+        as ``json`` writes them."""
+        trace = chain_trace(traced_run("hidden"), *chain)
+        assert list(trace.lines()) == oracle_lines(trace)
+
+    def test_traces_with_different_k_share_no_row(self):
+        first, second = traced_run("hidden"), traced_run("eliminations")
+        assert first.schedule.K != second.schedule.K
+        assert list(first.lines()) == oracle_lines(first)
+        assert list(second.lines()) == oracle_lines(second)
+        # Two renderings in progress at once keep their rows apart too.
+        pairs = list(zip(first.lines(), second.lines()))
+        assert [a for a, _ in pairs] == oracle_lines(first)
+        assert [b for _, b in pairs] == oracle_lines(second)[:len(pairs)]
 
 
 def tiny_run_records(tmp_path):
