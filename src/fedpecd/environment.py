@@ -1,9 +1,12 @@
 """Ground-truth simulator: hidden contexts, noisy rewards, pseudo-regret.
 
 Each agent's realized context is drawn once at construction (it is the
-agent's fixed user profile for the whole run), as one ``choice`` over the
-context ids ``0..C-1`` weighted by the agent's row of the scenario's ``mu``;
-a zero-probability id is never drawn.  One master seed spawns
+agent's fixed user profile for the whole run), from the agent's row of the
+scenario's ``mu`` over the context ids ``0..C-1``; a zero-probability id is
+never drawn.  The draw is ``Generator.choice(C, p=row)``'s, in bulk: one
+uniform u per agent from its own stream, and the id is the number of
+entries of the row's normalized cumulative sum at or below u, which is
+``choice``'s right-sided search of that sorted row.  One master seed spawns
 independent per-agent streams, keyed by agent index, so results do not
 depend on scheduling order and a run over the first m agents of a scenario
 sees the same draws as a larger run would.
@@ -79,9 +82,10 @@ class Environment:
         agent_streams = agent_root.spawn(m)
         self._rngs = [np.random.Generator(np.random.PCG64(s)) for s in agent_streams]
 
-        n_ctx = scenario.mu.shape[1]
-        self.contexts = np.array([np.random.Generator(np.random.PCG64(s)).choice(n_ctx, p=row)
-                                  for row, s in zip(scenario.mu, ctx_streams)])
+        u = np.array([np.random.Generator(np.random.PCG64(s)).random() for s in ctx_streams])
+        cdf = np.cumsum(scenario.mu, axis=1)
+        cdf /= cdf[:, -1:]
+        self.contexts = np.count_nonzero(cdf <= u[:, None], axis=1)
 
         # True expected rewards and per-agent gaps, fixed for the run.  numpy
         # evaluates stacked (1, d) @ (d, 1) products as one dot per (agent,

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibleSpecError, ValidationError
+from .linalg import sq_norms
 from .model import Bounds, Scenario
 from .protocol import build_schedule, checked_count, checked_variant, checkpoint_rounds, run_protocol
 
@@ -64,10 +65,10 @@ class SyntheticSpec:
     name: str = "synthetic"
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ConfigurationError("synthetic generation needs d >= 2")
-        if self.K < 2 or self.M < 1:
-            raise ConfigurationError("need K >= 2 and M >= 1")
+        # Sizes that are not integers are refused by name, never truncated.
+        checked_count("d", self.d, 2)
+        checked_count("K", self.K, 2)
+        checked_count("M", self.M)
         for lo, hi in (self.gap_range, self.norm_range, self.best_reward_range):
             if not (0.0 < lo <= hi):
                 raise ConfigurationError(f"range [{lo}, {hi}] must satisfy 0 < lo <= hi")
@@ -75,8 +76,7 @@ class SyntheticSpec:
             raise ConfigurationError("feature norms cannot exceed 1")
         if self.theta_mode not in ("shared", "per_arm"):
             raise ConfigurationError(f"unknown theta_mode {self.theta_mode!r}")
-        if self.copies < 1:
-            raise ConfigurationError("need copies >= 1")
+        checked_count("copies", self.copies)
         lo, hi = self.norm_range
         # Negated so that a NaN perturbation fails too.
         p = self.perturbation
@@ -146,66 +146,184 @@ PRESETS = {
 }
 
 
-def _offset(rng, d: int, magnitude: float, orthogonal_to=None) -> np.ndarray:
-    """Random vector of the given magnitude, orthogonal to `orthogonal_to` if given."""
-    if magnitude == 0.0:
-        return np.zeros(d)
-    unit = None if orthogonal_to is None else orthogonal_to / np.linalg.norm(orthogonal_to)
-    for _ in range(MAX_REJECTIONS):
-        w = rng.normal(size=d)
-        if unit is not None:
-            w -= (w @ unit) * unit
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-9:
-            return (magnitude / nrm) * w
-    raise InfeasibleSpecError("could not sample a perturbation direction")
+@dataclass(frozen=True)
+class _Arms:
+    """Per-arm reward geometry, shared by every agent of a scenario."""
+
+    theta: np.ndarray  # (K, d) reward parameters
+    norm: np.ndarray  # (K,) ||theta_a||
+    sq: np.ndarray  # (K,) ||theta_a||**2
+    unit: np.ndarray  # (K, d) theta_a / ||theta_a||
+
+    @classmethod
+    def of(cls, theta: np.ndarray) -> _Arms:
+        norm = np.sqrt(sq_norms(theta))
+        # Python's ``**`` is libm's pow, which differs from ``x * x`` in the
+        # last bit for about 1 value in 1200; the squares keep its bits.
+        sq = np.array([t**2 for t in norm.tolist()])
+        return cls(theta, norm, sq, theta / norm[:, None])
 
 
-def _feature_for_reward(rng, theta: np.ndarray, reward: float,
-                        norm_lo: float, norm_hi: float,
-                        reach: float = 0.0) -> np.ndarray:
-    """Vector phi with theta' phi = reward and ||phi|| in [norm_lo, norm_hi].
+class _Redraw(Exception):
+    """The direction drawn for a slot was degenerate: replay the agent's
+    stream with one more draw there."""
 
-    `reach` raises the norm floor so the vector can later be retargeted to
-    a reward of that magnitude without changing its norm.
+    def __init__(self, slot: int):
+        super().__init__(slot)
+        self.slot = slot
+
+
+def _direction(rng, d: int, ws: list, redraws: dict[int, int]):
+    """Draw the next slot's direction into ``ws``, after the degenerate
+    draws an earlier replay found there."""
+    for _ in range(redraws.get(len(ws), 0)):
+        rng.normal(size=d)
+    ws.append(rng.normal(size=d))
+
+
+def _scaled(w: np.ndarray, magnitude: np.ndarray, first_slot: int,
+            unit=None, orth=None) -> np.ndarray:
+    """The rows of ``w`` scaled to ``magnitude``, each first made orthogonal
+    to its row of ``unit`` when that is given (only where ``orth`` is true,
+    when that is given).
+
+    Raises ``_Redraw`` for the first row, numbered from ``first_slot``, whose
+    norm after projection is at or below 1e-9.
     """
-    theta_norm = float(np.linalg.norm(theta))
-    base = (reward / theta_norm**2) * theta
-    base_norm = float(np.linalg.norm(base))
-    if max(base_norm, reach / theta_norm) > norm_hi + 1e-12:
-        raise InfeasibleSpecError(
-            f"reward {reward} (reach {reach}) unreachable within norm bound {norm_hi}"
-        )
-    lo = max(norm_lo, base_norm, reach / theta_norm)
-    target = float(rng.uniform(lo, norm_hi))
-    tail = math.sqrt(max(target**2 - base_norm**2, 0.0))
-    if tail == 0.0:
-        return base
-    return base + _offset(rng, len(theta), tail, theta)
+    proj = w
+    if unit is not None:
+        proj = w - (w[:, None, :] @ unit[:, :, None])[:, :, 0] * unit
+        if orth is not None:
+            proj = np.where(orth[:, None], proj, w)
+    nrm = np.sqrt(sq_norms(proj))
+    degenerate = ~(nrm > 1e-9)
+    if degenerate.any():
+        raise _Redraw(first_slot + int(np.argmax(degenerate)))
+    return (magnitude / nrm)[:, None] * proj
 
 
-def _retarget_reward(rng, theta: np.ndarray, feat: np.ndarray,
-                     new_reward: float) -> np.ndarray:
-    """Feature with the same norm and tail direction as `feat` but whose
-    expected reward under `theta` is `new_reward`.
+def _agent_contexts(spec: SyntheticSpec, hidden: bool, stream, arms: _Arms,
+                    redraws: dict[int, int]) -> np.ndarray:
+    """One agent's ``(contexts, K, d)`` features: its base context, then (if
+    ``hidden``) its ``spec.copies`` perturbed copies.
 
-    Keeping the tail direction aligned with the original keeps the angle
-    between old and new feature small, which protects the mixture psi's
-    norm floor.
+    The agent's draws come first, in stream order; the vector math on the
+    drawn values follows in bulk.  A slot is one drawn direction, numbered
+    in draw order; ``redraws[slot]`` degenerate draws there are drawn and
+    dropped before the kept one.
     """
-    theta_norm = float(np.linalg.norm(theta))
-    unit = theta / theta_norm
-    norm = float(np.linalg.norm(feat))
-    along = new_reward / theta_norm
-    if abs(along) > norm + 1e-12:
+    k, d = spec.K, spec.d
+    rng = np.random.Generator(np.random.PCG64(stream))
+    lo, hi = spec.norm_range
+    base_lo, base_hi = lo + spec.perturbation, hi - spec.perturbation
+
+    best = int(rng.integers(k))
+    r_best = float(rng.uniform(*spec.best_reward_range))
+    rewards = np.full(k, r_best)
+    rewards[np.arange(k) != best] -= rng.uniform(*spec.gap_range, size=k - 1)
+    # Contested agents: the perturbed copies prefer a rival arm the base
+    # context does not, so the mixture average ties the top two.
+    pair = []  # a contested agent's best and rival arms, in arm order
+    if spec.contested_frac > 0.0 and float(rng.random()) < spec.contested_frac:
+        rival = int(rng.integers(k - 1))
+        if rival >= best:
+            rival += 1
+        rewards[rival] = r_best - float(rng.uniform(*spec.contested_gap_range))
+        pair = sorted((best, rival))
+    # One unread draw per context keeps every later draw, so every scenario, fixed.
+    rng.normal(size=d)
+
+    # Base context: phi_a = r_a theta_a / ||theta_a||^2 plus a tail orthogonal
+    # to theta_a that brings ||phi_a|| to a target drawn above each arm's
+    # floor.  A contested pair's floor is its larger reward ("reach"), so
+    # either arm can later be retargeted to the other's reward at its norm.
+    base = (rewards / arms.sq)[:, None] * arms.theta
+    base_norm = np.sqrt(sq_norms(base))
+    reach = np.zeros(k)
+    if pair:
+        reach[pair] = max(abs(rewards[pair[0]]), abs(rewards[pair[1]]))
+    top = np.maximum(base_norm, reach / arms.norm)
+    unreachable = np.flatnonzero(top > base_hi + 1e-12)
+    n_arms = unreachable[0] if len(unreachable) else k
+    ws: list[np.ndarray] = []
+    tailed, tails = [], []
+    for a, floor, norm in zip(range(n_arms), np.maximum(top, base_lo).tolist(), base_norm.tolist()):
+        target = rng.uniform(floor, base_hi)
+        tail = math.sqrt(max(target**2 - norm**2, 0.0))
+        if tail != 0.0:
+            tailed.append(a)
+            tails.append(tail)
+            _direction(rng, d, ws, redraws)
+    feats = base
+    if tailed:
+        feats[tailed] += _scaled(np.array(ws), np.array(tails), 0, arms.unit[tailed])
+    if len(unreachable):
+        a = unreachable[0]
         raise InfeasibleSpecError(
-            f"reward {new_reward} unreachable at feature norm {norm}"
+            f"reward {rewards[a]} (reach {reach[a]}) unreachable within norm bound {base_hi}"
         )
-    tail = feat - (feat @ unit) * unit
-    tail_norm = float(np.linalg.norm(tail))
-    tail_dir = tail / tail_norm if tail_norm > 1e-12 else _offset(rng, len(theta), 1.0, theta)
-    tail_len = math.sqrt(max(norm**2 - along**2, 0.0))
-    return along * unit + tail_len * tail_dir
+    if not hidden:
+        return feats[None]
+
+    # A contested copy swaps the pair's rewards at the base norms, keeping
+    # each base tail's direction (it protects the mixture psi's norm floor).
+    # A base feature with no tail (norm at most 1e-12) takes a direction
+    # drawn for each copy instead.
+    copies, n_arms, turns = spec.copies, k, {}
+    if pair:
+        pair_unit, pair_feats = arms.unit[pair], feats[pair]
+        pair_norm = np.sqrt(sq_norms(pair_feats))
+        along = rewards[pair[::-1]] / arms.norm[pair]
+        tail = pair_feats - (pair_feats[:, None, :] @ pair_unit[:, :, None])[:, :, 0] * pair_unit
+        tail_norm = np.sqrt(sq_norms(tail))
+        kept = tail_norm > 1e-12
+        tail_len = np.array([math.sqrt(max(n**2 - s**2, 0.0))
+                             for n, s in zip(pair_norm.tolist(), along.tolist())])
+        tail_dir = np.divide(tail, tail_norm[:, None], out=np.zeros_like(tail), where=kept[:, None])
+        retarget = along[:, None] * pair_unit + tail_len[:, None] * tail_dir
+        short = np.flatnonzero(np.abs(along) > pair_norm + 1e-12)
+        if len(short):
+            # The retarget is the same in every copy, so an unreachable one
+            # is met first in copy 0, at that arm.
+            copies, n_arms = 1, pair[short[0]]
+        turns = {a: j for j, a in enumerate(pair) if not kept[j]}
+
+    first_slot = len(ws)
+    slot_arms, slot_copies, mags = [], [], []
+    for c in range(copies):
+        rng.normal(size=d)  # the copy's unread draw
+        for a in range(n_arms):
+            if a in pair:
+                if a not in turns:
+                    continue
+                mag = 1.0
+            else:
+                mag = spec.perturbation * float(rng.uniform(0.5, 1.0))
+                if mag == 0.0:
+                    continue
+            slot_arms.append(a)
+            slot_copies.append(c)
+            mags.append(mag)
+            _direction(rng, d, ws, redraws)
+    offsets = np.zeros((copies, k, d))
+    if mags:
+        free = np.array([a not in turns for a in slot_arms])
+        unit = arms.unit[slot_arms] if turns else None
+        dirs = _scaled(np.array(ws[first_slot:]), np.array(mags), first_slot, unit, ~free)
+        offsets[np.array(slot_copies)[free], np.array(slot_arms)[free]] = dirs[free]
+    if pair and len(short):
+        j = short[0]
+        raise InfeasibleSpecError(
+            f"reward {rewards[pair[1 - j]]} unreachable at feature norm {pair_norm[j]}"
+        )
+    rows = feats + offsets
+    if pair:
+        rows[:, pair] = retarget
+        for i, (c, a) in enumerate(zip(slot_copies, slot_arms)):
+            if a in turns:
+                j = turns[a]
+                rows[c, a] = along[j] * pair_unit[j] + tail_len[j] * dirs[i]
+    return np.concatenate((feats[None], rows))
 
 
 def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Scenario:
@@ -213,6 +331,14 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
 
     variant="hidden" gives each agent a mixture over its true context and
     `spec.copies` perturbed copies; variant="exact" gives point masses.
+
+    Each agent is generated from its own stream in two stages: its draws,
+    in stream order, with only the scalars that decide whether a draw
+    happens computed between them, then the vector math on all of its arms
+    and copies at once.  A drawn direction that is degenerate after its
+    projection (norm at most 1e-9) is drawn again, up to ``MAX_REJECTIONS``
+    times: the agent's stream is replayed from its seed with that slot's
+    redraw in place.
     """
     checked_variant(variant)
     root = np.random.SeedSequence(seed)
@@ -220,86 +346,38 @@ def generate_synthetic(spec: SyntheticSpec, seed, variant: str = "hidden") -> Sc
     theta_rng = np.random.Generator(np.random.PCG64(theta_stream))
     agent_streams = agent_root.spawn(spec.M)
 
-    lo, hi = spec.norm_range
-    base_lo, base_hi = lo + spec.perturbation, hi - spec.perturbation
-
+    thetas = np.zeros((spec.K, spec.d))
     if spec.theta_mode == "shared":
-        theta = np.zeros(spec.d)
-        theta[0] = 1.0
-        thetas = [theta] * spec.K
+        thetas[:, 0] = 1.0
     else:
-        thetas = []
-        for _ in range(spec.K):
+        for a in range(spec.K):
             v = theta_rng.normal(size=spec.d)
             v /= np.linalg.norm(v)
-            thetas.append(float(theta_rng.uniform(*THETA_SCALE_RANGE)) * v)
+            thetas[a] = float(theta_rng.uniform(*THETA_SCALE_RANGE)) * v
+    arms = _Arms.of(thetas)
 
-    gap_lo, gap_hi = spec.gap_range
+    hidden = variant == "hidden"
+    blocks = []
+    for stream in agent_streams:
+        redraws: dict[int, int] = {}
+        while True:
+            try:
+                blocks.append(_agent_contexts(spec, hidden, stream, arms, redraws))
+                break
+            except _Redraw as exc:
+                redraws[exc.slot] = redraws.get(exc.slot, 0) + 1
+                if redraws[exc.slot] == MAX_REJECTIONS:
+                    raise InfeasibleSpecError("could not sample a perturbation direction") from None
 
-    rows: list[np.ndarray] = []  # rows[c]: the (K, d) features of context id c
-    weights: list[tuple[int, int, float]] = []  # (agent, context id, mu entry)
-    for i in range(spec.M):
-        rng = np.random.Generator(np.random.PCG64(agent_streams[i]))
-        best = int(rng.integers(spec.K))
-        r_best = float(rng.uniform(*spec.best_reward_range))
-        rewards = np.empty(spec.K)
-        for a in range(spec.K):
-            if a == best:
-                rewards[a] = r_best
-            else:
-                rewards[a] = r_best - float(rng.uniform(gap_lo, gap_hi))
-
-        # Contested agents: the perturbed copies prefer a rival arm the
-        # base context does not, so the mixture average ties the top two.
-        rival = -1
-        if spec.contested_frac > 0.0 and float(rng.random()) < spec.contested_frac:
-            rival = int(rng.integers(spec.K - 1))
-            if rival >= best:
-                rival += 1
-            rewards[rival] = r_best - float(rng.uniform(*spec.contested_gap_range))
-
-        base_id = len(rows)
-        # One unread draw per context keeps every later draw, so every scenario, fixed.
-        rng.normal(size=spec.d)
-        base_feats = np.empty((spec.K, spec.d))
-        for a in range(spec.K):
-            reach = 0.0
-            if rival >= 0 and a in (best, rival):
-                reach = max(abs(rewards[best]), abs(rewards[rival]))
-            base_feats[a] = _feature_for_reward(
-                rng, thetas[a], rewards[a], base_lo, base_hi, reach=reach
-            )
-        rows.append(base_feats)
-
-        if variant == "exact":
-            weights.append((i, base_id, 1.0))
-            continue
-
-        copy_ids = []
-        for _ in range(spec.copies):
-            cid = len(rows)
-            rng.normal(size=spec.d)  # the copy's unread draw
-            row = np.empty((spec.K, spec.d))
-            for a in range(spec.K):
-                if rival >= 0 and a in (best, rival):
-                    swapped = rewards[rival] if a == best else rewards[best]
-                    row[a] = _retarget_reward(rng, thetas[a], base_feats[a], swapped)
-                else:
-                    mag = spec.perturbation * float(rng.uniform(0.5, 1.0))
-                    row[a] = base_feats[a] + _offset(rng, spec.d, mag)
-            rows.append(row)
-            copy_ids.append(cid)
-        weights.append((i, base_id, 1.0 - RHO))
-        weights += [(i, cid, RHO / spec.copies) for cid in copy_ids]
-
-    mu = np.zeros((spec.M, len(rows)))
-    agent_ids, context_ids, probs = zip(*weights)
-    mu[agent_ids, context_ids] = probs
+    # Agent i's contexts are consecutive ids: its base context, then its
+    # copies, which share RHO evenly.
+    weights = [1.0 - RHO] + [RHO / spec.copies] * spec.copies if hidden else [1.0]
+    lo, hi = spec.norm_range
     return Scenario(
         bounds=Bounds(ell=lo, big_l=hi, s=1.0),
         rewards=thetas,
-        features=np.stack(rows, axis=1),
-        mu=mu,
+        features=np.ascontiguousarray(np.concatenate(blocks).swapaxes(0, 1)),
+        mu=np.kron(np.eye(spec.M), weights),
         sigma=spec.sigma,
         name=f"{spec.name}-K{spec.K}-d{spec.d}-M{spec.M}",
     )

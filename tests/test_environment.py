@@ -240,6 +240,29 @@ class TestDeterminism:
         seq_b = [b.pull(0, t % 2) for t in range(10)]
         assert seq_a == seq_b
 
+    @pytest.mark.parametrize("source", ["synthetic", "desk-exact", "movielens-like", "random-rows"])
+    def test_contexts_are_the_choice_draws(self, source):
+        """Each agent's context is the id ``Generator.choice(C, p=row)`` draws
+        from the agent's own stream, for rows with zeros anywhere."""
+        if source == "random-rows":
+            rng = np.random.default_rng(4)
+            mu = rng.dirichlet(np.ones(9), size=12) * (rng.random((12, 9)) < 0.5)
+            mu[:, 4] += 1e-3
+            mu /= mu.sum(axis=1, keepdims=True)
+            sc = Scenario(bounds=Bounds(ell=0.5, big_l=1.0, s=1.0), rewards=[[1.0, 0.0]],
+                          features=np.full((1, 9, 2), 0.6), mu=mu, sigma=0.0)
+        else:
+            spec = {"synthetic": SyntheticSpec(M=20),
+                    "desk-exact": SyntheticSpec(K=5, M=9),
+                    "movielens-like": SyntheticSpec(K=8, M=15, copies=2, theta_mode="per_arm",
+                                                    contested_frac=0.25)}[source]
+            sc = generate_synthetic(spec, seed=1, variant="exact" if "exact" in source else "hidden")
+        for seed in range(10):
+            ctx_root = np.random.SeedSequence(seed).spawn(2)[0]
+            expected = [np.random.Generator(np.random.PCG64(s)).choice(sc.mu.shape[1], p=row)
+                        for row, s in zip(sc.mu, ctx_root.spawn(sc.M))]
+            assert Environment(sc, master_seed=seed).contexts.tolist() == expected
+
     def test_realized_contexts_stable_under_agent_prefix(self):
         """Restricting to the first m agents must not change their draws."""
         spec = SyntheticSpec(K=3, d=2, M=6, norm_range=(0.6, 1.0), perturbation=0.05)

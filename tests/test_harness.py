@@ -102,6 +102,29 @@ class TestGenerateSynthetic:
         assert (sc.K, sc.d, sc.M) == (30, 3, 6)
         sc.validate()
 
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(M=2.5), "M must be an integer >= 1, got 2.5"),
+        (dict(M=0), "M must be an integer >= 1, got 0"),
+        (dict(copies=2.5), "copies must be an integer >= 1, got 2.5"),
+        (dict(copies=True), "copies must be an integer >= 1, got True"),
+        (dict(copies=0), "copies must be an integer >= 1, got 0"),
+        (dict(d=3.0), "d must be an integer >= 2, got 3.0"),
+        (dict(d=1), "d must be an integer >= 2, got 1"),
+        (dict(K=3.0), "K must be an integer >= 2, got 3.0"),
+        (dict(K=1), "K must be an integer >= 2, got 1"),
+    ], ids=["fractional-M", "zero-M", "fractional-copies", "bool-copies", "zero-copies",
+            "float-d", "small-d", "float-K", "small-K"])
+    def test_bad_size_rejected_by_name(self, overrides, named):
+        """A size that is not an integer is refused at construction (M = 2.5
+        failed later inside numpy; copies = True ran as one copy)."""
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+            SyntheticSpec(**overrides)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = dict(K=np.int64(4), d=np.int64(3), M=np.int64(3), copies=np.int64(2))
+        assert (generate_synthetic(SyntheticSpec(**sizes), seed=1).to_json_dict()
+                == generate_synthetic(SyntheticSpec(K=4, d=3, M=3, copies=2), seed=1).to_json_dict())
+
 
 class TestLoadFeatures:
     def test_round_trip(self, tmp_path):
